@@ -2,8 +2,8 @@
 
 The ROADMAP's performance work is judged against a published trajectory:
 every perf-relevant benchmark writes one ``BENCH_<name>.json`` with the
-same schema, so successive PRs can assert "records/sec went up 10×
-against the recorded baseline" instead of hand-waving. The schema:
+same schema, so successive runs compare like with like (the gated
+end-to-end numbers live in ``perfbench/``). The schema:
 
 ``bench``
     the trajectory name (file is ``BENCH_<bench>.json``);
@@ -138,53 +138,6 @@ def write_bench(record: BenchRecord, directory: str | Path) -> Path:
         encoding="utf-8",
     )
     return path
-
-
-def compare_to_baseline(
-    current: BenchRecord | dict[str, Any],
-    baseline_path: str | Path,
-    *,
-    min_speedup: float = 1.0,
-) -> dict[str, Any] | None:
-    """Gate ``current`` against a recorded baseline trajectory point.
-
-    ``baseline_path`` is a committed ``BENCH_*.json`` (the repo keeps the
-    per-record-plane recordings at the repository root). Returns ``None``
-    when no baseline is recorded there — a fresh clone must not fail its
-    first benchmark run. Otherwise the two records must be *comparable*
-    (identical ``config_digest``: same workload, duration, deployment)
-    and the current throughput must be at least ``min_speedup`` × the
-    recorded one; violations raise :class:`AssertionError` so the CI
-    perf job fails loudly instead of letting a regression (or a silent
-    config drift that would fake one) through.
-
-    Returns ``{"baseline", "current", "speedup"}`` on success.
-    """
-    baseline_path = Path(baseline_path)
-    if not baseline_path.exists():
-        return None
-    baseline = read_bench(baseline_path)
-    data = current.to_dict() if isinstance(current, BenchRecord) else current
-    if data["config_digest"] != baseline["config_digest"]:
-        raise AssertionError(
-            f"bench config drifted from the recorded baseline: "
-            f"{data['config_digest']} != {baseline['config_digest']} "
-            f"({baseline_path.name}) — the two runs are not comparable; "
-            f"re-record the baseline if the change is intentional"
-        )
-    ratio = data["records_per_s"] / max(baseline["records_per_s"], 1e-12)
-    if ratio < min_speedup:
-        raise AssertionError(
-            f"throughput regression vs {baseline_path.name}: "
-            f"{data['records_per_s']:,.0f} records/s is {ratio:.2f}× the "
-            f"recorded {baseline['records_per_s']:,.0f} records/s "
-            f"(gate requires >= {min_speedup:.1f}×)"
-        )
-    return {
-        "baseline": baseline["records_per_s"],
-        "current": data["records_per_s"],
-        "speedup": ratio,
-    }
 
 
 def read_bench(path: str | Path) -> dict[str, Any]:

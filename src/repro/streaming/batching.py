@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.obs.lineage import BatchTrace
 from repro.streaming.events import Batch, Record
+from repro.streaming.records import RecordBatch
 
 
 class BatchPolicy:
@@ -28,6 +31,25 @@ class BatchPolicy:
         self, buffered_bytes: float, buffered_count: int, oldest_age: float
     ) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def first_flush(
+        self, cum_bytes: np.ndarray, start_count: int, oldest_age: float
+    ) -> int:
+        """First index at which :meth:`should_flush` turns true.
+
+        ``cum_bytes[i]`` is the buffered byte total once element ``i``
+        of a column block is appended, ``start_count + i + 1`` the
+        buffered count at that point, and ``oldest_age`` the (constant
+        within one offer) age of the oldest buffered element. Returns
+        ``len(cum_bytes)`` when the policy never fires. This default
+        asks :meth:`should_flush` per element, so it is exact for any
+        policy; the built-in policies answer with one ``searchsorted``
+        on the non-decreasing ``cum_bytes``.
+        """
+        for i, buffered in enumerate(cum_bytes.tolist()):
+            if self.should_flush(buffered, start_count + i + 1, oldest_age):
+                return i
+        return len(cum_bytes)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -42,6 +64,9 @@ class SizeBatchPolicy(BatchPolicy):
     def should_flush(self, buffered_bytes, buffered_count, oldest_age) -> bool:
         return buffered_bytes >= self.max_bytes
 
+    def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
+        return int(np.searchsorted(cum_bytes, self.max_bytes, side="left"))
+
     def describe(self) -> str:
         return f"size({self.max_bytes:.0f}B)"
 
@@ -54,6 +79,9 @@ class TimeBatchPolicy(BatchPolicy):
 
     def should_flush(self, buffered_bytes, buffered_count, oldest_age) -> bool:
         return oldest_age >= self.max_delay
+
+    def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
+        return 0 if oldest_age >= self.max_delay else len(cum_bytes)
 
     def describe(self) -> str:
         return f"time({self.max_delay:.1f}s)"
@@ -68,6 +96,11 @@ class HybridBatchPolicy(BatchPolicy):
         return self.size.should_flush(
             buffered_bytes, buffered_count, oldest_age
         ) or self.time.should_flush(buffered_bytes, buffered_count, oldest_age)
+
+    def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
+        if oldest_age >= self.time.max_delay:
+            return 0
+        return self.size.first_flush(cum_bytes, start_count, oldest_age)
 
     def describe(self) -> str:
         return f"hybrid({self.size.max_bytes:.0f}B,{self.time.max_delay:.1f}s)"
@@ -109,17 +142,37 @@ class AdaptiveBatchPolicy(BatchPolicy):
             return True
         return buffered_bytes >= self.current_threshold()
 
+    def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
+        if oldest_age >= self.max_delay:
+            return 0
+        # The link estimate cannot move inside one offer (virtual time
+        # stands still), so the threshold is read once.
+        return int(
+            np.searchsorted(cum_bytes, self.current_threshold(), side="left")
+        )
+
     def describe(self) -> str:
         return f"adaptive(occ={self.target_occupancy}, {self.max_delay:.1f}s)"
 
 
 class Batcher:
-    """Buffers records and cuts batches according to a policy."""
+    """Buffers records and cuts batches according to a policy.
+
+    Takes its input one kind at a time: ``Record`` objects (partial
+    aggregates, per-record-plane raw records) through :meth:`offer` /
+    :meth:`offer_many`, or raw-record column blocks through
+    ``offer_many(RecordBatch, now)``. A cut batch carries the kind that
+    was buffered; one batcher never mixes the two.
+    """
 
     def __init__(self, policy: BatchPolicy, origin: str) -> None:
         self.policy = policy
         self.origin = origin
         self._buffer: list[Record] = []
+        #: Buffered column blocks (views into upstream arrays), oldest
+        #: first; concatenated once, at cut time.
+        self._columns: list[RecordBatch] = []
+        self._buffered_count = 0
         self._buffered_bytes = 0.0
         self._oldest_arrival: float | None = None
         self._seq = 0
@@ -128,20 +181,29 @@ class Batcher:
 
     def offer(self, record: Record, now: float) -> Batch | None:
         """Add a record; returns a batch when the policy fires."""
+        if self._columns:
+            raise TypeError("batcher already holds column blocks")
         self._buffer.append(record)
+        self._buffered_count += 1
         self._buffered_bytes += record.size_bytes
         self.records_buffered += 1
         if self._oldest_arrival is None:
             self._oldest_arrival = now
         return self.maybe_flush(now)
 
-    def offer_many(self, records: list[Record], now: float) -> list[Batch]:
+    def offer_many(
+        self, records: "list[Record] | RecordBatch", now: float
+    ) -> list[Batch]:
         """Offer records in order; returns every batch the policy cut.
 
         Semantically identical to calling :meth:`offer` per record —
         the policy is consulted after each append, so batch boundaries
-        land exactly where the one-at-a-time path puts them.
+        land exactly where the one-at-a-time path puts them. A
+        :class:`RecordBatch` gets there without touching its elements:
+        see :meth:`_offer_columns`.
         """
+        if isinstance(records, RecordBatch):
+            return self._offer_columns(records, now)
         out: list[Batch] = []
         for record in records:
             batch = self.offer(record, now)
@@ -149,24 +211,80 @@ class Batcher:
                 out.append(batch)
         return out
 
+    def _offer_columns(self, block: RecordBatch, now: float) -> list[Batch]:
+        """Cut a column block where per-element :meth:`offer` would.
+
+        Between two cuts the per-element path adds sizes one by one to
+        ``_buffered_bytes`` and asks the policy after each; here the
+        same running totals come from one sequential
+        ``np.add.accumulate`` (seeded with the bytes already buffered,
+        restarted at 0.0 after each cut, so every float equals the
+        ``+=`` chain's) and the policy names the first firing index.
+        Virtual time stands still inside the call, so the oldest
+        element's age is ``now - oldest_arrival`` up to the first cut
+        and 0.0 after it.
+        """
+        if self._buffer:
+            raise TypeError("batcher already holds Record objects")
+        out: list[Batch] = []
+        n = len(block)
+        self.records_buffered += n
+        start = 0
+        while start < n:
+            sizes = block.size[start:]
+            if self._buffered_bytes:
+                cum = np.add.accumulate(
+                    np.concatenate(([self._buffered_bytes], sizes)),
+                    dtype=np.float64,
+                )[1:]
+            else:
+                cum = np.add.accumulate(sizes, dtype=np.float64)
+            if self._oldest_arrival is None:
+                self._oldest_arrival = now
+            fire_at = self.policy.first_flush(
+                cum, self._buffered_count, now - self._oldest_arrival
+            )
+            fired = fire_at < len(cum)
+            take = fire_at + 1 if fired else len(cum)
+            self._columns.append(block[start:start + take])
+            self._buffered_count += take
+            self._buffered_bytes = float(cum[take - 1])
+            start += take
+            if fired:
+                out.append(self.flush(now))
+        return out
+
     def maybe_flush(self, now: float) -> Batch | None:
         """Check the policy (also called on timer ticks)."""
-        if not self._buffer:
+        if not self._buffered_count:
             return None
         age = now - (self._oldest_arrival if self._oldest_arrival is not None else now)
-        if self.policy.should_flush(self._buffered_bytes, len(self._buffer), age):
+        if self.policy.should_flush(
+            self._buffered_bytes, self._buffered_count, age
+        ):
             return self.flush(now)
         return None
 
     def flush(self, now: float) -> Batch | None:
         """Unconditionally cut a batch from whatever is buffered."""
-        if not self._buffer:
+        if not self._buffered_count:
             return None
-        batch = Batch(self._buffer, self.origin, created_at=now, seq=self._seq)
+        payload = (
+            RecordBatch.concat(self._columns) if self._columns else self._buffer
+        )
+        batch = Batch(
+            payload,
+            self.origin,
+            created_at=now,
+            seq=self._seq,
+            size_bytes=self._buffered_bytes,
+        )
         batch.trace = BatchTrace.stamp(self.origin, self._seq, now)
         self._seq += 1
         self.batches_cut += 1
         self._buffer = []
+        self._columns = []
+        self._buffered_count = 0
         self._buffered_bytes = 0.0
         self._oldest_arrival = None
         return batch
@@ -177,4 +295,4 @@ class Batcher:
 
     @property
     def buffered_count(self) -> int:
-        return len(self._buffer)
+        return self._buffered_count

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.lineage import BatchTrace
+
+if TYPE_CHECKING:
+    from repro.streaming.records import RecordBatch
 
 
 @dataclass(frozen=True)
@@ -30,28 +33,45 @@ class Record:
 
 @dataclass
 class Batch:
-    """A set of records (or partial aggregates) packed for the WAN."""
+    """A set of records (or partial aggregates) packed for the WAN.
 
-    records: list[Record]
+    The payload ``records`` is one of two kinds: a ``list[Record]``
+    (partial aggregates, or raw records from the per-record plane or a
+    hand-built batch) or a columnar
+    :class:`~repro.streaming.records.RecordBatch` of raw records, which
+    crosses the WAN without a ``Record`` object per element. ``count``
+    and ``size_bytes`` are fixed once at construction — the batcher
+    passes the byte total it accumulated while buffering — so shipping
+    never re-walks the payload.
+    """
+
+    records: "list[Record] | RecordBatch"
     origin: str
     created_at: float
     seq: int = 0
     #: Causal trace context stamped at cut time; shared across retries,
     #: duplicates, and checkpoint replay of the same batch object.
     trace: BatchTrace | None = None
+    #: Payload bytes, summed left to right in record order (the same
+    #: float chain the batcher's running total follows).
+    size_bytes: float | None = None
+    count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.records:
+        payload = self.records
+        self.count = len(payload)
+        if not self.count:
             raise ValueError("a batch cannot be empty")
-
-    @property
-    def size_bytes(self) -> float:
-        return sum(r.size_bytes for r in self.records)
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
+        if self.size_bytes is None:
+            self.size_bytes = (
+                sum(r.size_bytes for r in payload)
+                if isinstance(payload, list)
+                else payload.total_bytes
+            )
 
     @property
     def oldest_event_time(self) -> float:
-        return min(r.event_time for r in self.records)
+        payload = self.records
+        if isinstance(payload, list):
+            return min(r.event_time for r in payload)
+        return float(payload.t.min())

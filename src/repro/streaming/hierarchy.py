@@ -29,6 +29,11 @@ from repro.streaming.runtime import GlobalAggregator, LatencyStats, SiteRuntime
 from repro.streaming.windows import Window
 from repro.simulation.units import KB
 
+_RAW_PAYLOAD = (
+    "hierarchical aggregation requires partial-aggregate records "
+    "(ship_raw_records jobs bypass hubs)"
+)
+
 
 @dataclass
 class _HubSlot:
@@ -88,6 +93,8 @@ class HubAggregator:
     # ------------------------------------------------------------------
     def deliver(self, batch: Batch) -> None:
         """Receive a child site's batch (plugged as its delivery target)."""
+        if not isinstance(batch.records, list):
+            raise TypeError(_RAW_PAYLOAD)
         if batch.origin:
             key = (batch.origin, batch.seq)
             if key in self._seen_batches:
@@ -99,10 +106,7 @@ class HubAggregator:
         for record in batch.records:
             value = record.value
             if not isinstance(value, PartialAggregate):
-                raise TypeError(
-                    "hierarchical aggregation requires partial-aggregate "
-                    "records (ship_raw_records jobs bypass hubs)"
-                )
+                raise TypeError(_RAW_PAYLOAD)
             self.partials_in += 1
             slot = self._slots.get((value.window, value.key))
             if slot is None:

@@ -144,33 +144,46 @@ class RecordBatch:
     def __add__(self, other: "RecordBatch") -> "RecordBatch":
         if not isinstance(other, RecordBatch):
             return NotImplemented
-        if not len(self):
-            return other
-        if not len(other):
-            return self
-        if self.keys == other.keys:
-            keys = self.keys
-            other_idx = other.key_idx
+        return RecordBatch.concat([self, other])
+
+    @classmethod
+    def concat(cls, batches: "list[RecordBatch]") -> "RecordBatch":
+        """Concatenate in order. Empty inputs are skipped and a single
+        non-empty input is returned as is (no copy); key tables that
+        differ are merged first-seen and the indices remapped."""
+        parts = [b for b in batches if len(b)]
+        if not parts:
+            return batches[0] if batches else cls.empty()
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        keys = first.keys
+        if all(b.keys == keys for b in parts):
+            key_cols = [b.key_idx for b in parts]
         else:
-            lookup = {k: i for i, k in enumerate(self.keys)}
-            remap = np.empty(len(other.keys), dtype=np.int64)
-            for j, key in enumerate(other.keys):
-                remap[j] = lookup.setdefault(key, len(lookup))
+            lookup = {k: i for i, k in enumerate(keys)}
+            key_cols = [first.key_idx]
+            for b in parts[1:]:
+                remap = np.empty(len(b.keys), dtype=np.int64)
+                for j, key in enumerate(b.keys):
+                    remap[j] = lookup.setdefault(key, len(lookup))
+                key_cols.append(remap[b.key_idx])
             keys = tuple(lookup)
-            other_idx = remap[other.key_idx]
-        if self.value.dtype == object or other.value.dtype == object:
-            value = np.empty(len(self) + len(other), dtype=object)
-            value[: len(self)] = self.value
-            value[len(self):] = other.value
+        if any(b.value.dtype == object for b in parts):
+            value = np.empty(sum(len(b) for b in parts), dtype=object)
+            at = 0
+            for b in parts:
+                value[at:at + len(b)] = b.value
+                at += len(b)
         else:
-            value = np.concatenate((self.value, other.value))
-        return RecordBatch(
-            np.concatenate((self.t, other.t)),
-            np.concatenate((self.key_idx, other_idx)),
+            value = np.concatenate([b.value for b in parts])
+        return cls(
+            np.concatenate([b.t for b in parts]),
+            np.concatenate(key_cols),
             value,
-            np.concatenate((self.size, other.size)),
+            np.concatenate([b.size for b in parts]),
             keys,
-            self.origin or other.origin,
+            next((b.origin for b in parts if b.origin), ""),
         )
 
     # -- transforms ----------------------------------------------------
@@ -231,7 +244,12 @@ class RecordBatch:
 
     @property
     def total_bytes(self) -> float:
-        return float(self.size.sum())
+        """Sum of ``size`` taken left to right — the float chain a
+        per-record ``+=`` produces (``ndarray.sum`` is pairwise and can
+        differ in the last bit)."""
+        if not len(self.size):
+            return 0.0
+        return float(np.add.accumulate(self.size, dtype=np.float64)[-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

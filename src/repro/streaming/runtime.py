@@ -479,8 +479,8 @@ class SiteRuntime:
                 if not len(batch):
                     return
         if self.job.ship_raw_records:
-            for record in batch.iter_records():
-                self._emit(record, now)
+            for cut in self.batcher.offer_many(batch, now):
+                self._ship(cut)
         else:
             self.aggregator.process_batch(batch)
 
@@ -641,19 +641,23 @@ class GlobalAggregator:
                 self._m_dups.inc()
                 return
             self._seen_batches.add(key)
-        for record in batch.records:
-            value = record.value
-            if isinstance(value, PartialAggregate):
-                self._merge_partial(record, value, batch, now)
-            else:
-                self.raw_records += 1
-                self._raw_aggregator.process(record)
-        if self.raw_records:
-            watermark = now - self.job.watermark_lag - self.job.finalize_grace
-            for partial in self._raw_aggregator.advance_watermark(watermark):
-                pa = partial.value
-                assert isinstance(pa, PartialAggregate)
-                self._finalize_now(pa.window, pa.key, pa.state, pa.count, 1, now)
+        payload = batch.records
+        if isinstance(payload, list):
+            # A list payload is one kind throughout: partial aggregates
+            # from a site's window close, or raw records from the
+            # per-record plane / a hand-built batch — columnarized here,
+            # once, so raw records have a single fold path.
+            if isinstance(payload[0].value, PartialAggregate):
+                for record in payload:
+                    self._merge_partial(record, record.value, batch, now)
+                return
+            payload = RecordBatch.from_records(payload)
+        self.raw_records += len(payload)
+        self._raw_aggregator.process_batch(payload)
+        watermark = now - self.job.watermark_lag - self.job.finalize_grace
+        for partial in self._raw_aggregator.advance_watermark(watermark):
+            pa = partial.value
+            self._finalize_now(pa.window, pa.key, pa.state, pa.count, 1, now)
 
     def _merge_partial(
         self, record: Record, pa: PartialAggregate, batch: Batch, now: float

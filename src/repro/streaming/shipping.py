@@ -133,7 +133,7 @@ class _ShipInstruments:
             backend=self._backend,
             link=self._link,
             bytes=batch.size_bytes,
-            records=len(batch.records),
+            records=batch.count,
         )
 
         def _delivered(b: Batch) -> None:
@@ -901,6 +901,8 @@ def _record_weight(batch: Batch) -> int:
     """Raw-record count a batch carries (partials weigh their fold count)."""
     from repro.streaming.operators import PartialAggregate
 
+    if not isinstance(batch.records, list):
+        return batch.count
     total = 0
     for record in batch.records:
         value = record.value

@@ -99,6 +99,13 @@ class TransferSession:
         Delivered bytes stay delivered (the receiver keeps complete chunks)
         — re-planning resumes from the remainder, it does not restart.
         """
+        # With every flow done and only the final ack round-trip left,
+        # _complete still fires (and releases the callbacks then).
+        ack_pending = (
+            not self.cancelled
+            and self.started_at is not None
+            and self._flows_pending == 0
+        )
         self.cancelled = True
         undelivered = 0.0
         for flow in self.flows:
@@ -113,6 +120,8 @@ class TransferSession:
                             flow.transferred, context=f"{src}->{dst}"
                         )
         self._flows_pending = 0
+        if not ack_pending:
+            self._release_callbacks()
         return undelivered
 
     # ------------------------------------------------------------------
@@ -148,8 +157,23 @@ class TransferSession:
         if self.completed_at is not None:  # pragma: no cover - defensive
             return
         self.completed_at = self.sim.now
-        if self.on_complete is not None:
-            self.on_complete(self)
+        on_complete = self.on_complete
+        self._release_callbacks()
+        if on_complete is not None:
+            on_complete(self)
+
+    def _release_callbacks(self) -> None:
+        """Drop the completion callbacks of a finished or cancelled session.
+
+        The owning service keeps sessions for reporting (``plan``,
+        ``elapsed``, ``transferred``), but the callbacks close over the
+        caller's payload — a shipped batch, a managed transfer — which
+        must not stay reachable for the rest of the run.
+        """
+        self.on_complete = None
+        self.on_flow_complete = None
+        for flow in self.flows:
+            flow.on_complete = None
 
     # ------------------------------------------------------------------
     # Progress

@@ -1,15 +1,20 @@
 """Unit tests for batching policies and the batcher."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.batching import (
     AdaptiveBatchPolicy,
     Batcher,
+    BatchPolicy,
     HybridBatchPolicy,
     SizeBatchPolicy,
     TimeBatchPolicy,
 )
 from repro.streaming.events import Record
+from repro.streaming.records import ChunkedBacklog, RecordBatch
 
 
 def rec(t, size=100.0):
@@ -102,3 +107,128 @@ def test_empty_batch_rejected():
 
     with pytest.raises(ValueError):
         Batch([], "X", 0.0)
+
+
+# ----------------------------------------------------------------------
+# Column blocks: offer_many(RecordBatch) must cut exactly where
+# per-record offer does, and the hand-built surfaces keep working.
+# ----------------------------------------------------------------------
+class _CountOrBytesPolicy(BatchPolicy):
+    """A user policy that only implements ``should_flush``."""
+
+    def should_flush(self, buffered_bytes, buffered_count, oldest_age) -> bool:
+        return (
+            buffered_count >= 7
+            or buffered_bytes >= 2500.0
+            or oldest_age >= 1.5
+        )
+
+
+_POLICIES = {
+    "size": lambda: SizeBatchPolicy(1800.0),
+    "time": lambda: TimeBatchPolicy(1.0),
+    "hybrid": lambda: HybridBatchPolicy(2200.0, 1.0),
+    "adaptive": lambda: AdaptiveBatchPolicy(
+        lambda: 3000.0, target_occupancy=0.5, max_delay=1.0, min_bytes=100.0
+    ),
+    "custom": _CountOrBytesPolicy,
+}
+
+_record = st.tuples(
+    st.floats(0.5, 900.0, allow_nan=False),  # size: non-integer floats
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.one_of(st.floats(-5.0, 5.0, allow_nan=False), st.integers(-3, 3)),
+)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.5]),  # virtual time advance
+        st.lists(_record, max_size=25),  # records ingested this step
+        st.integers(1, 30),  # drain budget (splits backlog chunks)
+        st.booleans(),  # timer tick after the drain?
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _cuts(batches):
+    return [(b.seq, b.count, b.size_bytes, b.created_at) for b in batches]
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+@settings(max_examples=60, deadline=None)
+@given(steps=_steps, chunk_records=st.integers(1, 9))
+def test_column_blocks_cut_exactly_like_per_record_offers(
+    policy, steps, chunk_records
+):
+    columnar = Batcher(_POLICIES[policy](), origin="NEU")
+    reference = Batcher(_POLICIES[policy](), origin="NEU")
+    backlog = ChunkedBacklog(chunk_records)
+    col_out, ref_out = [], []
+    now, event_time = 0.0, 0.0
+    for advance, records, budget, tick in steps:
+        now += advance
+        if records:
+            emitted = []
+            for size, key, value in records:
+                event_time += 0.01
+                emitted.append(Record(event_time, key, value, "NEU", size))
+            # Each emission has its own key table (and an object-dtype
+            # value column whenever an int slipped in).
+            backlog.extend(RecordBatch.from_records(emitted))
+        for chunk in backlog.pop_upto(budget):
+            col_out += columnar.offer_many(chunk, now)
+            ref_out += reference.offer_many(chunk.to_records(), now)
+        if tick:
+            col_out += filter(None, [columnar.maybe_flush(now)])
+            ref_out += filter(None, [reference.maybe_flush(now)])
+        assert columnar.buffered_count == reference.buffered_count
+        assert columnar.buffered_bytes == reference.buffered_bytes
+    col_out += filter(None, [columnar.flush(now)])
+    ref_out += filter(None, [reference.flush(now)])
+    assert _cuts(col_out) == _cuts(ref_out)
+    assert all(isinstance(b.records, RecordBatch) for b in col_out)
+    assert [b.records.to_records() for b in col_out] == [
+        b.records for b in ref_out
+    ]
+    assert columnar.records_buffered == reference.records_buffered
+
+
+@pytest.mark.parametrize("policy", sorted(_POLICIES))
+@pytest.mark.parametrize("age", [0.0, 0.99, 1.0, 1.5, 7.0])
+def test_first_flush_overrides_agree_with_the_per_element_default(policy, age):
+    # Thresholds hit exactly (>= must fire), never, and on element 0.
+    p = _POLICIES[policy]()
+    for cum in ([100.0, 1500.0, 1800.0, 2200.0, 2500.0], [1.0, 2.0], [9e9]):
+        cum = np.array(cum)
+        for start in (0, 6):
+            assert p.first_flush(cum, start, age) == BatchPolicy.first_flush(
+                p, cum, start, age
+            )
+
+
+def test_batcher_refuses_to_mix_payload_kinds():
+    block = RecordBatch.from_records([rec(0.0), rec(0.1)])
+    b = Batcher(SizeBatchPolicy(1e9), origin="X")
+    b.offer_many(block, now=0.0)
+    assert b.buffered_count == 2
+    with pytest.raises(TypeError):
+        b.offer(rec(0.2), now=0.0)
+    b = Batcher(SizeBatchPolicy(1e9), origin="X")
+    b.offer(rec(0.0), now=0.0)
+    with pytest.raises(TypeError):
+        b.offer_many(block, now=0.0)
+
+
+def test_hand_built_batches_fix_count_and_bytes_once():
+    from repro.streaming.events import Batch
+
+    records = [rec(5.0, size=100.5), rec(3.0, size=200.25)]
+    as_list = Batch(records, "X", 0.0, seq=3)
+    as_columns = Batch(RecordBatch.from_records(records), "X", 0.0, seq=3)
+    for batch in (as_list, as_columns):
+        assert batch.count == 2
+        assert batch.size_bytes == 300.75
+        assert batch.oldest_event_time == 3.0
+    with pytest.raises(ValueError):
+        Batch(RecordBatch.empty("X"), "X", 0.0)

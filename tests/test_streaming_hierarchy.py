@@ -137,3 +137,18 @@ def test_hierarchy_validation():
         )
     with pytest.raises(ValueError):
         HubAggregator(engine, job, "WEU", None, hold=-1.0)
+
+
+def test_hub_rejects_raw_payloads_of_either_kind():
+    from repro.streaming import Batch, Record, RecordBatch
+
+    engine = make_engine()
+    hub = HubAggregator(
+        engine, make_job(), "WEU", SageShipping(engine, "WEU", "WUS")
+    )
+    raw = [Record(1.0, "k", 1.0, "NEU"), Record(2.0, "k", 2.0, "NEU")]
+    for seq, payload in enumerate((raw, RecordBatch.from_records(raw))):
+        with pytest.raises(TypeError, match="partial-aggregate"):
+            hub.deliver(Batch(payload, "NEU", 0.0, seq=seq))
+    assert hub.partials_in == 0
+    hub.stop()

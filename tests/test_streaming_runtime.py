@@ -120,6 +120,39 @@ def test_ship_raw_records_mode_more_wan_bytes():
     assert r2.results
 
 
+def test_columnar_raw_job_builds_no_record_per_stream_record(monkeypatch):
+    from repro.streaming.events import Record
+    from repro.streaming.operators import MapOperator
+    from repro.streaming.records import RecordBatch
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a columnar raw job re-objectified a batch")
+
+    for name in ("iter_records", "to_records"):
+        monkeypatch.setattr(RecordBatch, name, forbidden)
+    built = []
+    init = Record.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", counting_init)
+    engine = make_engine(seed=40)
+    job = make_job(rate=400.0, ship_raw_records=True)
+    for spec in job.sites:
+        spec.operators.append(
+            MapOperator(lambda r: r, batch_fn=lambda b: b.with_key("all"))
+        )
+    runtime = GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2))
+    runtime.run_for(60.0)
+    assert runtime.records_ingested() > 40_000
+    assert runtime.results and {r.key for r in runtime.results} == {"all"}
+    # The only Records are the partial-aggregate wrappers the aggregation
+    # site's windows emit on close: one per result, none per record.
+    assert len(built) == len(runtime.results)
+
+
 def test_direct_and_blob_backends_work():
     for factory in (DirectShipping.factory(), BlobShipping.factory()):
         engine = make_engine(seed=17)

@@ -1,12 +1,21 @@
 """Tests for the shipping backends."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.simulation.units import KB, MB
 from repro.streaming.events import Batch, Record
-from repro.streaming.shipping import BlobShipping, DirectShipping, SageShipping
+from repro.streaming.records import RecordBatch
+from repro.streaming.shipping import (
+    BlobShipping,
+    DirectShipping,
+    ReliableShipping,
+    SageShipping,
+)
 
 
 @pytest.fixture
@@ -107,3 +116,33 @@ def test_factories_build_from_vms(engine):
     ):
         backend = factory(engine, src_vms, dst_vm)
         ship_and_wait(engine, backend, batch(size=128 * KB))
+
+
+@pytest.mark.parametrize("backend_kind", ["sage", "direct", "reliable"])
+def test_delivered_batch_is_collectable(engine, backend_kind):
+    # The transfer service keeps every finished session for reporting;
+    # that must not keep the shipped payload alive with it.
+    if backend_kind == "direct":
+        backend = DirectShipping(
+            engine, engine.deployment.vms("NEU"), engine.deployment.vms("NUS")[0]
+        )
+    else:
+        backend = SageShipping(engine, "NEU", "NUS", n_nodes=2)
+        if backend_kind == "reliable":
+            backend = ReliableShipping(engine, backend)
+    records = [
+        Record(float(i), "k", 1.0, origin="NEU", size_bytes=4 * KB)
+        for i in range(64)
+    ]
+    shipped = Batch(RecordBatch.from_records(records), "NEU", created_at=0.0)
+    batch_ref = weakref.ref(shipped)
+    column_ref = weakref.ref(shipped.records.t)
+    ship_and_wait(engine, backend, shipped)
+    # ReliableShipping's cancelled timeout timer stays in the event heap
+    # (lazy deletion) until its time passes; step over it.
+    engine.run_until(engine.sim.now + 30.0)
+    assert engine.transfers.sessions  # the session objects stay
+    del shipped, records
+    gc.collect()
+    assert batch_ref() is None
+    assert column_ref() is None

@@ -150,3 +150,43 @@ def test_session_validates_size(env):
     plan = TransferPlan.direct(src[0], dst[0])
     with pytest.raises(ValueError):
         TransferSession(env.network, plan, 0.0, chunk_size=MB)
+
+
+def test_finished_and_cancelled_sessions_release_their_callbacks(env):
+    src, dst = setup_vms(env)
+    service = TransferService(env)
+    plan = TransferPlan.direct(src[0], dst[0], streams=4)
+    completions = []
+    finished = service.execute(plan, 64 * MB, on_complete=completions.append)
+    cancelled = service.execute(plan, 1 * GB, on_complete=completions.append)
+    env.sim.run_until(5.0)
+    cancelled.cancel()
+    env.sim.run_until(1000.0)
+    assert completions == [finished]
+    for session in (finished, cancelled):
+        assert session.on_complete is None
+        assert session.on_flow_complete is None
+        assert all(flow.on_complete is None for flow in session.flows)
+    # The service still reports on both.
+    assert service.sessions == [finished, cancelled]
+    assert finished.elapsed > 0 and finished.transferred > 0
+
+
+def test_cancel_during_the_final_ack_still_completes(env):
+    # Every flow is done and only the ack round-trip is pending: a
+    # cancel at that point has always let the completion through.
+    src, dst = setup_vms(env)
+    service = TransferService(env, ack_overhead=True)
+    completions = []
+    session = service.execute(
+        TransferPlan.direct(src[0], dst[0], streams=4),
+        64 * MB,
+        on_complete=completions.append,
+    )
+    while not all(flow.done for flow in session.flows):
+        env.sim.run_until(env.sim.now + 0.01)
+    assert not session.done
+    session.cancel()
+    env.sim.run_until(env.sim.now + 5.0)
+    assert completions == [session]
+    assert session.on_complete is None
