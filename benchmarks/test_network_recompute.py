@@ -1,34 +1,31 @@
-"""NET — ``FluidNetwork._recompute``: incremental allocator vs pre-PR baseline.
+"""NET — cost of a fluid-network event on the captured E12 flow trace.
 
-The fluid solver re-runs max-min fair sharing on every network event, so
-it is the single hottest serial path of the transfer experiments. The
-incremental allocator (``allocator="fast"``, the default) interns one
-resource entry per NIC/link, maintains flow↔resource incidence at flow
-start/cancel/complete instead of rebuilding it per allocation, derives
-per-flow caps from entry-level reads, memoises same-timestamp weather,
-and early-outs when neither the flow set nor any entry capacity moved.
-``allocator="reference"`` keeps the pre-PR dict-based water-fill
-(including its uncached per-hop capacity walk) verbatim as the baseline
-and equivalence oracle.
+Every network event (flow start, cancel, completion, capacity refresh)
+goes through ``FluidNetwork._recompute`` — settle, complete, mark the
+rates stale — and the sharing system is solved once per simulated
+instant by ``FluidNetwork._solve`` (end-of-instant event, or a reader
+forcing it). Together they are the serial hot path of the transfer
+experiments, so the bench times both and reports them per event.
 
 Methodology: the *real* E12 overload scenario (burst + blackout + crash,
 ``policy="block"``, seed 24012, 240 s) is run once while recording every
-``start_flow``/``cancel_flow``; the captured flow trace is then replayed
-against a standalone environment built exactly like the scenario's, once
-per allocator, timing only ``_recompute`` (re-entrant calls from
-completion callbacks are attributed to the outer call). Replay is exact:
-both allocators must produce bit-identical per-flow outcomes.
+``start_flow``/``cancel_flow``; the captured flow trace is then replayed,
+with the clock advancing from event to event and through the drain,
+against a standalone environment built exactly like the scenario's.
+``_recompute`` and ``_solve`` are timed from outside (re-entrant calls
+from completion callbacks are attributed to the outer call) and
+bucketed by the number of concurrent flows.
 
 Asserted shape:
 
 * bit-identical ``(transferred, completed_at, cancelled)`` per flow
-  across reference, fast/scalar, and fast/forced-vector replays;
-* ≥3× ``_recompute`` speedup over the scenario's contended regime
-  (allocations with ≥3 concurrent flows — the overload bursts, which
-  is where the solver's cost grows with flow count);
-* ≥2× over the complete trace including the single-flow steady tail,
-  where both allocators are dominated by the shared fixed floor
-  (settle/schedule/event bookkeeping) rather than allocation itself.
+  between the production network and the eager reference oracle
+  (``tests/_fluid_oracle.py``) replaying the same trace;
+* never more solves than recomputes (the ratio is recorded: it is what
+  the one-solve-per-instant design saves on this trace).
+
+The µs-per-event column is a measurement, not a gate: the gated numbers
+are ``perfbench``'s.
 """
 
 from __future__ import annotations
@@ -42,13 +39,11 @@ from repro.analysis.tables import render_table
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow, FluidNetwork
 from repro.flow import run_overload
+from tests._fluid_oracle import EagerReferenceNetwork
 
 SEED = 24012
 DURATION = 240.0
 POLICY = "block"
-#: Allocations with at least this many concurrent flows count as the
-#: contended (overload-burst) regime.
-CONTENDED_AT = 3
 REPS = 10
 TRIALS = 3
 
@@ -107,47 +102,54 @@ def e12_trace():
     return capture_trace()
 
 
-def replay(trace, vm_meta, allocator, *, reps=1, vector_threshold=None):
-    """Replay the trace ``reps`` times; time ``_recompute`` only.
+def replay(trace, vm_meta, network_cls=FluidNetwork, *, reps=1):
+    """Replay the trace ``reps`` times; time ``_recompute`` and ``_solve``.
 
-    Returns ``(buckets, outcomes)``: ``buckets`` maps concurrent-flow
-    count at allocation time to accumulated ``_recompute`` seconds
-    across all reps, ``outcomes`` is the per-flow end state of the last
-    rep, in trace order.
+    Returns ``(buckets, counts, outcomes)``: ``buckets`` maps the
+    concurrent-flow count when a recompute began to ``[seconds,
+    recomputes]`` accumulated across all reps, ``counts`` is ``(recomputes, solves)``
+    of the last rep, ``outcomes`` its per-flow end state in trace order.
     """
-    buckets: dict[int, float] = {}
+    buckets: dict[int, list] = {}
     depth = [0]
-    orig = FluidNetwork._recompute
+    bucket = [None]
 
-    def timed(self):
-        if depth[0]:
-            return orig(self)
-        depth[0] += 1
-        n = len(self._sorted_flows)
-        t0 = time.perf_counter()
-        try:
-            return orig(self)
-        finally:
-            dt = time.perf_counter() - t0
-            buckets[n] = buckets.get(n, 0.0) + dt
-            depth[0] -= 1
+    def timed(orig, is_event):
+        def wrapper(self):
+            if depth[0]:
+                return orig(self)
+            depth[0] += 1
+            if is_event:
+                # A solve is charged to the event that made it necessary.
+                bucket[0] = buckets.setdefault(
+                    len(self._sorted_flows), [0.0, 0]
+                )
+            t0 = time.perf_counter()
+            try:
+                return orig(self)
+            finally:
+                bucket[0][0] += time.perf_counter() - t0
+                bucket[0][1] += is_event
+                depth[0] -= 1
 
+        return wrapper
+
+    recompute, solve = network_cls._recompute, network_cls._solve
     outcomes: list[tuple[float, float | None, bool]] = []
+    counts = (0, 0)
     for _ in range(reps):
         # The same environment the scenario itself builds (see
         # repro.flow.scenario): deterministic weather, no glitches.
         env = CloudEnvironment(seed=SEED, variability_sigma=0.0, glitches=False)
-        net = env.network
-        net.allocator = allocator
-        if vector_threshold is not None:
-            net.vector_threshold = vector_threshold
+        net = network_cls(env.sim, env.topology)
         vms = {
             vm_id: env.provision(region, size)[0]
             for vm_id, (region, size) in sorted(vm_meta.items())
         }
         live: dict[int, Flow] = {}
         order: list[int] = []
-        FluidNetwork._recompute = timed
+        network_cls._recompute = timed(recompute, 1)
+        network_cls._solve = timed(solve, 0)
         try:
             for t, kind, key, payload in trace:
                 net.sim.run_until(t)
@@ -170,86 +172,62 @@ def replay(trace, vm_meta, allocator, *, reps=1, vector_threshold=None):
             # Drain: let surviving flows run to completion.
             net.sim.run_until(trace[-1][0] + 600.0)
         finally:
-            FluidNetwork._recompute = orig
+            network_cls._recompute = recompute
+            network_cls._solve = solve
+        counts = (net.recomputes, net.solves)
         outcomes = [
             (live[k].transferred, live[k].completed_at, live[k].cancelled)
             for k in order
         ]
-    return buckets, outcomes
+    return buckets, counts, outcomes
 
 
-def test_allocators_bit_identical(e12_trace):
-    """Reference, fast/scalar and fast/vector replays agree bit-for-bit."""
+def test_replay_bit_identical_to_oracle(e12_trace):
+    """The production network and the eager oracle agree bit-for-bit."""
     trace, vm_meta = e12_trace
-    _, ref = replay(trace, vm_meta, "reference")
-    _, fast = replay(trace, vm_meta, "fast")
-    _, vect = replay(trace, vm_meta, "fast", vector_threshold=2)
+    _, _, ref = replay(trace, vm_meta, EagerReferenceNetwork)
+    _, _, fast = replay(trace, vm_meta)
     assert fast == ref
-    assert vect == ref
 
 
 @pytest.mark.benchmark(group="net")
-def test_network_recompute_speedup(benchmark, report, e12_trace):
+def test_network_event_cost(benchmark, report, e12_trace):
     trace, vm_meta = e12_trace
+    _, _, ref_out = replay(trace, vm_meta, EagerReferenceNetwork)
 
     def run_bench():
         best = None
         for _ in range(TRIALS):
-            ref_b, ref_out = replay(trace, vm_meta, "reference", reps=REPS)
-            fast_b, fast_out = replay(trace, vm_meta, "fast", reps=REPS)
-            assert fast_out == ref_out
-            if best is None or sum(fast_b.values()) < sum(best[1].values()):
-                best = (ref_b, fast_b)
+            result = replay(trace, vm_meta, reps=REPS)
+            if best is None or total(result[0]) < total(best[0]):
+                best = result
         return best
 
-    ref_b, fast_b = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    def total(buckets):
+        return sum(seconds for seconds, _ in buckets.values())
 
-    def total(buckets, lo=0):
-        return sum(v for k, v in buckets.items() if k >= lo)
-
-    ref_full, fast_full = total(ref_b), total(fast_b)
-    ref_hot = total(ref_b, CONTENDED_AT)
-    fast_hot = total(fast_b, CONTENDED_AT)
-    full_x = ref_full / fast_full
-    hot_x = ref_hot / fast_hot
-
-    rows = []
-    for n in sorted(set(ref_b) | set(fast_b)):
-        rows.append(
-            [
-                n,
-                f"{ref_b[n] * 1e6 / REPS:.1f}",
-                f"{fast_b[n] * 1e6 / REPS:.1f}",
-                f"{ref_b[n] / fast_b[n]:.2f}x",
-            ]
-        )
-    rows.append(
-        [
-            f">={CONTENDED_AT} (contended)",
-            f"{ref_hot * 1e6 / REPS:.1f}",
-            f"{fast_hot * 1e6 / REPS:.1f}",
-            f"{hot_x:.2f}x",
-        ]
+    buckets, (recomputes, solves), outcomes = benchmark.pedantic(
+        run_bench, rounds=1, iterations=1
     )
+    events = sum(n for _, n in buckets.values())
+    rows = [
+        [n, events_n // REPS, f"{seconds * 1e6 / events_n:.1f}"]
+        for n, (seconds, events_n) in sorted(buckets.items())
+    ]
     rows.append(
-        [
-            "full trace",
-            f"{ref_full * 1e6 / REPS:.1f}",
-            f"{fast_full * 1e6 / REPS:.1f}",
-            f"{full_x:.2f}x",
-        ]
+        ["full trace", events // REPS, f"{total(buckets) * 1e6 / events:.1f}"]
     )
     table = render_table(
-        ["concurrent flows", "reference (us)", "fast (us)", "speedup"],
+        ["concurrent flows", "recomputes", "us per event (recompute + solve)"],
         rows,
-        title="NET — _recompute time replaying the E12 overload trace "
-        f"(policy={POLICY}, seed {SEED}, {DURATION:.0f} s, "
+        title="NET — fluid-network event cost replaying the E12 overload "
+        f"trace (policy={POLICY}, seed {SEED}, {DURATION:.0f} s, "
         f"best of {TRIALS}x{REPS} reps)",
     )
 
     rec = ExperimentRecord(
         "NET",
-        "Incremental fluid allocator vs pre-PR full recompute (E12 trace)",
+        "Fluid-network cost per event, one solve per instant (E12 trace)",
         SEED,
         parameters={
             "policy": POLICY,
@@ -259,18 +237,16 @@ def test_network_recompute_speedup(benchmark, report, e12_trace):
         },
     )
     rec.check(
-        f"contended regime (>= {CONTENDED_AT} concurrent flows, the "
-        "overload bursts) speeds up >= 3x",
-        hot_x >= 3.0,
-        f"{hot_x:.2f}x ({ref_hot * 1e3 / REPS:.3f} ms -> "
-        f"{fast_hot * 1e3 / REPS:.3f} ms per replay)",
+        "per-flow outcomes bit-identical to the eager reference oracle",
+        outcomes == ref_out,
+        f"{len(outcomes)} flows",
     )
     rec.check(
-        "full trace (incl. the floor-dominated single-flow tail) "
-        "speeds up >= 2x",
-        full_x >= 2.0,
-        f"{full_x:.2f}x ({ref_full * 1e3 / REPS:.3f} ms -> "
-        f"{fast_full * 1e3 / REPS:.3f} ms per replay)",
+        "never more solves than recomputes",
+        solves <= recomputes,
+        f"{solves} solves / {recomputes} recomputes = "
+        f"{solves / recomputes:.2f} per recompute, "
+        f"{total(buckets) * 1e6 / events:.1f} us per event",
     )
     report("NET", table, rec.render())
     rec.assert_shape()

@@ -31,8 +31,6 @@ import bisect
 import itertools
 from typing import Callable
 
-import numpy as np
-
 from repro.cloud.regions import RegionCatalog, default_catalog, pair_bias
 from repro.cloud.variability import (
     CapacityProcess,
@@ -41,7 +39,7 @@ from repro.cloud.variability import (
 )
 from repro.cloud.vm import VM
 from repro.simulation.engine import Simulator
-from repro.simulation.events import Event
+from repro.simulation.events import END_OF_INSTANT, Event
 from repro.simulation.units import KB, MB, MINUTE
 
 _EPS = 1e-9
@@ -218,7 +216,15 @@ class Flow:
         if transport not in ("tcp", "udp"):
             raise ValueError(f"unknown transport {transport!r}")
         self.flow_id = next(self._ids)
+        #: Immutable once constructed: the WAN hop list below, the
+        #: network's interned resource entries and the cap plan are all
+        #: derived from it exactly once.
         self.path = list(path)
+        self._wan_hops = [
+            (a.region_code, b.region_code)
+            for a, b in self.hops()
+            if a.region_code != b.region_code
+        ]
         self.size = float(size)
         self.streams = int(streams)
         self.intrusiveness = float(intrusiveness)
@@ -230,7 +236,10 @@ class Flow:
         #: are then the sender's problem — see the UDP shipping backend).
         self.transport = transport
         self.transferred = 0.0
-        self.rate = 0.0
+        #: Allocated rate as of the network's last solve; read it through
+        #: :attr:`rate`, which brings a stale allocation up to date first.
+        self._rate = 0.0
+        self._net: "FluidNetwork | None" = None
         self.started_at: float | None = None
         self.completed_at: float | None = None
         self.cancelled = False
@@ -256,16 +265,22 @@ class Flow:
     def done(self) -> bool:
         return self.completed_at is not None
 
+    @property
+    def rate(self) -> float:
+        """Instantaneous allocated rate, bytes/s (0 before start and
+        after completion/cancel)."""
+        net = self._net
+        if net is not None and net._stale:
+            net._solve()
+        return self._rate
+
     def hops(self) -> list[tuple[VM, VM]]:
         return list(zip(self.path[:-1], self.path[1:]))
 
     def wan_hops(self) -> list[tuple[str, str]]:
-        """Ordered region pairs of the inter-datacenter hops."""
-        return [
-            (a.region_code, b.region_code)
-            for a, b in self.hops()
-            if a.region_code != b.region_code
-        ]
+        """Ordered region pairs of the inter-datacenter hops (shared
+        list: do not mutate)."""
+        return self._wan_hops
 
     def elapsed(self, now: float) -> float:
         if self.started_at is None:
@@ -287,7 +302,7 @@ _RES_UP, _RES_DOWN, _RES_INTRA, _RES_WAN = range(4)
 
 
 class _ResEntry:
-    """One shared resource as seen by the fast allocator.
+    """One shared resource as seen by the allocator.
 
     ``epoch``/``cap``/``count``/``users``/``remaining`` are transient
     per-allocation scratch, reset by the epoch stamp; ``kind``/``obj``
@@ -305,7 +320,7 @@ class _ResEntry:
         self.cap = 0.0
         #: Raw weather factor read this allocation (WAN entries only), and
         #: the virtual time it was read at. ``factor(t)`` is idempotent at
-        #: fixed ``t`` for every capacity process, so cascaded recomputes
+        #: fixed ``t`` for every capacity process, so repeated solves
         #: at one event time reuse the value instead of re-walking the
         #: process stack. Fault state (``up``/``fault_scale``) can change
         #: without time advancing, so the capacity itself is still
@@ -329,21 +344,32 @@ class FluidNetwork:
     The network reacts to four kinds of events — flow start, flow cancel,
     flow completion, and the periodic capacity refresh — all of which
     funnel into :meth:`_recompute`: settle progress analytically since the
-    previous event, re-read link capacities, re-run max-min fair sharing,
-    and schedule the next projected completion.
+    previous event, complete what finished (callbacks fire here), and mark
+    the rates *stale*.
 
-    ``_recompute`` is the simulator's hottest path (every batch shipped by
-    the streaming runtime starts and completes a flow), so the allocation
-    is *incremental*: the resource-incidence structure is rebuilt only
-    when the active flow set changes, capacities of the resources the
-    active flows actually touch are re-read and compared against the
-    previous allocation's inputs (dirty-link tracking by value), and when
-    nothing relevant changed the previous rates are reused outright. When
-    a full reallocation is needed it runs as vectorised numpy
-    water-filling over the bottleneck sets instead of per-resource set
-    algebra. ``allocator="reference"`` selects the original pure-Python
-    allocator, kept for A/B equivalence tests and as the microbenchmark
-    baseline (``benchmarks/test_network_recompute.py``).
+    The sharing system is then solved **once per simulated instant**:
+    marking stale arms one zero-delay event at
+    :data:`~repro.simulation.END_OF_INSTANT` priority, which runs after
+    every other event of that timestamp and does :meth:`_solve` —
+    re-read link capacities, re-run max-min fair sharing, update the
+    stall clocks, schedule the next projected completion. Rates only
+    ever move bytes across a clock advance, so the allocations an eager
+    solver computes between two actions of one instant are unobservable
+    unless somebody reads them; every reader (:attr:`Flow.rate`,
+    :meth:`throughput`, :meth:`link_utilization`, :meth:`stalled_flows`)
+    therefore forces the solve first, and sees exactly what an eager
+    solver would have shown it.
+
+    A solve is *incremental*: the resource-incidence structure is
+    maintained at flow start/cancel/completion, capacities of the
+    resources the active flows actually touch are re-read and compared
+    against the previous allocation's inputs (dirty-link tracking by
+    value), and when nothing relevant changed the previous rates are
+    reused outright. A full reallocation is one water-filling over the
+    bottleneck sets (:meth:`_water_fill`). The original pure-Python
+    allocator lives on as the test oracle (``tests/_fluid_oracle.py``);
+    the fill keeps its floating-point expression trees, so rates are
+    bit-identical to it.
 
     All flow iteration happens in ``flow_id`` (creation) order: iteration
     over the raw ``set`` would follow ``id()``-based hashes, which vary
@@ -359,10 +385,7 @@ class FluidNetwork:
         refresh_interval: float = 10.0,
         relay_efficiency: float = 0.95,
         stall_timeout: float = 30.0,
-        allocator: str = "fast",
     ) -> None:
-        if allocator not in ("fast", "reference"):
-            raise ValueError(f"unknown allocator {allocator!r}")
         self.sim = sim
         self.topology = topology
         self.tcp_window = tcp_window
@@ -373,7 +396,6 @@ class FluidNetwork:
         #: A flow whose allocated rate stays zero this long is *stalled*
         #: (crashed VM / blackholed link); ``on_stall`` fires once per flow.
         self.stall_timeout = stall_timeout
-        self.allocator = allocator
         self.on_stall: Callable[[Flow], None] | None = None
         self.flows: set[Flow] = set()
         self.bytes_completed = 0.0
@@ -381,6 +403,10 @@ class FluidNetwork:
         self._last_settle = sim.now
         self._completion_event: Event | None = None
         self._refresh_event: Event | None = None
+        #: True between a recompute and the solve that follows it (at the
+        #: end of the instant, or earlier when a reader asks for a rate).
+        self._stale = False
+        self._solve_event: Event | None = None
         # Incremental-allocation state. ``_flows_version`` bumps on every
         # start/cancel/completion; the flow-id-ordered view, the interned
         # resource entries, and the live resource-incidence structure are
@@ -393,12 +419,11 @@ class FluidNetwork:
         self._live_entries: list[_ResEntry] = []
         self._last_entry_caps: list[float] | None = None
         self._last_flow_caps: list[float] | None = None
-        #: Flow-set size at which allocation switches from the scalar
-        #: water-filling to the vectorised numpy one.
-        self.vector_threshold = 32
-        #: Instrumentation: recomputes seen / full water-fillings run /
-        #: reallocations skipped because no relevant input changed.
+        #: Instrumentation: recomputes seen / solves they led to / full
+        #: water-fillings run / solves that skipped theirs because no
+        #: relevant input changed.
         self.recomputes = 0
+        self.solves = 0
         self.allocations = 0
         self.alloc_skips = 0
 
@@ -409,6 +434,7 @@ class FluidNetwork:
         if flow.started_at is not None:
             raise ValueError(f"{flow!r} already started")
         flow.started_at = self.sim.now
+        flow._net = self
         self.flows.add(flow)
         self._attach(flow)
         self._flows_version += 1
@@ -423,7 +449,7 @@ class FluidNetwork:
         self.flows.discard(flow)
         self._detach(flow)
         self._flows_version += 1
-        flow.rate = 0.0
+        flow._rate = 0.0
         self._recompute()
 
     def _attach(self, flow: Flow) -> None:
@@ -462,29 +488,32 @@ class FluidNetwork:
         return flow.rate if flow in self.flows else 0.0
 
     def notify_change(self) -> None:
-        """Re-run the allocation after an external capacity change.
+        """Re-allocate after an external capacity change.
 
         Call after crashing/restoring a VM or taking a link down/up so
-        flow rates react immediately instead of at the next refresh.
+        flow rates react at this instant instead of at the next refresh.
         """
         self._recompute()
 
     def stalled_flows(self, min_duration: float | None = None) -> list[Flow]:
         """Active flows whose rate has been zero for at least
         ``min_duration`` seconds (default: the network's stall timeout)."""
+        if self._stale:
+            self._solve()
         timeout = self.stall_timeout if min_duration is None else min_duration
         now = self.sim.now
         return [
             f
-            for f in self._active_sorted()
+            for f in self._sorted_flows
             if f.stalled_since is not None and now - f.stalled_since >= timeout
         ]
 
     def link_utilization(self, src: str, dst: str) -> float:
         """Sum of current rates of flows crossing a WAN link."""
-        return sum(
-            f.rate for f in self._active_sorted() if (src, dst) in f.wan_hops()
-        )
+        if self._stale:
+            self._solve()
+        hop = (src, dst)
+        return sum(f._rate for f in self._sorted_flows if hop in f._wan_hops)
 
     def flow_cap(self, flow: Flow) -> float:
         """Private ceiling of one flow (TCP windows, intrusiveness, NICs).
@@ -521,30 +550,6 @@ class FluidNetwork:
             if vm_cap < cap:
                 cap = vm_cap
         return cap * relay if relay is not None else cap
-
-    def _flow_cap_walk(self, flow: Flow) -> float:
-        """Per-hop walk computing :meth:`flow_cap` with no caching.
-
-        This is the pre-optimisation implementation, kept verbatim for
-        the reference allocator so that A/B benchmarks compare against
-        the true baseline cost. Arithmetic is identical to flow_cap.
-        """
-        cap = flow.rate_cap if flow.rate_cap is not None else float("inf")
-        now = self.sim.now
-        n_wan = 0
-        for a, b in flow.hops():
-            if a.region_code != b.region_code:
-                n_wan += 1
-                if flow.transport == "udp":
-                    continue  # no congestion window: NICs and shares bind
-                link = self.topology.link(a.region_code, b.region_code)
-                weather = min(1.0, link.process.factor(now))
-                cap = min(cap, flow.streams * self.tcp_window / link.rtt * weather)
-        for vm in flow.path:
-            cap = min(cap, flow.intrusiveness * vm.uplink_capacity)
-        if n_wan > 1:
-            cap *= self.relay_efficiency ** (n_wan - 1)
-        return cap
 
     def _build_cap_static(self, flow: Flow) -> tuple:
         """Precompute the path-invariant inputs of :meth:`flow_cap`."""
@@ -603,17 +608,15 @@ class FluidNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _active_sorted(self) -> list[Flow]:
-        """The active flows in creation order (maintained incrementally)."""
-        return self._sorted_flows
-
     def _settle(self) -> None:
         """Advance every active flow by rate × elapsed since last event."""
         now = self.sim.now
         dt = now - self._last_settle
         if dt > 0:
+            # The end-of-instant event solves before the clock can move.
+            assert not self._stale, "clock advanced over stale flow rates"
             for f in self._sorted_flows:
-                rate = f.rate
+                rate = f._rate
                 if rate > 0:
                     done = f.transferred + rate * dt
                     f.transferred = done if done < f.size else f.size
@@ -632,7 +635,7 @@ class FluidNetwork:
         for f in finished:
             f.transferred = f.size
             f.completed_at = self.sim.now
-            f.rate = 0.0
+            f._rate = 0.0
             self.flows.discard(f)
             self._detach(f)
             self.bytes_completed += f.size
@@ -643,14 +646,14 @@ class FluidNetwork:
             if f.on_complete is not None:
                 f.on_complete(f)
 
-    # -- fast allocator ------------------------------------------------
+    # -- allocation ----------------------------------------------------
     def _flow_entries(self, f: Flow) -> list["_ResEntry"]:
         """The interned resource entries a flow's path touches.
 
         Computed once per flow (paths are immutable) and cached on the
         flow, so a reallocation never re-hashes resource keys. Entries
         are shared between flows through ``_res_intern`` — identity is
-        the resource, not the flow. Order matches the reference
+        the resource, not the flow. Order matches the oracle
         allocator's first-touch order (uplinks, downlinks, hops) and is
         deduplicated, mirroring its ``live_users`` set semantics.
         """
@@ -713,10 +716,7 @@ class FluidNetwork:
 
     def _allocate(self) -> None:
         """Max-min fair allocation with per-flow caps (water-filling)."""
-        if self.allocator == "reference":
-            self._allocate_reference()
-            return
-        flows = self._active_sorted()
+        flows = self._sorted_flows
         if not flows:
             self._last_entry_caps = None
             self._last_flow_caps = None
@@ -779,7 +779,7 @@ class FluidNetwork:
                 c = e.cap
                 if c < mn:
                     mn = c
-            f.rate = mn
+            f._rate = mn
             self._struct_version = self._flows_version
             self._last_entry_caps = None
             self._last_flow_caps = None
@@ -819,69 +819,68 @@ class FluidNetwork:
         self._last_flow_caps = flow_caps
         self.allocations += 1
 
-        if n >= self.vector_threshold:
-            self._water_fill_vector(flows, entries, flow_caps, entry_caps)
-        else:
-            self._water_fill_scalar(flows, entries, flow_caps)
+        self._water_fill(flows, entries, flow_caps)
 
-    def _water_fill_scalar(
+    def _water_fill(
         self,
         flows: list[Flow],
         entries: list["_ResEntry"],
         flow_caps: list[float],
     ) -> None:
-        """Water-filling with incrementally maintained bottleneck counts.
+        """Progressive filling with incrementally maintained bottlenecks.
 
-        Identical arithmetic to the reference allocator (same increments,
-        same freeze conditions, same tie-break) but O(flows + resources)
-        per round instead of per-resource set intersections.
+        Identical arithmetic to the oracle (same increments, same freeze
+        conditions, same tie-break). Every unfrozen flow has taken every
+        increment so far, so they all sit at one common ``level`` and a
+        flow's rate is the level at which it froze. ``cap - level`` is
+        monotone in ``cap``, so walking the flows in cap order finds the
+        smallest gap and the cap-frozen flows without touching the rest;
+        a round costs O(live resources + flows frozen), not O(flows).
         """
         n = len(flows)
-        alloc = [0.0] * n
+        by_cap = sorted(range(n), key=flow_caps.__getitem__)
         active = [True] * n
         n_active = n
         for e in entries:
             e.remaining = e.cap
             e.count = e.live_count
+        live = entries
+        level = 0.0
+        first = 0
         while n_active:
             # Largest uniform increment every active flow can take.
-            inc = None
-            for i in range(n):
-                if active[i]:
-                    gap = flow_caps[i] - alloc[i]
-                    if inc is None or gap < inc:
-                        inc = gap
-            for e in entries:
-                c = e.count
-                if c:
-                    share = e.remaining / c
-                    if share < inc:
-                        inc = share
+            while not active[by_cap[first]]:
+                first += 1
+            inc = flow_caps[by_cap[first]] - level
+            for e in live:
+                share = e.remaining / e.count
+                if share < inc:
+                    inc = share
             if inc < 0:
                 inc = 0.0
+            level += inc
             # Freeze flows at their private cap ...
             frozen = []
-            for i in range(n):
+            for k in range(first, n):
+                i = by_cap[k]
                 if active[i]:
-                    alloc[i] += inc
-                    if flow_caps[i] - alloc[i] <= _EPS:
-                        frozen.append(i)
+                    if flow_caps[i] - level > _EPS:
+                        break
+                    frozen.append(i)
             # ... and flows on saturated resources.
-            for e in entries:
-                c = e.count
-                if c:
-                    e.remaining -= inc * c
-                    if e.remaining <= _EPS:
-                        for g in e.live_users:
-                            i = g._wf_i
-                            if active[i]:
-                                frozen.append(i)
+            for e in live:
+                e.remaining -= inc * e.count
+                if e.remaining <= _EPS:
+                    for g in e.live_users:
+                        i = g._wf_i
+                        if active[i]:
+                            frozen.append(i)
             if not frozen:
                 # Numerical stall: freeze the flow closest to its cap
                 # (first by creation order among ties).
                 frozen = [
                     min(
-                        (flow_caps[i] - alloc[i], i)
+                        (flow_caps[i] - level, i)
                         for i in range(n)
                         if active[i]
                     )[1]
@@ -890,140 +889,32 @@ class FluidNetwork:
                 if active[i]:
                     active[i] = False
                     n_active -= 1
-                    for e in flows[i]._net_entries:
+                    f = flows[i]
+                    f._rate = level
+                    for e in f._net_entries:
                         e.count -= 1
-        for i, f in enumerate(flows):
-            f.rate = alloc[i]
-
-    def _water_fill_vector(
-        self,
-        flows: list[Flow],
-        entries: list["_ResEntry"],
-        flow_caps: list[float],
-        entry_caps: list[float],
-    ) -> None:
-        """Vectorised numpy water-filling over the bottleneck sets.
-
-        Same arithmetic as the scalar path; wins once the active flow
-        set is large (big transfer sessions, many concurrent batches).
-        """
-        n = len(flows)
-        incidence = np.zeros((len(entries), n))
-        for row, e in enumerate(entries):
-            incidence[row, [g._wf_i for g in e.live_users]] = 1.0
-        caps = np.asarray(flow_caps)
-        alloc = np.zeros(n)
-        active = np.ones(n, dtype=bool)
-        remaining = np.asarray(entry_caps, dtype=float).copy()
-        while active.any():
-            gaps = caps - alloc
-            inc = gaps[active].min()
-            counts = incidence @ active
-            used = counts > 0
-            if used.any():
-                inc = min(inc, (remaining[used] / counts[used]).min())
-            if inc < 0:
-                inc = 0.0
-            alloc[active] += inc
-            remaining -= inc * counts
-            frozen = active & (caps - alloc <= _EPS)
-            saturated = remaining <= _EPS
-            if saturated.any():
-                frozen |= active & (incidence[saturated].any(axis=0))
-            if not frozen.any():
-                stall_gaps = np.where(active, caps - alloc, np.inf)
-                frozen = np.zeros(n, dtype=bool)
-                frozen[int(np.argmin(stall_gaps))] = True
-            active &= ~frozen
-        for f, rate in zip(flows, alloc):
-            f.rate = float(rate)
-
-    # -- reference allocator -------------------------------------------
-    def _allocate_reference(self) -> None:
-        """The original pure-Python water-filling, kept as the equivalence
-        oracle and microbenchmark baseline for the fast allocator."""
-        now = self.sim.now
-        flows = self._active_sorted()
-        for f in flows:
-            f.rate = 0.0
-        if not flows:
-            return
-
-        # Build resource table: id -> (remaining capacity, user flows).
-        remaining: dict[object, float] = {}
-        users: dict[object, list[Flow]] = {}
-
-        def add_user(res: object, cap: float, flow: Flow) -> None:
-            if res not in remaining:
-                remaining[res] = cap
-                users[res] = []
-            users[res].append(flow)
-
-        for f in flows:
-            for vm in f.path[:-1]:
-                add_user(("up", vm.vm_id), vm.uplink_capacity, f)
-            for vm in f.path[1:]:
-                add_user(("down", vm.vm_id), vm.downlink_capacity, f)
-            for a, b in f.hops():
-                if a.region_code == b.region_code:
-                    add_user(
-                        ("intra", a.region_code),
-                        self.topology.intra_capacity,
-                        f,
-                    )
-                else:
-                    key = (a.region_code, b.region_code)
-                    add_user(
-                        ("wan", key),
-                        self.topology.link(*key).capacity(now),
-                        f,
-                    )
-
-        caps = {f: self._flow_cap_walk(f) for f in flows}
-        alloc = {f: 0.0 for f in flows}
-        active: set[Flow] = set(flows)
-        live_users = {res: set(fl) for res, fl in users.items()}
-
-        while active:
-            # Largest uniform increment every active flow can take.
-            inc = min(caps[f] - alloc[f] for f in active)
-            for res, flows_on in live_users.items():
-                n = len(flows_on & active)
-                if n:
-                    inc = min(inc, remaining[res] / n)
-            if inc < 0:
-                inc = 0.0
-            for f in active:
-                alloc[f] += inc
-            for res, flows_on in live_users.items():
-                n = len(flows_on & active)
-                if n:
-                    remaining[res] -= inc * n
-            # Freeze flows at their private cap.
-            newly_frozen = {f for f in active if caps[f] - alloc[f] <= _EPS}
-            # Freeze flows on saturated resources.
-            for res, flows_on in live_users.items():
-                if remaining[res] <= _EPS:
-                    newly_frozen |= flows_on & active
-            if not newly_frozen:
-                # Numerical stall: freeze the flow closest to its cap
-                # (first by creation order among ties, matching the fast
-                # allocator's argmin).
-                newly_frozen = {
-                    min(
-                        sorted(active, key=lambda f: f.flow_id),
-                        key=lambda f: caps[f] - alloc[f],
-                    )
-                }
-            active -= newly_frozen
-
-        for f in flows:
-            f.rate = alloc[f]
+            live = [e for e in live if e.count]
 
     def _recompute(self) -> None:
+        """Account for a network event: progress, completions, stale rates."""
         self.recomputes += 1
         self._settle()
         self._complete_finished()
+        self._stale = True
+        if self._solve_event is None:
+            self._solve_event = self.sim.schedule(
+                0.0, self._end_of_instant, priority=END_OF_INSTANT
+            )
+
+    def _end_of_instant(self) -> None:
+        self._solve_event = None
+        if self._stale:
+            self._solve()
+
+    def _solve(self) -> None:
+        """Bring rates, stall clocks and the next wake-up up to date."""
+        self._stale = False
+        self.solves += 1
         self._allocate()
         self._track_stalls()
         self._schedule_next()
@@ -1033,7 +924,7 @@ class FluidNetwork:
         now = self.sim.now
         timed_out: list[Flow] | None = None
         for f in self._sorted_flows:
-            if f.rate > _EPS:
+            if f._rate > _EPS:
                 f.stalled_since = None
                 f._stall_notified = False
             elif f.stalled_since is None:
@@ -1065,7 +956,7 @@ class FluidNetwork:
         # Earliest projected completion at current rates.
         eta = None
         for f in self._sorted_flows:
-            rate = f.rate
+            rate = f._rate
             if rate > 0:
                 t = (f.size - f.transferred) / rate
                 if eta is None or t < eta:

@@ -359,10 +359,20 @@ class SoakRunner:
         if engine.sim.now < fault_end:
             engine.run_until(fault_end)
         drain_cap = engine.sim.now + 3600.0
-        while runtime.in_pipe() and engine.sim.now < drain_cap:
-            engine.run_until(engine.sim.now + 10.0)
+
+        def drain_pipe() -> None:
+            while runtime.in_pipe() and engine.sim.now < drain_cap:
+                engine.run_until(engine.sim.now + 10.0)
+
+        drain_pipe()
+        # The last window closes up to one window length (plus the
+        # watermark lag) after the last record, and only then do its
+        # partials enter the batcher: drain again before the ticks
+        # stop, or a horizon ending one tick into a window strands them
+        # there (the batcher's flush delay outlasts the wait).
+        engine.run_until(engine.sim.now + job.watermark_lag + scn.window_s)
+        drain_pipe()
         drained = runtime.in_pipe() == 0
-        engine.run_until(engine.sim.now + job.watermark_lag + 30.0)
         runtime.stop()
         if plane is not None:
             plane.stop()

@@ -8,7 +8,7 @@ every experiment in the repository is reproducible bit-for-bit.
 """
 
 from repro.simulation.engine import PeriodicTask, Simulator
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.events import END_OF_INSTANT, Event, EventQueue
 from repro.simulation.random import RngRegistry
 from repro.simulation.units import (
     DAY,
@@ -29,6 +29,7 @@ __all__ = [
     "PeriodicTask",
     "Event",
     "EventQueue",
+    "END_OF_INSTANT",
     "RngRegistry",
     "KB",
     "MB",

@@ -12,6 +12,12 @@ import heapq
 import itertools
 from typing import Any, Callable
 
+#: Lowest-urgency priority: a zero-delay event scheduled with it runs after
+#: every other event of its timestamp, including ones scheduled while that
+#: timestamp is being processed. For work that must see the instant's final
+#: state, such as the fluid network's one solve per instant.
+END_OF_INSTANT = 1 << 30
+
 
 class Event:
     """A single scheduled callback.

@@ -1,14 +1,14 @@
-"""Equivalence of the incremental fluid allocator with the reference one.
+"""Equivalence of the lazy fluid solver with the eager reference oracle.
 
-``FluidNetwork`` ships two allocators: ``"fast"`` (the default — interned
-resource entries, incrementally maintained incidence, early-out when no
-input changed, scalar/vector water-fill hybrid) and ``"reference"`` (the
-original full-recompute dict-based water-fill, kept as the oracle). The
-fast allocator is required to be *bit-identical*, not merely close:
-every optimisation preserves the reference's floating-point expression
-trees and its deterministic flow ordering, so randomized churn under
-weather variability, glitches, UDP/TCP mixes and relays must end in
-exactly the same per-flow state.
+``FluidNetwork`` solves the max-min sharing system once per simulated
+instant (or earlier, when somebody reads a rate) with interned resource
+entries, incrementally maintained incidence and an early-out when no
+input changed. ``tests/_fluid_oracle.py`` holds what it replaced: the
+original dict-based water-fill, run eagerly on every recompute. The
+production solver is required to be *bit-identical* to it, not merely
+close: randomized churn with several actions per instant, weather
+variability, glitches, link outages, UDP/TCP mixes and relays must show
+the same rate at every read and end in exactly the same per-flow state.
 """
 
 from __future__ import annotations
@@ -18,72 +18,112 @@ import random
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
-from repro.cloud.network import Flow
+from repro.cloud.network import Flow, FluidNetwork
 from repro.simulation.units import MB
+from tests._fluid_oracle import EagerReferenceNetwork, reference_rates
 
 
-def churn(allocator, seed, events=120, vector_threshold=None):
-    """Random start/cancel churn; returns each flow's final state."""
+def churn(network_cls, seed, read_share, steps=120):
+    """Random bursts of start/cancel actions and link outages on one network.
+
+    Returns ``(reads, stalls, outcomes)``: every flow's rate at each
+    mid-instant read (a ``read_share`` of the actions is followed by
+    one), the ``on_stall`` deliveries, and each flow's final state.
+    """
     env = CloudEnvironment(seed=seed, variability_sigma=0.15, glitches=True)
-    net = env.network
-    net.allocator = allocator
-    if vector_threshold is not None:
-        net.vector_threshold = vector_threshold
+    net = network_cls(env.sim, env.topology)
     vms = []
     for region in env.topology.region_codes()[:4]:
         vms.extend(env.provision(region, "Small", count=3))
+    links = sorted(env.topology.links)
     rng = random.Random(seed)
-    all_flows = []
+    all_flows: list[Flow] = []
+    reads = []
+    stalls = []
+    net.on_stall = lambda f: stalls.append((net.sim.now, all_flows.index(f)))
     t = 0.0
-    for _ in range(events):
+    for _ in range(steps):
         t += rng.expovariate(1.0)
         net.sim.run_until(t)
-        if rng.random() < 0.7 or not all_flows:
-            path = rng.sample(vms, rng.randint(2, 4))
-            f = net.start_flow(
-                Flow(
-                    path,
-                    size=rng.uniform(5, 80) * MB,
-                    streams=rng.randint(1, 8),
-                    intrusiveness=rng.choice([0.5, 1.0]),
-                    transport=rng.choice(["tcp", "tcp", "udp"]),
+        if rng.random() < 0.15:
+            # An outage toggle gets an instant of its own. Stall clocks
+            # are the one place where the allocations between two
+            # actions of an instant left a trace under the eager solver
+            # (pinned in test_network_lazy_solve.py), and only a
+            # capacity change can flip a rate between zero and non-zero.
+            link = env.topology.links[rng.choice(links)]
+            link.set_up() if not link.up else link.set_down()
+            net.notify_change()
+            continue
+        for _ in range(rng.choice([1, 1, 2, 4, 8])):
+            if rng.random() < 0.7 or not all_flows:
+                path = rng.sample(vms, rng.randint(2, 4))
+                f = net.start_flow(
+                    Flow(
+                        path,
+                        size=rng.uniform(5, 80) * MB,
+                        streams=rng.randint(1, 8),
+                        intrusiveness=rng.choice([0.5, 1.0]),
+                        transport=rng.choice(["tcp", "tcp", "udp"]),
+                    )
                 )
-            )
-            all_flows.append(f)
-        else:
-            f = rng.choice(all_flows)
-            if f in net.flows:
+                all_flows.append(f)
+            else:
+                f = rng.choice(all_flows)
+                if f not in net.flows:
+                    continue
                 net.cancel_flow(f)
+            if rng.random() < read_share:
+                reads.append([f.rate for f in all_flows])
+                if network_cls is FluidNetwork:
+                    rates = reference_rates(net)
+                    assert reads[-1] == [
+                        rates.get(f.flow_id, 0.0) for f in all_flows
+                    ]
+    net.sim.run_until(t + 1.0)
+    for key in links:
+        env.topology.links[key].set_up()
+    net.notify_change()
     net.sim.run_until(t + 500.0)
-    return [(f.transferred, f.completed_at, f.cancelled) for f in all_flows]
+    outcomes = [(f.transferred, f.completed_at, f.cancelled) for f in all_flows]
+    return reads, stalls, outcomes
 
 
 @pytest.mark.parametrize("seed", [7, 21, 99])
 def test_fast_allocator_bit_identical_to_reference(seed):
-    ref = churn("reference", seed)
-    fast = churn("fast", seed)
+    # No reads: every instant is solved exactly once, at its end.
+    _, ref_stalls, ref = churn(EagerReferenceNetwork, seed, read_share=0.0)
+    _, stalls, fast = churn(FluidNetwork, seed, read_share=0.0)
     assert fast == ref
+    assert stalls == ref_stalls
     done = sum(1 for _, completed_at, _ in ref if completed_at is not None)
     assert done > 0, "churn never completed a flow; test is vacuous"
 
 
-def test_vector_water_fill_bit_identical_to_reference():
-    # Force the numpy path for any contention (threshold 2) so the
-    # incidence-matrix water-fill is exercised, not just the scalar one.
-    ref = churn("reference", 7)
-    vect = churn("fast", 7, vector_threshold=2)
-    assert vect == ref
+@pytest.mark.parametrize("read_share", [0.3, 1.0])
+@pytest.mark.parametrize("seed", [7, 21])
+def test_mid_instant_reads_bit_identical_to_reference(seed, read_share):
+    # Reads between the actions of one instant force a solve; they must
+    # show what the eager oracle shows, and leave the outcome unchanged.
+    ref_reads, ref_stalls, ref = churn(EagerReferenceNetwork, seed, read_share)
+    reads, stalls, fast = churn(FluidNetwork, seed, read_share)
+    assert reads == ref_reads
+    assert len(reads) > 50
+    assert fast == ref
+    assert stalls == ref_stalls
 
 
-def test_unknown_allocator_rejected():
-    env = CloudEnvironment(seed=1)
-    with pytest.raises(ValueError, match="unknown allocator"):
-        type(env.network)(env.sim, env.topology, allocator="bogus")
+def test_churn_exercises_contention_and_stalls():
+    # Guard against the churn above going vacuous.
+    reads, stalls, outcomes = churn(FluidNetwork, 7, read_share=1.0)
+    assert max(sum(1 for r in rates if r > 0) for rates in reads) >= 8
+    assert stalls
+    assert any(cancelled for _, _, cancelled in outcomes)
 
 
 def test_steady_state_reallocation_early_out():
     # In a frozen environment (no weather, no glitches) periodic refresh
-    # ticks change nothing: the fast allocator must skip the water-fill.
+    # ticks change nothing: the allocator must skip the water-fill.
     env = CloudEnvironment(
         seed=3, variability_sigma=0.0, diurnal_amplitude=0.0, glitches=False
     )
