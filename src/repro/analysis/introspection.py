@@ -143,7 +143,7 @@ def streaming_report(runtime) -> str:
     if store is not None:
         lines.append(
             f"checkpoints: {store.saves} saved "
-            f"({store.size_bytes('aggregator')} B aggregator snapshot), "
+            f"({store.size_bytes('aggregator')} durable bytes for the aggregator), "
             f"{store.loads} restores"
         )
     return "\n".join(lines)

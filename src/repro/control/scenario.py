@@ -147,7 +147,7 @@ class ServeResult:
             f"shipping: {self.retries} retries, "
             f"{self.retry_budget_exhausted} budget-deferred",
             f"checkpoints: {self.checkpoints} "
-            f"({format_bytes(float(self.checkpoint_bytes))} latest), "
+            f"({format_bytes(float(self.checkpoint_bytes))} durable), "
             f"aggregator crashes {self.aggregator_crashes}, "
             f"{self.batches_dropped_while_down} deliveries while down",
             f"aggregator dedup: {self.duplicates_dropped} duplicate batches",

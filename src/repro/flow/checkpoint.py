@@ -7,6 +7,11 @@ state is actually serializable, the property crash-restart recovery
 depends on — and deserialized on ``load``, so a restored component can
 share no live object with its crashed predecessor.
 
+A payload may declare grow-only row lists with a ``"since"`` cursor
+(``{key: rows already durable}``); the store then keeps that name as an
+append-only *chain* and a save costs the rows added since the previous
+one, not the rows ever written (see :meth:`CheckpointStore.save`).
+
 :class:`Checkpointer` drives periodic snapshots on the virtual clock:
 components register ``(name, snapshot_fn)`` pairs; every interval each
 function is called and its payload saved. A snapshot function may
@@ -21,11 +26,21 @@ import math
 from typing import Any, Callable
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
 class CheckpointStore:
     """In-memory durable store with JSON-roundtrip semantics."""
 
     def __init__(self) -> None:
+        #: Latest non-log state per name (the whole payload for a name
+        #: that declares no logs).
         self._blobs: dict[str, str] = {}
+        #: Per log key of a chained name (none for a plain one): the
+        #: serialized row segments in save order, and the rows they hold.
+        self._segments: dict[str, dict[str, list[str]]] = {}
+        self._rows: dict[str, dict[str, int]] = {}
         self._saved_at: dict[str, float] = {}
         self._seq: dict[str, int] = {}
         self._on_save: list[Callable[[str, int, float], None]] = []
@@ -45,32 +60,91 @@ class CheckpointStore:
         """Monotonic save counter for ``name`` (0 if never saved)."""
         return self._seq.get(name, 0)
 
+    def cursor(self, name: str) -> dict[str, int] | None:
+        """Rows the chain of ``name`` holds per log key (``None``: no chain).
+
+        This is the ``since`` a component must cut its next delta
+        against for :meth:`save` to accept it.
+        """
+        rows = self._rows.get(name)
+        return dict(rows) if rows else None
+
     def save(self, name: str, payload: dict[str, Any], now: float = 0.0) -> int:
-        """Serialize and store ``payload``; returns its size in bytes.
+        """Serialize and store ``payload``; returns the bytes this save wrote.
 
         Non-JSON-serializable state raises immediately — a checkpoint
         that cannot be written must fail at save time, not at the
         restore that was supposed to rescue the run.
+
+        A payload carrying ``"since": {key: n, ...}`` declares each
+        ``payload[key]`` as the rows of a grow-only list from row ``n``
+        on. All-zero cursors (a complete snapshot) start a new chain,
+        as a payload without a cursor replaces whatever the name held.
+        Any other cursor must equal the row counts the chain holds — its
+        rows are serialized once and appended, and the rest of the
+        payload overwrites the previous non-log state. A delta cut
+        against anything else would leave a gap or a repeat in the
+        restored lists, so it raises ``ValueError`` and the chain stays
+        as it was.
         """
-        blob = json.dumps(payload, separators=(",", ":"))
+        since = payload.get("since") or {}
+        if any(since.values()):
+            if since != self._rows.get(name):
+                raise ValueError(
+                    f"checkpoint {name!r}: delta cut at {since} does not "
+                    f"extend the chain held ({self._rows.get(name)})"
+                )
+            segments = self._segments[name]
+        else:
+            segments = {key: [] for key in since}
+        blob = _dumps(
+            {k: v for k, v in payload.items() if k != "since" and k not in since}
+        )
+        tails = {key: _dumps(payload[key]) for key in since if payload[key]}
+        # Everything serialized: from here on the save cannot fail.
+        written = len(blob) + sum(len(tail) for tail in tails.values())
+        for key, tail in tails.items():
+            segments[key].append(tail)
         self._blobs[name] = blob
+        self._segments[name] = segments
+        self._rows[name] = {
+            key: n + len(payload[key]) for key, n in since.items()
+        }
         self._saved_at[name] = now
         self._seq[name] = self._seq.get(name, 0) + 1
         self.saves += 1
         for cb in self._on_save:
             cb(name, self._seq[name], now)
-        return len(blob)
+        return written
 
     def load(self, name: str) -> dict[str, Any] | None:
-        """Deserialize the latest snapshot, or ``None`` if absent."""
+        """Deserialize the latest snapshot, or ``None`` if absent.
+
+        A chain comes back as one ordinary complete payload: the latest
+        non-log state, every log's segments joined in save order, and a
+        zero ``since``.
+        """
         blob = self._blobs.get(name)
         if blob is None:
             return None
         self.loads += 1
-        return json.loads(blob)
+        payload = json.loads(blob)
+        segments = self._segments[name]
+        if segments:
+            for key, parts in segments.items():
+                payload[key] = [
+                    row for part in parts for row in json.loads(part)
+                ]
+            payload["since"] = dict.fromkeys(segments, 0)
+        return payload
 
     def size_bytes(self, name: str) -> int:
-        return len(self._blobs.get(name, ""))
+        """Durable bytes under ``name`` — what a restart would read."""
+        return len(self._blobs.get(name, "")) + sum(
+            len(part)
+            for parts in self._segments.get(name, {}).values()
+            for part in parts
+        )
 
     def age(self, name: str, now: float) -> float:
         """Seconds since ``name`` was last saved (inf if never)."""

@@ -156,7 +156,7 @@ class OverloadResult:
             f"{self.breaker_closes} closes; "
             f"shipping: {self.retries} retries, {self.abandoned} abandoned",
             f"checkpoints: {self.checkpoints} "
-            f"({format_bytes(float(self.checkpoint_bytes))} latest), "
+            f"({format_bytes(float(self.checkpoint_bytes))} durable), "
             f"aggregator crashes {self.aggregator_crashes}, "
             f"{self.batches_dropped_while_down} deliveries while down, "
             f"{self.batches_replayed} batches replayed",

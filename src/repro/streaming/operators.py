@@ -296,8 +296,9 @@ class WindowedAggregator:
         self.aggregate = aggregate
         self.allowed_lateness = allowed_lateness
         self.partial_record_bytes = partial_record_bytes
-        self._state: dict[tuple[Window, str], Any] = {}
-        self._counts: dict[tuple[Window, str], int] = {}
+        #: Open slots: ``(window, key) -> [state, count]``, updated in
+        #: place so a fold hashes its slot once (twice when it opens it).
+        self._slots: dict[tuple[Window, str], list] = {}
         self.records_seen = 0
         self.late_dropped = 0
         self._watermark = -math.inf
@@ -309,13 +310,19 @@ class WindowedAggregator:
             self.late_dropped += 1
             return []
         for window in self.windows.assign(record.event_time):
-            slot = (window, record.key)
-            state = self._state.get(slot)
-            if state is None:
-                state = self.aggregate.zero()
-            self._state[slot] = self.aggregate.add(state, record.value)
-            self._counts[slot] = self._counts.get(slot, 0) + 1
+            held = self._open((window, record.key))
+            held[0] = self.aggregate.add(held[0], record.value)
+            held[1] += 1
         return []
+
+    def _open(self, slot: tuple[Window, str]) -> list:
+        """The slot's ``[state, count]``, opened at zero if new."""
+        held = self._slots.get(slot)
+        if held is None:
+            held = self._slots[slot] = [self.aggregate.zero(), 0]
+        elif held[0] is None:
+            held[0] = self.aggregate.zero()
+        return held
 
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
@@ -367,43 +374,33 @@ class WindowedAggregator:
         group_ends = np.append(group_starts[1:], len(starts))
         length = self.windows.length
         keys = batch.keys
-        state_map = self._state
-        counts = self._counts
-        zero = self.aggregate.zero
+        open_slot = self._open
         for lo, hi in zip(group_starts, group_ends):
             lo = int(lo)
             hi = int(hi)
             start = starts[lo].item()
-            slot = (Window(start, start + length), keys[key_idx[lo]])
-            state = state_map.get(slot)
-            if state is None:
-                state = zero()
-            state_map[slot] = fold(state, values[lo:hi])
-            counts[slot] = counts.get(slot, 0) + (hi - lo)
+            held = open_slot((Window(start, start + length), keys[key_idx[lo]]))
+            held[0] = fold(held[0], values[lo:hi])
+            held[1] += hi - lo
 
     def _fold_slow(self, batch: RecordBatch) -> None:
         # Exact replica of the per-record fold for shapes the vectorized
         # path cannot serve bit-identically.
         add = self.aggregate.add
-        zero = self.aggregate.zero
         assign = self.windows.assign
         t = batch.t
         key_idx = batch.key_idx
         keys = batch.keys
         values = batch.value
         is_obj = values.dtype == object
-        state_map = self._state
-        counts = self._counts
+        open_slot = self._open
         for i in range(len(batch)):
             key = keys[key_idx[i]]
             value = values[i] if is_obj else values[i].item()
             for window in assign(t[i].item()):
-                slot = (window, key)
-                state = state_map.get(slot)
-                if state is None:
-                    state = zero()
-                state_map[slot] = add(state, value)
-                counts[slot] = counts.get(slot, 0) + 1
+                held = open_slot((window, key))
+                held[0] = add(held[0], value)
+                held[1] += 1
 
     def advance_watermark(self, watermark: float) -> list[Record]:
         """Close all windows ending before the watermark; emit partials."""
@@ -413,13 +410,12 @@ class WindowedAggregator:
         out: list[Record] = []
         closed = [
             slot
-            for slot in self._state
+            for slot in self._slots
             if slot[0].end + self.allowed_lateness <= watermark
         ]
         for slot in sorted(closed, key=lambda s: (s[0], s[1])):
             window, key = slot
-            state = self._state.pop(slot)
-            count = self._counts.pop(slot)
+            state, count = self._slots.pop(slot)
             out.append(
                 Record(
                     event_time=window.end,
@@ -432,7 +428,7 @@ class WindowedAggregator:
 
     @property
     def open_windows(self) -> int:
-        return len({w for w, _ in self._state})
+        return len({w for w, _ in self._slots})
 
     # -- checkpoint/restore --------------------------------------------
     def snapshot(self) -> dict:
@@ -449,10 +445,9 @@ class WindowedAggregator:
             "records_seen": self.records_seen,
             "late_dropped": self.late_dropped,
             "slots": [
-                [w.start, w.end, key, self._state[(w, key)],
-                 self._counts[(w, key)]]
-                for (w, key) in sorted(
-                    self._state, key=lambda s: (s[0], s[1])
+                [w.start, w.end, key, state, count]
+                for (w, key), (state, count) in sorted(
+                    self._slots.items(), key=lambda kv: kv[0]
                 )
             ],
         }
@@ -463,9 +458,7 @@ class WindowedAggregator:
         self._watermark = -math.inf if wm is None else wm
         self.records_seen = payload["records_seen"]
         self.late_dropped = payload["late_dropped"]
-        self._state = {}
-        self._counts = {}
-        for start, end, key, state, count in payload["slots"]:
-            slot = (Window(start, end), key)
-            self._state[slot] = state
-            self._counts[slot] = count
+        self._slots = {
+            (Window(start, end), key): [state, count]
+            for start, end, key, state, count in payload["slots"]
+        }

@@ -505,16 +505,13 @@ class SiteRuntime:
 
     # -- crash-recovery support ----------------------------------------
     def prune_retained(self, covered_seqs) -> int:
-        """Forget retained batches a checkpoint's seen-set covers.
+        """Forget retained batches a checkpoint just recorded as seen.
 
         Once the aggregator has durably recorded ``(origin, seq)`` as
         merged, this site will never be asked to replay that batch.
         """
-        before = len(self._retained)
-        for seq in list(self._retained):
-            if seq in covered_seqs:
-                del self._retained[seq]
-        return before - len(self._retained)
+        pop = self._retained.pop
+        return sum(pop(seq, None) is not None for seq in covered_seqs)
 
     def replay_retained(self) -> int:
         """Re-ship every retained batch (after an aggregator restart).
@@ -566,6 +563,10 @@ class SiteRuntime:
             self._task = self.engine.sim.add_periodic(self.tick, self._on_tick)
 
 
+#: Format version of :meth:`GlobalAggregator.checkpoint` payloads.
+CHECKPOINT_VERSION = 2
+
+
 class _PendingWindowKey:
     __slots__ = ("state", "count", "sites", "emit_scheduled", "due", "legs")
 
@@ -615,6 +616,11 @@ class GlobalAggregator:
         #: half of at-least-once delivery: a re-sent or duplicated batch
         #: must not double-count any window.
         self._seen_batches: set[tuple[str, int]] = set()
+        #: The two grow-only sets again, in insertion order (the same
+        #: tuple objects): a periodic checkpoint serializes only the
+        #: tail the durable store does not hold yet.
+        self._emitted_log: list[tuple[Window, str]] = []
+        self._seen_log: list[tuple[str, int]] = []
         #: Aggregator-side windowing for jobs that ship raw records.
         self._raw_aggregator = WindowedAggregator(job.windows, job.aggregate)
         obs = engine.observer
@@ -641,6 +647,7 @@ class GlobalAggregator:
                 self._m_dups.inc()
                 return
             self._seen_batches.add(key)
+            self._seen_log.append(key)
         payload = batch.records
         if isinstance(payload, list):
             # A list payload is one kind throughout: partial aggregates
@@ -710,7 +717,10 @@ class GlobalAggregator:
     def _finalize_now(
         self, window, key, state, count, sites, now, legs=None
     ) -> None:
-        self._emitted.add((window, key))
+        slot = (window, key)
+        if slot not in self._emitted:
+            self._emitted.add(slot)
+            self._emitted_log.append(slot)
         lineage = WindowLineage(
             window_start=window.start,
             window_end=window.end,
@@ -779,7 +789,7 @@ class GlobalAggregator:
         return LatencyStats.from_results(self.results + self.uncommitted)
 
     # -- checkpoint/restore --------------------------------------------
-    def checkpoint(self) -> dict:
+    def checkpoint(self, since: dict[str, int] | None = None) -> dict:
         """Commit uncommitted results; return a restorable snapshot.
 
         The commit makes the snapshot and the externally visible results
@@ -788,14 +798,37 @@ class GlobalAggregator:
         neither lose a result the outside world has seen nor re-emit one
         — replayed partials for committed windows hit ``_emitted`` and
         are counted late, not emitted twice.
+
+        Without ``since`` the snapshot is complete and sorted. With the
+        row counts a durable store already holds (``{"emitted": n,
+        "seen": m}``), ``emitted`` and ``seen`` carry only the rows
+        added after those, in insertion order — a checkpoint then costs
+        what changed since the last one, not what ever happened. The
+        payload names the cursor it was cut against under ``"since"``.
         """
         self.results.extend(self.uncommitted)
         self.uncommitted.clear()
+        if since is None:
+            since = {"emitted": 0, "seen": 0}
+            emitted = sorted([w.start, w.end, k] for (w, k) in self._emitted)
+            seen = sorted([o, s] for (o, s) in self._seen_batches)
+        else:
+            n_emitted, n_seen = since["emitted"], since["seen"]
+            if n_emitted > len(self._emitted_log) or n_seen > len(self._seen_log):
+                raise ValueError(
+                    f"checkpoint cursor {since} is ahead of this aggregator "
+                    f"({len(self._emitted_log)} emitted, "
+                    f"{len(self._seen_log)} seen): not its chain"
+                )
+            emitted = [
+                [w.start, w.end, k] for (w, k) in self._emitted_log[n_emitted:]
+            ]
+            seen = [[o, s] for (o, s) in self._seen_log[n_seen:]]
         return {
-            "emitted": sorted(
-                [w.start, w.end, k] for (w, k) in self._emitted
-            ),
-            "seen": sorted([o, s] for (o, s) in self._seen_batches),
+            "version": CHECKPOINT_VERSION,
+            "since": since,
+            "emitted": emitted,
+            "seen": seen,
             "pending": [
                 [w.start, w.end, key, p.state, p.count,
                  sorted(p.sites), p.due,
@@ -815,16 +848,31 @@ class GlobalAggregator:
         }
 
     def restore(self, payload: dict) -> None:
-        """Rebuild from a :meth:`checkpoint` payload after a restart.
+        """Rebuild from a complete :meth:`checkpoint` payload after a restart.
 
         Finalize timers lost in the crash are re-armed with each pending
         window's remaining grace (zero if its due time already passed).
+        A payload of another format version, or a delta that is not the
+        whole history, is refused before any state is touched.
         """
+        version = payload.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"aggregator checkpoint has format version {version!r}, "
+                f"expected {CHECKPOINT_VERSION}"
+            )
+        if any(payload["since"].values()):
+            raise ValueError(
+                f"cannot restore from a delta cut at {payload['since']}: "
+                "load the joined chain from the store"
+            )
         now = self.engine.sim.now
-        self._emitted = {
+        self._emitted_log = [
             (Window(s, e), k) for s, e, k in payload["emitted"]
-        }
-        self._seen_batches = {(o, q) for o, q in payload["seen"]}
+        ]
+        self._emitted = set(self._emitted_log)
+        self._seen_log = [(o, q) for o, q in payload["seen"]]
+        self._seen_batches = set(self._seen_log)
         counters = payload["counters"]
         self.late_partials = counters["late_partials"]
         self.late_partial_records = counters["late_partial_records"]
@@ -832,20 +880,16 @@ class GlobalAggregator:
         self.duplicates_dropped = counters["duplicates_dropped"]
         self._raw_aggregator.restore(payload["raw"])
         self._pending = {}
-        for row in payload["pending"]:
-            start, end, key, state, count, sites, due = row[:7]
+        for start, end, key, state, count, sites, due, legs in payload["pending"]:
             pending = _PendingWindowKey()
             pending.state = state
             pending.count = count
             pending.sites = set(sites)
             pending.emit_scheduled = True
             pending.due = due
-            # Row 8 (legs) appeared with lineage; absent in older
-            # checkpoints, whose windows restore without provenance.
-            if len(row) > 7:
-                pending.legs = {
-                    leg["site"]: SiteLeg.from_dict(leg) for leg in row[7]
-                }
+            pending.legs = {
+                leg["site"]: SiteLeg.from_dict(leg) for leg in legs
+            }
             slot = (Window(start, end), key)
             self._pending[slot] = pending
             self.engine.sim.schedule(
@@ -895,6 +939,9 @@ class GeoStreamRuntime:
         self.aggregator_crashes = 0
         self.checkpoint_store: CheckpointStore | None = None
         self._checkpointer: Checkpointer | None = None
+        #: The aggregator instance whose logs the store's ``aggregator``
+        #: chain describes row for row (``None`` until one is saved).
+        self._chained: GlobalAggregator | None = None
         self.sites: dict[str, SiteRuntime] = {}
         for spec in job.sites:
             src_vms = engine.deployment.vms(spec.region)
@@ -964,12 +1011,27 @@ class GeoStreamRuntime:
         if not self._agg_up:
             # Skip the round; retention keeps growing until restart.
             return None
-        payload = self.aggregator.checkpoint()
-        covered: dict[str, set[int]] = {}
+        # The cursor lives in the store, not in the aggregator, so no
+        # inspection call can advance it. A store this aggregator was
+        # neither restored from nor has fully saved to says nothing
+        # about its logs: the first save is complete and starts a chain.
+        since = (
+            self.checkpoint_store.cursor("aggregator")
+            if self._chained is self.aggregator
+            else None
+        )
+        payload = self.aggregator.checkpoint(since)
+        self._chained = self.aggregator
+        # Only the batches this checkpoint is the first to record can
+        # still be retained: every earlier one was pruned by the round
+        # that recorded it, so walking the new rows is enough.
+        covered: dict[str, list[int]] = {}
         for origin, seq in payload["seen"]:
-            covered.setdefault(origin, set()).add(seq)
-        for region, site in self.sites.items():
-            site.prune_retained(covered.get(region, set()))
+            covered.setdefault(origin, []).append(seq)
+        for region, seqs in covered.items():
+            site = self.sites.get(region)
+            if site is not None:
+                site.prune_retained(seqs)
         return payload
 
     def crash_aggregator(self) -> None:
@@ -1003,6 +1065,7 @@ class GeoStreamRuntime:
             payload = self.checkpoint_store.load("aggregator")
             if payload is not None:
                 self.aggregator.restore(payload)
+                self._chained = self.aggregator
         self._agg_up = True
         for site in self.sites.values():
             site.replay_retained()

@@ -1,7 +1,7 @@
-"""Checkpoint restore across schema versions and under active faults.
+"""Checkpoint restore: the format version, and restores under active faults.
 
-The aggregator's pending-window rows grew an 8th element (lineage legs)
-after the 7-element schema shipped; ``restore`` must accept both. A
+The aggregator checkpoint carries an explicit format version; ``restore``
+takes the current one and refuses anything else before touching state. A
 restore must also survive landing *inside* an open batch-drop fault
 window — the replayed batches get dropped and re-retried, and the loss
 identity still balances.
@@ -17,7 +17,11 @@ from repro.flow.checkpoint import CheckpointStore
 from repro.flow.policy import FlowConfig
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import builtin_aggregate
-from repro.streaming.runtime import GeoStreamRuntime, GlobalAggregator
+from repro.streaming.runtime import (
+    CHECKPOINT_VERSION,
+    GeoStreamRuntime,
+    GlobalAggregator,
+)
 from repro.streaming.shipping import ReliableShipping, SageShipping
 from repro.streaming.sources import PoissonSource
 from repro.streaming.windows import TumblingWindows
@@ -101,24 +105,25 @@ def test_current_schema_roundtrips_with_lineage_legs():
     assert restored.duplicates_dropped == counters["duplicates_dropped"]
 
 
-def test_legacy_seven_element_rows_restore_without_provenance():
+def test_other_version_refused_before_any_state_is_touched():
     engine, runtime = _build()
-    loaded = _checkpoint_with_pending(engine, runtime)
-    legacy = dict(loaded)
-    legacy["pending"] = [row[:7] for row in loaded["pending"]]
-    restored = GlobalAggregator(engine, runtime.job)
-    restored.restore(legacy)
-    assert len(restored._pending) == len(legacy["pending"])
-    assert all(p.legs == {} for p in restored._pending.values())
-    # The re-armed finalize timers still fire: every pending window
-    # emits exactly once, just with an empty lineage.
-    max_due = max(row[6] for row in legacy["pending"])
-    engine.run_until(max_due + 5.0)
-    assert len(restored.results) == len(legacy["pending"])
-    assert all(r.lineage.legs == () for r in restored.results)
-    assert len({(r.window, r.key) for r in restored.results}) == len(
-        restored.results
-    )
+    current = _checkpoint_with_pending(engine, runtime)
+    assert current["version"] == CHECKPOINT_VERSION == 2
+    for found in (1, 3, "2", None):
+        loaded = dict(current)
+        if found is None:
+            del loaded["version"]  # what every pre-version checkpoint looks like
+        else:
+            loaded["version"] = found
+        target = GlobalAggregator(engine, runtime.job)
+        target.late_partials = 5  # a half-done restore would overwrite it
+        queued = len(engine.sim.queue)
+        with pytest.raises(ValueError) as err:
+            target.restore(loaded)
+        assert repr(found) in str(err.value) and "expected 2" in str(err.value)
+        assert target._emitted == set() and target._seen_batches == set()
+        assert target._pending == {} and target.late_partials == 5
+        assert len(engine.sim.queue) == queued  # no finalize timer was armed
 
 
 def test_restore_inside_open_batch_drop_window_loses_nothing():

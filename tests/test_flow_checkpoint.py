@@ -63,6 +63,112 @@ def test_store_age_and_names():
 
 
 # ----------------------------------------------------------------------
+# CheckpointStore chains: payloads that declare grow-only row lists
+# ----------------------------------------------------------------------
+def _full(rows, seen, extra=0):
+    return {
+        "since": {"rows": 0, "seen": 0},
+        "rows": rows,
+        "seen": seen,
+        "state": {"n": extra},
+    }
+
+
+def _delta(since, rows, seen, extra=0):
+    return {"since": since, "rows": rows, "seen": seen, "state": {"n": extra}}
+
+
+def test_store_chain_appends_new_rows_and_overwrites_the_rest():
+    store = CheckpointStore()
+    assert store.cursor("agg") is None
+    first = store.save("agg", _full([[1, "a"], [2, "b"]], [["x", 0]]), now=1.0)
+    assert first == store.size_bytes("agg")
+    assert store.cursor("agg") == {"rows": 2, "seen": 1}
+    second = store.save(
+        "agg", _delta({"rows": 2, "seen": 1}, [(3, "c")], [], extra=7), now=2.0
+    )
+    # A save returns what *it* wrote: the new rows plus the small state,
+    # not the chain; the chain is what a restart reads.
+    assert second < first
+    assert store.size_bytes("agg") == first + second - len('{"state":{"n":0}}')
+    assert store.cursor("agg") == {"rows": 3, "seen": 1}
+    assert store.seq("agg") == 2 and store.age("agg", now=5.0) == 3.0
+    loaded = store.load("agg")
+    assert loaded == {
+        "since": {"rows": 0, "seen": 0},
+        "rows": [[1, "a"], [2, "b"], [3, "c"]],  # the tuple took the JSON trip
+        "seen": [["x", 0]],
+        "state": {"n": 7},
+    }
+    # What comes back is one ordinary complete payload: saving it again
+    # starts a chain that loads identically.
+    other = CheckpointStore()
+    other.save("agg", loaded)
+    assert other.load("agg") == loaded
+    loaded["rows"].append("junk")
+    assert len(store.load("agg")["rows"]) == 3  # no shared live object
+
+
+@pytest.mark.parametrize(
+    "since",
+    [
+        {"rows": 1, "seen": 1},  # behind: would repeat a row
+        {"rows": 3, "seen": 1},  # ahead: would leave a gap
+        {"rows": 2, "seen": 0},
+        {"rows": 2},  # not the chain's logs at all
+    ],
+)
+def test_store_refuses_a_delta_that_does_not_extend_the_chain(since):
+    store = CheckpointStore()
+    store.save("agg", _full([[1], [2]], [["x", 0]]), now=1.0)
+    before = store.load("agg"), store.size_bytes("agg"), store.cursor("agg")
+    rows = {key: [[9]] for key in since}
+    with pytest.raises(ValueError, match="does not extend"):
+        store.save("agg", {"since": since, **rows, "state": {}}, now=2.0)
+    assert (
+        store.load("agg"), store.size_bytes("agg"), store.cursor("agg")
+    ) == before
+    assert store.seq("agg") == 1 and store.age("agg", now=2.0) == 1.0
+    # Nor is there anything to extend under a name never saved.
+    with pytest.raises(ValueError, match="does not extend"):
+        store.save("other", {"since": since, **rows, "state": {}})
+    assert "other" not in store
+
+
+def test_store_unserializable_delta_leaves_the_chain_intact():
+    store = CheckpointStore()
+    store.save("agg", _full([[1]], []))
+    before = store.load("agg")
+    for bad in (
+        _delta({"rows": 1, "seen": 0}, [[2]], [[object(), 1]]),
+        {**_delta({"rows": 1, "seen": 0}, [[2]], []), "state": {"f": len}},
+    ):
+        with pytest.raises(TypeError):
+            store.save("agg", bad)
+    assert store.load("agg") == before
+    assert store.cursor("agg") == {"rows": 1, "seen": 0}
+
+
+def test_store_complete_payload_replaces_the_chain():
+    store = CheckpointStore()
+    store.save("agg", _full([[1]], []))
+    store.save("agg", _delta({"rows": 1, "seen": 0}, [[2]], [["x", 0]]))
+    store.save("agg", _delta({"rows": 2, "seen": 1}, [[3]], []))
+    # A zero cursor is a complete snapshot: the chain starts over.
+    size = store.save("agg", _full([[8], [9]], []))
+    assert size == store.size_bytes("agg")
+    assert store.cursor("agg") == {"rows": 2, "seen": 0}
+    assert store.load("agg")["rows"] == [[8], [9]]
+    # A payload that declares no logs is a plain blob again.
+    store.save("agg", {"a": 1})
+    assert store.cursor("agg") is None
+    assert store.load("agg") == {"a": 1}
+    assert store.size_bytes("agg") == len('{"a":1}')
+    with pytest.raises(ValueError):
+        store.save("agg", _delta({"rows": 2, "seen": 0}, [[3]], []))
+
+
+# ----------------------------------------------------------------------
 # Checkpointer
 # ----------------------------------------------------------------------
 def test_checkpointer_validation(engine):

@@ -14,7 +14,8 @@ from repro.streaming.operators import (
     WindowedAggregator,
     builtin_aggregate,
 )
-from repro.streaming.windows import TumblingWindows
+from repro.streaming.records import RecordBatch
+from repro.streaming.windows import TumblingWindows, Window
 
 
 def rec(t, key="k", value=1.0):
@@ -168,3 +169,39 @@ def test_open_windows_tracked():
     assert wa.open_windows == 2
     wa.advance_watermark(30.0)
     assert wa.open_windows == 0
+
+
+def test_fold_hashes_each_slot_once_and_twice_to_open_it(monkeypatch):
+    # One dict holds (state, count) per open slot: a fold group looks its
+    # slot up once, plus one insert when the slot is new. (Two parallel
+    # dicts cost four Window hashes per group.)
+    hashes = [0]
+    generated = Window.__hash__
+
+    def counting(self):
+        hashes[0] += 1
+        return generated(self)
+
+    records = [
+        rec(t, key=f"k{k}", value=float(k))
+        for t in (1.0, 2.0, 12.0)
+        for k in range(4)
+    ]
+    wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("mean"))
+    monkeypatch.setattr(Window, "__hash__", counting)
+    wa.process_batch(RecordBatch.from_records(records))
+    assert hashes[0] == 2 * 8  # 8 new (window, key) slots
+    hashes[0] = 0
+    wa.process_batch(RecordBatch.from_records(records))
+    assert hashes[0] == 8  # the same 8 groups, slots already open
+    monkeypatch.undo()
+    slots = wa.snapshot()["slots"]
+    assert [row[:3] for row in slots] == sorted(row[:3] for row in slots)
+    assert slots[0] == [0.0, 10.0, "k0", (4, 0.0), 4]
+    assert slots[-1] == [10.0, 20.0, "k3", (2, 6.0), 2]
+    assert wa.open_windows == 2
+    out = wa.advance_watermark(10.0)
+    assert [(r.key, r.value.state, r.value.count) for r in out] == [
+        (f"k{k}", (4, 4.0 * k), 4) for k in range(4)
+    ]
+    assert wa.open_windows == 1

@@ -158,21 +158,6 @@ def test_pending_lineage_survives_checkpoint_restore(engine, job):
     assert leg.complete and lineage.complete
 
 
-def test_legacy_checkpoint_rows_restore_without_lineage(engine, job):
-    agg = GlobalAggregator(engine, job)
-    agg.deliver(traced_batch(engine, seq=1, count=2))
-    payload = agg.checkpoint()
-    # Pre-lineage checkpoints had 7-element pending rows.
-    payload["pending"] = [row[:7] for row in payload["pending"]]
-    fresh = GlobalAggregator(engine, job)
-    fresh.restore(payload)
-    engine.run_until(engine.sim.now + job.finalize_grace + 1.0)
-    (result,) = fresh.results
-    assert result.record_count == 2
-    assert result.lineage is not None
-    assert result.lineage.legs == ()  # restored without provenance
-
-
 def test_replay_after_restore_does_not_mint_new_identity(engine, job):
     """Replayed retained batches carry their original traces; the dedup
     set restored from the checkpoint absorbs them."""
