@@ -38,6 +38,7 @@ from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow, FluidNetwork
+from repro.config import OverloadConfig
 from repro.flow import run_overload
 from tests._fluid_oracle import EagerReferenceNetwork
 
@@ -89,7 +90,9 @@ def capture_trace():
     FluidNetwork.start_flow = cap_start
     FluidNetwork.cancel_flow = cap_cancel
     try:
-        run_overload(policy=POLICY, seed=SEED, duration=DURATION)
+        run_overload(
+            OverloadConfig(policy=POLICY, seed=SEED, duration=DURATION)
+        )
     finally:
         FluidNetwork.start_flow = orig_start
         FluidNetwork.cancel_flow = orig_cancel

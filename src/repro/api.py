@@ -36,6 +36,7 @@ from repro.config import (
     ShortestPathConfig,
     SoakConfig,
     default_record_plane,
+    resolve_config,
     set_default_record_plane,
 )
 from repro.control.scenario import run_serve
@@ -50,7 +51,7 @@ from repro.runner import (
     register_scenario,
     registered_scenarios,
 )
-from repro.runner.tasks import execute_task
+from repro.runner.tasks import execute_task, lookup_scenario
 
 
 def run_experiment(
@@ -67,26 +68,8 @@ def run_experiment(
     scenario's config dataclass, its dict form, or ``None`` for
     defaults. ``seed`` overrides the config's seed when given.
     """
-    from repro.runner.tasks import _ensure_builtin, _REGISTRY
-
-    _ensure_builtin()
-    if scenario not in _REGISTRY:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; "
-            f"registered: {registered_scenarios()}"
-        )
-    config_cls, run_fn = _REGISTRY[scenario]
-    if config is None:
-        cfg = config_cls()
-    elif isinstance(config, dict):
-        cfg = config_cls.from_dict(config)
-    elif isinstance(config, config_cls):
-        cfg = config
-    else:
-        raise TypeError(
-            f"expected {config_cls.__name__}, dict, or None — "
-            f"got {type(config).__name__}"
-        )
+    config_cls, run_fn = lookup_scenario(scenario)
+    cfg = resolve_config(config_cls, config)
     if seed is not None:
         cfg = cfg.replace(seed=seed)
     return run_fn(cfg, observer=observer)

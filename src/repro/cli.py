@@ -26,6 +26,7 @@ simulated cloud:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -284,55 +285,13 @@ def cmd_overload(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_audit(args) -> int:
-    """Run scenarios under the continuous SLO auditor, strictly."""
-    import json
-
-    from repro.config import ChaosConfig, OverloadConfig
-    from repro.faults import run_chaos
-    from repro.flow import run_overload
-
-    obs = _scenario_observer(args)
-    reports = []
-    if args.scenario in ("chaos", "all"):
-        reports.append(
-            run_chaos(
-                ChaosConfig(
-                    seed=args.seed,
-                    duration=args.duration,
-                    strict_slo=True,
-                    slo_max_latency_s=args.max_latency,
-                    slo_max_usd_per_1k=args.max_usd_per_1k,
-                ),
-                observer=obs,
-            )
-        )
-    if args.scenario in ("overload", "all"):
-        reports.append(
-            run_overload(
-                OverloadConfig(
-                    policy=args.policy,
-                    seed=args.seed,
-                    duration=args.duration,
-                    strict_slo=True,
-                    slo_max_latency_s=args.max_latency,
-                    slo_max_usd_per_1k=args.max_usd_per_1k,
-                ),
-                observer=obs,
-            )
-        )
-    violations: list[dict] = []
-    for report in reports:
-        audit = report.audit
-        cost = report.cost
-        for v in audit["violations"]:
-            violations.append({"scenario": report.scenario, **v})
-        print(
-            f"{report.scenario}: {audit['checks']} checks, "
-            f"{audit['violation_count']} violations, "
-            f"${cost.get('total_usd', 0.0):.4f} total "
-            f"({'clean' if report.clean else 'VIOLATED'})"
-        )
+def _write_violations(args, reports) -> int:
+    """Write the ``--jsonl`` violation log; returns the violation count."""
+    violations = [
+        {"scenario": report.scenario, **v}
+        for report in reports
+        for v in report.audit.get("violations", [])
+    ]
     if args.jsonl:
         # Empty file on green — CI uploads it either way, so a missing
         # artifact never aliases a clean run.
@@ -340,13 +299,48 @@ def cmd_audit(args) -> int:
             for v in violations:
                 fh.write(json.dumps(v, sort_keys=True) + "\n")
         print(f"violations: {len(violations)} -> {args.jsonl}")
+    return len(violations)
+
+
+def _write_report(args, report) -> None:
+    if args.report_json:
+        with open(args.report_json, "w", encoding="utf-8") as fh:
+            fh.write(report.canonical_json() + "\n")
+        print(f"report: -> {args.report_json}")
+
+
+def cmd_audit(args) -> int:
+    """Run scenarios under the continuous SLO auditor, strictly."""
+    from repro.api import run_experiment
+
+    obs = _scenario_observer(args)
+    overrides = {
+        "seed": args.seed,
+        "duration": args.duration,
+        "strict_slo": True,
+        "slo_max_latency_s": args.max_latency,
+        "slo_max_usd_per_1k": args.max_usd_per_1k,
+    }
+    arms = {"chaos": {}, "overload": {"policy": args.policy}}
+    reports = [
+        run_experiment(name, {**overrides, **extra}, observer=obs)
+        for name, extra in arms.items()
+        if args.scenario in (name, "all")
+    ]
+    for report in reports:
+        audit = report.audit
+        print(
+            f"{report.scenario}: {audit['checks']} checks, "
+            f"{audit['violation_count']} violations, "
+            f"${report.cost.get('total_usd', 0.0):.4f} total "
+            f"({'clean' if report.clean else 'VIOLATED'})"
+        )
+    violations = _write_violations(args, reports)
     return 0 if all(r.clean for r in reports) and not violations else 1
 
 
 def cmd_soak(args) -> int:
     """Run a seeded generated scenario for simulated hours, audited."""
-    import json
-
     from repro.config import SoakConfig
     from repro.gen.soak import run_soak
 
@@ -365,21 +359,8 @@ def cmd_soak(args) -> int:
         observer=_scenario_observer(args),
     )
     print(report.describe())
-    if args.jsonl:
-        # Empty file on green — CI uploads it either way, so a missing
-        # artifact never aliases a clean run.
-        violations = report.audit.get("violations", [])
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for v in violations:
-                fh.write(
-                    json.dumps({"scenario": "soak", **v}, sort_keys=True)
-                    + "\n"
-                )
-        print(f"violations: {len(violations)} -> {args.jsonl}")
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json() + "\n")
-        print(f"report: -> {args.report_json}")
+    _write_violations(args, [report])
+    _write_report(args, report)
     if args.digest:
         # Bare digest on its own line: CI greps it to compare runs.
         print(report.digest)
@@ -388,8 +369,6 @@ def cmd_soak(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the resident-service scenario: lease failover + live config."""
-    import json
-
     from repro.config import ServeConfig
     from repro.control.scenario import run_serve
 
@@ -412,21 +391,8 @@ def cmd_serve(args) -> int:
         observer=_scenario_observer(args),
     )
     print(report.describe())
-    if args.jsonl:
-        # Empty file on green — CI uploads it either way, so a missing
-        # artifact never aliases a clean run.
-        violations = report.audit.get("violations", [])
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for v in violations:
-                fh.write(
-                    json.dumps({"scenario": "serve", **v}, sort_keys=True)
-                    + "\n"
-                )
-        print(f"violations: {len(violations)} -> {args.jsonl}")
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json() + "\n")
-        print(f"report: -> {args.report_json}")
+    _write_violations(args, [report])
+    _write_report(args, report)
     return 0 if report.clean else 1
 
 
@@ -533,6 +499,38 @@ def cmd_sweep(args) -> int:
         # Bare digest on its own line: CI greps it to compare runs.
         print(report.digest())
     return 0 if report.ok else 1
+
+
+def _add_audit_flags(p, report: str | None = None) -> None:
+    """SLO bounds + violation log; ``report`` adds the strictness
+    switch and the canonical-report dump of a single-scenario command."""
+    if report:
+        p.add_argument(
+            "--no-strict",
+            action="store_true",
+            help="report SLO violations without failing the command",
+        )
+    p.add_argument(
+        "--max-latency",
+        type=float,
+        help="per-window end-to-end latency SLO in seconds",
+    )
+    p.add_argument(
+        "--max-usd-per-1k",
+        type=float,
+        help="cost SLO: attributed $ per 1000 ingested records",
+    )
+    p.add_argument(
+        "--jsonl",
+        metavar="PATH",
+        help="write the violation log (JSONL; empty file when clean)",
+    )
+    if report:
+        p.add_argument(
+            "--report-json",
+            metavar="PATH",
+            help=f"write the canonical {report}Report JSON to PATH",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -652,21 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="block",
         help="overload policy for the overload arm",
     )
-    p.add_argument(
-        "--max-latency",
-        type=float,
-        help="per-window end-to-end latency SLO in seconds",
-    )
-    p.add_argument(
-        "--max-usd-per-1k",
-        type=float,
-        help="cost SLO: attributed $ per 1000 ingested records",
-    )
-    p.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="write the violation log (JSONL; empty file when clean)",
-    )
+    _add_audit_flags(p)
 
     p = sub.add_parser(
         "soak",
@@ -707,31 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report-phase length in hours (0: auto-split into up to "
         "6 phases)",
     )
-    p.add_argument(
-        "--no-strict",
-        action="store_true",
-        help="report SLO violations without failing the command",
-    )
-    p.add_argument(
-        "--max-latency",
-        type=float,
-        help="per-window end-to-end latency SLO in seconds",
-    )
-    p.add_argument(
-        "--max-usd-per-1k",
-        type=float,
-        help="cost SLO: attributed $ per 1000 ingested records",
-    )
-    p.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="write the violation log (JSONL; empty file when clean)",
-    )
-    p.add_argument(
-        "--report-json",
-        metavar="PATH",
-        help="write the canonical SoakReport JSON to PATH",
-    )
+    _add_audit_flags(p, report="Soak")
     p.add_argument(
         "--digest",
         action="store_true",
@@ -801,31 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="cap concurrent shipping retries across all links (0: off)",
     )
-    p.add_argument(
-        "--no-strict",
-        action="store_true",
-        help="report SLO violations without failing the command",
-    )
-    p.add_argument(
-        "--max-latency",
-        type=float,
-        help="per-window end-to-end latency SLO in seconds",
-    )
-    p.add_argument(
-        "--max-usd-per-1k",
-        type=float,
-        help="cost SLO: attributed $ per 1000 ingested records",
-    )
-    p.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        help="write the violation log (JSONL; empty file when clean)",
-    )
-    p.add_argument(
-        "--report-json",
-        metavar="PATH",
-        help="write the canonical ServeReport JSON to PATH",
-    )
+    _add_audit_flags(p, report="Serve")
 
     p = sub.add_parser(
         "perf",

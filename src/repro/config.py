@@ -10,9 +10,10 @@ re-tupled on the way in) and ``replace``. Dict form is what the sweep
 runner hashes for cache keys and ships across process boundaries, so the
 round trip must be loss-free.
 
-Old call signatures still work through thin shims that emit
-``DeprecationWarning`` (see ``run_chaos``/``run_overload`` and the
-baseline constructors); new code passes a config object or its dict.
+Scenario entry points take a config object, its dict, or ``None`` and
+nothing else; only the baseline constructors still accept their old
+keyword surface (with a ``DeprecationWarning``), see
+:func:`resolve_config`.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 from repro.simulation.units import MB
-
-
-def deprecated_call(old: str, new: str) -> None:
-    """Emit the uniform deprecation warning for a legacy call path."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ConfigBase:
@@ -601,14 +593,15 @@ class GridFtpConfig(ConfigBase):
             raise ValueError("endpoints must be >= 1")
 
 
-def resolve_config(cls, config, legacy_kwargs, old: str, new: str):
-    """Normalise the (config | dict | legacy kwargs) calling convention.
+def resolve_config(cls, config, legacy_kwargs=None, old: str = "", new: str = ""):
+    """The one (config | dict | None) coercion.
 
     ``config`` may be an instance of ``cls``, a dict for
-    ``cls.from_dict``, or ``None``; ``legacy_kwargs`` are pre-dataclass
-    keyword arguments, accepted with a :class:`DeprecationWarning` and
-    merged *into* the config (they override its fields, preserving the
-    old call sites' semantics exactly).
+    ``cls.from_dict``, or ``None`` for defaults; scenario entry points,
+    ``run_experiment`` and the sweep worker all come through here.
+    ``legacy_kwargs`` exists for the baseline constructors only: their
+    keyword surface (``StaticParallel(n_nodes=...)``) is accepted with a
+    :class:`DeprecationWarning` and merged *into* the config.
     """
     if config is None:
         config = cls()
@@ -619,6 +612,10 @@ def resolve_config(cls, config, legacy_kwargs, old: str, new: str):
             f"expected {cls.__name__}, dict, or None — got {type(config).__name__}"
         )
     if legacy_kwargs:
-        deprecated_call(old, new)
+        warnings.warn(
+            f"{old} is deprecated; use {new} instead",
+            DeprecationWarning,
+            stacklevel=3,
+        )
         config = config.replace(**legacy_kwargs)
     return config

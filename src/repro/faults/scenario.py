@@ -22,57 +22,32 @@ result set; the chaos test and the E11 benchmark both call this.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.cloud.deployment import CloudEnvironment
 from repro.config import ChaosConfig, resolve_config
-from repro.report import ScenarioReport, metrics_snapshot
-from repro.core.engine import SageEngine
-from repro.faults.injector import AppliedFault, FaultInjector
+from repro.faults.injector import AppliedFault
 from repro.faults.plan import FaultPlan, chaos_scenario
-from repro.obs.audit import SLOAuditor
+from repro.harness import Scenario, ScenarioPayload, ScenarioRun, sites_of
+from repro.report import ScenarioReport
 from repro.simulation.units import format_bytes
-from repro.streaming.dataflow import SiteSpec, StreamJob
-from repro.streaming.operators import builtin_aggregate
-from repro.streaming.runtime import GeoStreamRuntime
-from repro.streaming.shipping import ReliableShipping, SageShipping
 from repro.streaming.sources import PoissonSource
-from repro.streaming.windows import TumblingWindows
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(ScenarioPayload):
     """Everything the recovery report needs, in plain numbers."""
 
-    seed: int
     duration: float
-    ingested: int
-    counted: int
-    results: int
     faults: list[AppliedFault] = field(default_factory=list)
-    retries: int = 0
     abandoned: int = 0
     duplicates_delivered: int = 0
-    duplicates_dropped: int = 0
     suspicions: int = 0
     recoveries: int = 0
     detection_latencies: list[float] = field(default_factory=list)
     detection_bound: float = 0.0
     drain_seconds: float = 0.0
-    wan_bytes: float = 0.0
     egress_bytes: float = 0.0
     egress_usd: float = 0.0
-    #: Continuous-auditor outcome (:class:`repro.obs.audit.AuditReport`
-    #: dict form) and attributed cost rollup.
-    audit: dict = field(default_factory=dict)
-    cost: dict = field(default_factory=dict)
-    slo_violations: int = 0
-    strict_slo: bool = False
-
-    @property
-    def lost(self) -> int:
-        return max(0, self.ingested - self.counted)
 
     @property
     def double_counted(self) -> int:
@@ -82,10 +57,7 @@ class ChaosResult:
     def clean(self) -> bool:
         """The recovery contract held: nothing lost, nothing doubled
         (and, under ``strict_slo``, zero auditor violations)."""
-        ok = self.lost == 0 and self.double_counted == 0
-        if self.strict_slo:
-            ok = ok and self.slo_violations == 0
-        return ok
+        return self.lost == 0 and self.double_counted == 0 and self.slo_ok
 
     def describe(self) -> str:
         lines = [
@@ -113,9 +85,7 @@ class ChaosResult:
             f"lost: {self.lost}, double-counted: {self.double_counted}",
             f"wide-area bytes (incl. retries): {format_bytes(self.wan_bytes)}, "
             f"egress ${self.egress_usd:.4f}",
-            f"auditor: {self.audit.get('checks', 0)} checks, "
-            f"{self.slo_violations} violations"
-            + (" (strict)" if self.strict_slo else ""),
+            self.audit_line(),
             "",
             "verdict: " + ("CLEAN — zero loss, zero double-counting"
                            if self.clean else "DATA INTEGRITY VIOLATED"),
@@ -128,15 +98,12 @@ def run_chaos(
     *,
     plan: FaultPlan | dict | None = None,
     observer=None,
-    **legacy,
 ) -> ScenarioReport:
     """Run the scripted chaos scenario to completion (virtual time).
 
-    Takes a :class:`~repro.config.ChaosConfig` (or its dict form); the
-    pre-dataclass keyword surface (``seed=``, ``duration=``, ...) still
-    works but emits :class:`DeprecationWarning`. Returns a
-    :class:`~repro.report.ScenarioReport` whose ``details`` is the
-    :class:`ChaosResult` payload (attribute access falls through).
+    Takes a :class:`~repro.config.ChaosConfig` (or its dict form) and
+    returns a :class:`~repro.report.ScenarioReport` whose ``details`` is
+    the :class:`ChaosResult` payload (attribute access falls through).
 
     ``plan=None`` arms the canonical scenario: the first site's first two
     sender VMs crash at t≈60s (restarting 90s later) and the first
@@ -144,133 +111,40 @@ def run_chaos(
     duplication window early on. ``inject=False`` runs the identical
     workload fault-free — the baseline arm of experiment E11.
     """
-    if isinstance(config, int):  # pre-dataclass positional seed
-        legacy["seed"] = config
-        config = None
-    cfg = resolve_config(
-        ChaosConfig, config, legacy,
-        "run_chaos(seed=..., duration=..., ...)",
-        "run_chaos(ChaosConfig(...))",
-    )
+    cfg = resolve_config(ChaosConfig, config)
     if isinstance(plan, dict):
         plan = FaultPlan.from_dict(plan)
-    wall0 = time.perf_counter()
-    seed = cfg.seed
-    duration = cfg.duration
-    site_regions = cfg.site_regions
-    aggregation_region = cfg.aggregation_region
-    records_per_s = cfg.records_per_s
-    inject = cfg.inject
-    delivery_timeout = cfg.delivery_timeout
-    max_retries = cfg.max_retries
+    first, second = cfg.site_regions
 
-    env = CloudEnvironment(seed=seed, variability_sigma=0.0, glitches=False)
-    spec = {site_regions[0]: 4, site_regions[1]: 3, aggregation_region: 4}
-    engine = SageEngine(env, deployment_spec=spec, observer=observer)
-    engine.start(learning_phase=120.0)
+    def build_plan(engine) -> FaultPlan | None:
+        if not cfg.inject:
+            return None
+        if plan is not None:
+            return plan
+        senders = [vm.vm_id for vm in engine.deployment.vms(first)]
+        return chaos_scenario(senders, (first, cfg.aggregation_region))
 
-    job = StreamJob(
+    scenario = Scenario(
         name="chaos",
-        sites=[
-            SiteSpec(
-                region,
-                [PoissonSource(f"src-{region}", rate=records_per_s,
-                               keys=["k1", "k2"])],
-            )
-            for region in site_regions
-        ],
-        aggregation_region=aggregation_region,
-        windows=TumblingWindows(10.0),
-        aggregate=builtin_aggregate("count"),
-        # The grace must cover a batch's worst recovery path: detection
-        # (≤ 20s) or stall (≤ 30s), then timed-out retries with backoff
-        # until the route heals (~45s for the 60s blackhole, because the
-        # stall feedback reroutes around the dead link). 90s holds all
-        # of it with margin.
+        config=cfg,
+        deployment={first: 4, second: 3, cfg.aggregation_region: 4},
+        sites=sites_of(
+            cfg.site_regions,
+            lambda name: PoissonSource(name, rate=cfg.records_per_s, keys=["k1", "k2"]),
+        ),
+        aggregation_region=cfg.aggregation_region,
+        phases=[(0.0, cfg.duration)],
+        payload=lambda run: run.fill(ChaosResult, duration=cfg.duration),
+        # Detection (≤ 20s) or stall (≤ 30s), then timed-out retries with
+        # backoff until the route heals (~45s for the 60s blackhole, because
+        # the stall feedback reroutes around the dead link): 90s holds all of
+        # it with margin.
         finalize_grace=90.0,
+        delivery_timeout=cfg.delivery_timeout,
+        max_retries=cfg.max_retries,
+        plan=build_plan,
     )
-    factory = ReliableShipping.factory(
-        SageShipping.factory(n_nodes=2, plan_ttl=30.0),
-        delivery_timeout=delivery_timeout,
-        max_retries=max_retries,
-    )
-    runtime = GeoStreamRuntime(engine, job, factory)
-    auditor = SLOAuditor(
-        engine,
-        runtime,
-        max_latency_s=cfg.slo_max_latency_s,
-        max_usd_per_1k=cfg.slo_max_usd_per_1k,
-    ).start()
-
-    injector: FaultInjector | None = None
-    if inject:
-        if plan is None:
-            senders = [vm.vm_id for vm in engine.deployment.vms(site_regions[0])]
-            plan = chaos_scenario(
-                senders, (site_regions[0], aggregation_region)
-            )
-        injector = FaultInjector(engine, plan).arm()
-
-    t0 = engine.sim.now
-    runtime.start()
-    engine.run_until(t0 + duration)
-    # Quiet the sources but keep ticking: watermarks advance past every
-    # open window, the batchers flush, and retries drain.
-    for site in runtime.sites.values():
-        site.stop_sources()
-    drain_start = engine.sim.now
-    engine.run_until(drain_start + job.watermark_lag + 15.0)
-    runtime.stop()
-    engine.run_until(engine.sim.now + job.finalize_grace + 60.0)
-    engine.env.finalize()
-
-    audit_report = auditor.finish()
-    ingested = runtime.records_ingested()
-    counted = sum(r.record_count for r in runtime.results)
-    cost = engine.ledger.summary(
-        windows=len(runtime.results) or None, records=ingested or None
-    )
-    last_emit = max((r.emitted_at for r in runtime.results), default=drain_start)
-    detector = engine.detector
-    meter = engine.env.meter.snapshot()
-    backends = [site.shipping for site in runtime.sites.values()]
-    result = ChaosResult(
-        seed=seed,
-        duration=duration,
-        ingested=ingested,
-        counted=counted,
-        results=len(runtime.results),
-        faults=list(injector.log) if injector is not None else [],
-        retries=sum(b.retries for b in backends),
-        abandoned=sum(b.abandoned for b in backends),
-        duplicates_delivered=sum(b.duplicates_delivered for b in backends),
-        duplicates_dropped=runtime.aggregator.duplicates_dropped,
-        suspicions=detector.suspicions if detector else 0,
-        recoveries=detector.recoveries if detector else 0,
-        detection_latencies=(
-            list(detector.detection_latencies) if detector else []
-        ),
-        detection_bound=(
-            detector.detection_latency_bound() if detector else 0.0
-        ),
-        drain_seconds=max(0.0, last_emit - drain_start),
-        wan_bytes=runtime.wan_bytes(),
-        egress_bytes=meter.egress_bytes,
-        egress_usd=meter.egress_usd,
-        audit=audit_report.to_dict(),
-        cost=cost.to_dict(),
-        slo_violations=len(audit_report.violations),
-        strict_slo=cfg.strict_slo,
-    )
-    return ScenarioReport(
-        scenario="chaos",
-        config=cfg.to_dict(),
-        seed=seed,
-        virtual_seconds=engine.sim.now,
-        wall_seconds=time.perf_counter() - wall0,
-        details=result,
-        metrics=metrics_snapshot(observer),
-    )
+    return ScenarioRun(scenario, observer).execute()
 
 
 __all__ = ["ChaosResult", "run_chaos"]

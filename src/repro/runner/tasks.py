@@ -23,6 +23,7 @@ import importlib
 import time
 from dataclasses import dataclass, field
 
+from repro.config import resolve_config
 from repro.report import ScenarioReport
 
 
@@ -97,6 +98,17 @@ def _ensure_builtin() -> None:
     _REGISTRY.setdefault("serve", (ServeConfig, run_serve))
 
 
+def lookup_scenario(name: str) -> tuple[type, object]:
+    """``(config_cls, run_fn)`` registered under ``name``."""
+    _ensure_builtin()
+    if name not in _REGISTRY:
+        raise ValueError(
+            f"unknown scenario {name!r}; "
+            f"registered: {registered_scenarios()}"
+        )
+    return _REGISTRY[name]
+
+
 def _resolve_dotted(ref: str):
     module_name, _, attr = ref.partition(":")
     if not module_name or not attr:
@@ -123,15 +135,8 @@ def execute_task(payload: dict) -> dict:
     if ":" in scenario:
         report = _resolve_dotted(scenario)(dict(config), seed)
     else:
-        _ensure_builtin()
-        if scenario not in _REGISTRY:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; "
-                f"registered: {registered_scenarios()}"
-            )
-        config_cls, run_fn = _REGISTRY[scenario]
-        cfg = config_cls.from_dict({**config, "seed": seed})
-        report = run_fn(cfg)
+        config_cls, run_fn = lookup_scenario(scenario)
+        report = run_fn(resolve_config(config_cls, {**config, "seed": seed}))
     wall = time.perf_counter() - wall0
     perf = None
     if isinstance(report, ScenarioReport):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
+from repro.streaming.runtime import GeoStreamRuntime
 
 
 @pytest.fixture
@@ -45,3 +46,15 @@ def stable_engine(stable_env) -> SageEngine:
     )
     engine.start(learning_phase=120.0)
     return engine
+
+
+@pytest.fixture
+def stopped_runtimes(monkeypatch) -> list[GeoStreamRuntime]:
+    """Every runtime whose ``stop()`` ran during the test, in order — the
+    handle scenario tests use to look inside a run they did not build."""
+    runtimes: list[GeoStreamRuntime] = []
+    stop = GeoStreamRuntime.stop
+    monkeypatch.setattr(
+        GeoStreamRuntime, "stop", lambda self: (runtimes.append(self), stop(self))
+    )
+    return runtimes

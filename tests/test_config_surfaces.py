@@ -84,32 +84,24 @@ def test_fault_plan_dict_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Deprecated call paths: warn, but produce identical results
+# Scenario entry points: config | dict | None, nothing else
 # ----------------------------------------------------------------------
-def test_run_overload_legacy_kwargs_warn_and_match():
-    with pytest.deprecated_call():
-        legacy = run_overload(policy="shed", seed=99, **FAST_OVERLOAD)
+def test_scenario_entry_points_take_a_config_and_nothing_else():
+    with pytest.raises(TypeError):
+        run_chaos(seed=7)  # the pre-dataclass keyword surface is gone
+    with pytest.raises(TypeError, match="expected ChaosConfig"):
+        run_chaos(11)  # ... and so is the positional seed
+    with pytest.raises(TypeError, match="expected OverloadConfig"):
+        run_overload("shed")
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        cfg = OverloadConfig(policy="shed", seed=99, **FAST_OVERLOAD)
-        modern = run_overload(cfg)
-    assert legacy.canonical_json() == modern.canonical_json()
+        report = run_chaos({"seed": 7, "inject": False, **FAST_CHAOS})
+    assert report.config == ChaosConfig(seed=7, inject=False, **FAST_CHAOS).to_dict()
 
 
-def test_run_chaos_legacy_kwargs_warn_and_match():
-    with pytest.deprecated_call():
-        legacy = run_chaos(seed=7, inject=False, **FAST_CHAOS)
-    cfg = ChaosConfig(seed=7, inject=False, **FAST_CHAOS)
-    modern = run_chaos(cfg)
-    assert legacy.canonical_json() == modern.canonical_json()
-
-
-def test_run_chaos_positional_seed_still_accepted():
-    with pytest.deprecated_call():
-        report = run_chaos(11, duration=60.0, inject=False)
-    assert report.seed == 11
-
-
+# ----------------------------------------------------------------------
+# Baseline constructors: the one remaining legacy keyword surface
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     ("cls", "legacy_kwargs", "attr", "expected"),
     [

@@ -260,11 +260,23 @@ def test_serve_failover_is_clean_and_exactly_once():
     assert d.config_versions == 1
     # Windows split across both epochs, none lost, none doubled.
     assert set(d.results_by_epoch) == {"1", "2"}
-    assert d.lost == 0
+    assert d.lost == 0 and d.accounted and d.drained
     assert d.audit["clean"]
     assert d.clean
     # The promoted leader's epoch is stamped on post-failover windows.
     assert d.failover_log[0]["epoch"] == 2
+
+
+@pytest.mark.parametrize("duration", [601.0, 609.0])
+def test_serve_with_one_kill_drains_a_horizon_ending_inside_a_window(duration):
+    # One tick into / one tick before the end of a 10 s window: the
+    # harness's one quiescence rule drains both.
+    d = run_serve(
+        ServeConfig(duration=duration, kill_leader_every=250.0, base_rate=30.0)
+    ).details
+    assert d.kills == 1 and d.failovers == 1
+    assert d.drained and d.accounted and d.lost == 0
+    assert d.clean
 
 
 def test_soak_failovers_deterministic_and_clean():

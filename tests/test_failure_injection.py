@@ -9,6 +9,7 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow
+from repro.config import ChaosConfig
 from repro.core.engine import SageEngine
 from repro.faults import run_chaos
 from repro.simulation.units import GB, MB
@@ -136,7 +137,7 @@ def test_cancelled_managed_transfer_bills_partial_egress():
 def test_chaos_scenario_recovers_clean():
     """Two sender VMs crash and a link blackholes mid-run; the pipeline
     must deliver every ingested record exactly once, within bounds."""
-    result = run_chaos(seed=7, duration=240.0)
+    result = run_chaos(ChaosConfig(seed=7, duration=240.0))
     assert result.clean, result.describe()
     assert result.lost == 0 and result.double_counted == 0
     assert result.abandoned == 0  # bounded retries never gave up
@@ -157,8 +158,8 @@ def test_chaos_scenario_recovers_clean():
 
 @pytest.mark.chaos
 def test_chaos_scenario_is_deterministic():
-    a = run_chaos(seed=11, duration=200.0)
-    b = run_chaos(seed=11, duration=200.0)
+    a = run_chaos(ChaosConfig(seed=11, duration=200.0))
+    b = run_chaos(ChaosConfig(seed=11, duration=200.0))
     assert a.faults == b.faults  # bit-identical fault log
     assert (a.retries, a.duplicates_delivered, a.ingested, a.counted) == (
         b.retries, b.duplicates_delivered, b.ingested, b.counted
@@ -167,8 +168,22 @@ def test_chaos_scenario_is_deterministic():
 
 
 @pytest.mark.chaos
+@pytest.mark.parametrize("duration", [240.0, 241.0, 249.0])
+def test_chaos_baseline_drains_a_horizon_ending_inside_a_window(
+    duration, stopped_runtimes
+):
+    # 241 / 249 s end one tick into / one tick before the end of a 10 s
+    # window; the one quiescence rule leaves nothing in the pipe either way.
+    result = run_chaos(ChaosConfig(seed=7, duration=duration, inject=False))
+    (runtime,) = stopped_runtimes
+    assert runtime.in_pipe() == 0
+    assert result.lost == 0 and result.accounted
+    assert result.clean
+
+
+@pytest.mark.chaos
 def test_chaos_baseline_without_faults_is_quiet():
-    result = run_chaos(seed=7, duration=180.0, inject=False)
+    result = run_chaos(ChaosConfig(seed=7, duration=180.0, inject=False))
     assert result.clean
     assert not result.faults
     assert result.retries == 0 and result.abandoned == 0

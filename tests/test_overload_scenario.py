@@ -9,6 +9,7 @@ step.
 
 import pytest
 
+from repro.config import OverloadConfig
 from repro.flow import run_overload
 
 pytestmark = pytest.mark.overload
@@ -18,12 +19,12 @@ SEED = 2013
 
 @pytest.fixture(scope="module")
 def block_result():
-    return run_overload(policy="block", seed=SEED)
+    return run_overload(OverloadConfig(policy="block", seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def shed_result():
-    return run_overload(policy="shed", seed=SEED)
+    return run_overload(OverloadConfig(policy="shed", seed=SEED))
 
 
 def test_block_loses_nothing_and_bounds_the_buffer(block_result):
@@ -71,7 +72,7 @@ def test_shed_bounds_latency_with_accounted_loss(shed_result, block_result):
 
 
 def test_degrade_bounds_memory_at_twice_the_bound():
-    r = run_overload(policy="degrade", seed=SEED)
+    r = run_overload(OverloadConfig(policy="degrade", seed=SEED))
     assert r.clean
     assert r.degraded_ticks > 0
     assert all(
@@ -82,9 +83,21 @@ def test_degrade_bounds_memory_at_twice_the_bound():
     )
 
 
+@pytest.mark.parametrize("duration", [240.0, 241.0, 249.0])
+def test_block_drains_a_horizon_ending_inside_a_window(duration, stopped_runtimes):
+    # 241 / 249 s end one tick into / one tick before the end of a 10 s
+    # window: the partials of that window reach the batcher only after the
+    # pipe has drained once, and the quiescence rule drains again for them.
+    r = run_overload(OverloadConfig(policy="block", seed=SEED, duration=duration))
+    (runtime,) = stopped_runtimes
+    assert runtime.in_pipe() == 0
+    assert r.lost == 0 and r.accounted
+    assert r.clean
+
+
 def test_same_seed_same_numbers(block_result):
     """The scenario is deterministic: reruns agree to the record."""
-    again = run_overload(policy="block", seed=SEED)
+    again = run_overload(OverloadConfig(policy="block", seed=SEED))
     for field in (
         "ingested",
         "counted",
