@@ -30,7 +30,6 @@ from repro.api import (
     ControlConfig,
     GenConfig,
     OverloadConfig,
-    RecordPlaneConfig,
     SageSession,
     ScenarioReport,
     ServeConfig,
@@ -40,7 +39,6 @@ from repro.api import (
     SweepRunner,
     SweepTask,
     TransferResult,
-    default_record_plane,
     default_suite,
     derive_seed,
     register_scenario,
@@ -48,7 +46,6 @@ from repro.api import (
     run_serve,
     run_soak,
     run_sweep,
-    set_default_record_plane,
 )
 from repro.core.engine import SageEngine
 
@@ -59,7 +56,6 @@ __all__ = [
     "ControlConfig",
     "GenConfig",
     "OverloadConfig",
-    "RecordPlaneConfig",
     "SageEngine",
     "SageSession",
     "ScenarioReport",
@@ -70,7 +66,6 @@ __all__ = [
     "SweepRunner",
     "SweepTask",
     "TransferResult",
-    "default_record_plane",
     "default_suite",
     "derive_seed",
     "register_scenario",
@@ -78,6 +73,5 @@ __all__ = [
     "run_serve",
     "run_soak",
     "run_sweep",
-    "set_default_record_plane",
     "__version__",
 ]

@@ -31,13 +31,10 @@ from repro.config import (
     GridFtpConfig,
     OverloadConfig,
     ParallelStaticConfig,
-    RecordPlaneConfig,
     ServeConfig,
     ShortestPathConfig,
     SoakConfig,
-    default_record_plane,
     resolve_config,
-    set_default_record_plane,
 )
 from repro.control.scenario import run_serve
 from repro.core.api import SageSession, TransferResult
@@ -158,7 +155,6 @@ __all__ = [
     "GridFtpConfig",
     "OverloadConfig",
     "ParallelStaticConfig",
-    "RecordPlaneConfig",
     "SOAK_PROFILES",
     "SageSession",
     "ScenarioReport",
@@ -170,10 +166,8 @@ __all__ = [
     "SweepRunner",
     "SweepTask",
     "TransferResult",
-    "default_record_plane",
     "default_suite",
     "derive_seed",
-    "set_default_record_plane",
     "execute_task",
     "register_scenario",
     "registered_scenarios",

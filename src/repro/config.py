@@ -62,67 +62,6 @@ class ConfigBase:
 
 
 # ----------------------------------------------------------------------
-# Record plane configuration
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RecordPlaneConfig(ConfigBase):
-    """How records move through the streaming data plane.
-
-    ``columnar=True`` (the default) runs the batch-at-a-time plane:
-    sources emit one :class:`~repro.streaming.records.RecordBatch` per
-    tick, site backlogs hold columnar chunks, and operators/windowing
-    fold whole batches. ``columnar=False`` selects the legacy
-    per-record-object plane — kept for A/B equivalence runs; both
-    planes produce identical results and soak digests for the same
-    seed (see ``tests/test_columnar_equivalence.py``).
-    """
-
-    #: Batch-at-a-time plane on/off (off = legacy per-record objects).
-    columnar: bool = True
-    #: Maximum records per backlog chunk / per source sink offer when a
-    #: source opts into chunked emission.
-    chunk_records: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
-
-
-#: The shipped default: columnar plane, 4096-record chunks.
-DEFAULT_RECORD_PLANE = RecordPlaneConfig()
-
-_default_record_plane = DEFAULT_RECORD_PLANE
-
-
-def default_record_plane() -> RecordPlaneConfig:
-    """The process-wide record-plane default.
-
-    Used by every runtime whose :class:`~repro.streaming.dataflow.StreamJob`
-    does not pin ``record_plane`` explicitly — which includes the
-    scenario runners, whose jobs are built internally.
-    """
-    return _default_record_plane
-
-
-def set_default_record_plane(plane: RecordPlaneConfig) -> RecordPlaneConfig:
-    """Swap the process-wide record-plane default; returns the old one.
-
-    This is the A/B lever for jobs built by scenario runners (chaos /
-    overload / soak), where there is no job object to pin
-    ``record_plane`` on. Callers should restore the returned previous
-    value when done.
-    """
-    global _default_record_plane
-    if not isinstance(plane, RecordPlaneConfig):
-        raise TypeError(
-            f"expected RecordPlaneConfig, got {type(plane).__name__}"
-        )
-    previous = _default_record_plane
-    _default_record_plane = plane
-    return previous
-
-
-# ----------------------------------------------------------------------
 # Scenario configurations
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.deployment import CloudEnvironment
-from repro.config import RecordPlaneConfig
 from repro.core.decision import DecisionConfig, ManagedTransfer
 from repro.core.engine import SageEngine
 from repro.monitor.agent import MonitorConfig
@@ -58,18 +57,7 @@ class SageSession:
         decision_config: DecisionConfig | None = None,
         variability_sigma: float = 0.20,
         glitches: bool = True,
-        record_plane: RecordPlaneConfig | None = None,
     ) -> None:
-        if record_plane is not None and not isinstance(
-            record_plane, RecordPlaneConfig
-        ):
-            raise TypeError(
-                "record_plane must be a RecordPlaneConfig or None, "
-                f"got {type(record_plane).__name__}"
-            )
-        #: Record-plane default for streams attached through this session
-        #: (``None`` = the process default — columnar batches).
-        self.record_plane = record_plane
         self.env = CloudEnvironment(
             seed=seed,
             variability_sigma=variability_sigma,
@@ -150,7 +138,6 @@ class SageSession:
         job,
         shipping_factory=None,
         *,
-        record_plane: RecordPlaneConfig | None = None,
         per_vm_records_per_s: float = 5000.0,
     ):
         """Attach a :class:`~repro.streaming.dataflow.StreamJob`.
@@ -158,10 +145,6 @@ class SageSession:
         Returns a :class:`~repro.streaming.runtime.GeoStreamRuntime`;
         drive it with ``runtime.run_for(seconds)`` (which starts it,
         advances simulated time, and lets in-flight batches land).
-        The record plane resolves
-        most-specific-first: the ``record_plane`` argument, then the
-        job's ``record_plane`` field, then the session default, then
-        the process default (columnar).
 
         ``shipping_factory`` defaults to the paper's managed overlay
         transfers (:class:`~repro.streaming.shipping.SageShipping` with
@@ -172,14 +155,11 @@ class SageSession:
 
         if shipping_factory is None:
             shipping_factory = SageShipping.factory(n_nodes=2)
-        if record_plane is None and job.record_plane is None:
-            record_plane = self.record_plane
         return GeoStreamRuntime(
             self.engine,
             job,
             shipping_factory,
             per_vm_records_per_s=per_vm_records_per_s,
-            record_plane=record_plane,
         )
 
     # ------------------------------------------------------------------

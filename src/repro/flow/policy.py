@@ -30,8 +30,12 @@ be passed to ``SiteRuntime`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import ConfigBase
+
+if TYPE_CHECKING:
+    from repro.streaming.records import RecordBatch
 
 POLICIES = ("block", "shed", "degrade")
 
@@ -89,8 +93,9 @@ class OverloadPolicy:
     """Site-side overload hooks. Subclasses override the three methods.
 
     ``site`` is the :class:`~repro.streaming.runtime.SiteRuntime` the
-    policy governs; policies reach into its backlog deque and counters —
-    they are the one component allowed to, by design.
+    policy governs; policies reach into its backlog (a
+    :class:`~repro.streaming.records.ChunkedBacklog`) and counters — they
+    are the one component allowed to, by design.
     """
 
     name = "?"
@@ -99,7 +104,7 @@ class OverloadPolicy:
         self.config = config
 
     # -- ingest --------------------------------------------------------
-    def admit(self, site, records: list) -> int:
+    def admit(self, site, records: RecordBatch) -> int:
         """Admit ``records`` into ``site``'s backlog.
 
         Returns how many of ``records`` were *accepted from the source's
@@ -121,14 +126,7 @@ class OverloadPolicy:
     # -- helpers -------------------------------------------------------
     def _trim_oldest(self, site, bound: int) -> int:
         """Drop-oldest until the backlog is back at ``bound``."""
-        backlog = site._backlog
-        if hasattr(backlog, "trim_to"):  # columnar ChunkedBacklog
-            dropped = backlog.trim_to(bound)
-        else:
-            dropped = 0
-            while len(backlog) > bound:
-                backlog.popleft()
-                dropped += 1
+        dropped = site._backlog.trim_to(bound)
         if dropped:
             site.count_shed(dropped)
         return dropped
@@ -139,7 +137,7 @@ class BlockPolicy(OverloadPolicy):
 
     name = "block"
 
-    def admit(self, site, records: list) -> int:
+    def admit(self, site, records: RecordBatch) -> int:
         granted = site.credits.acquire(len(records))
         if granted:
             site._backlog.extend(records[:granted])
@@ -159,20 +157,15 @@ class ShedPolicy(OverloadPolicy):
 
     name = "shed"
 
-    def admit(self, site, records: list) -> int:
+    def admit(self, site, records: RecordBatch) -> int:
         cfg = self.config
         backlog = site._backlog
         if cfg.shed_mode == "sample" and len(backlog) >= cfg.max_backlog:
             # Probabilistic sampling: once full, each arrival is kept
             # with p=0.5, spreading the loss across the stream instead
             # of concentrating it on the oldest records.
-            rng = site.flow_rng
-            if hasattr(records, "where"):  # columnar RecordBatch
-                # rng.random(n) consumes the bit stream exactly like n
-                # scalar draws, so both planes keep the same records.
-                kept = records.where(rng.random(len(records)) < 0.5)
-            else:
-                kept = [r for r in records if rng.random() < 0.5]
+            # One rng.random(n): the bit stream n scalar draws consume.
+            kept = records.where(site.flow_rng.random(len(records)) < 0.5)
             shed = len(records) - len(kept)
             if shed:
                 site.count_shed(shed)
@@ -193,7 +186,7 @@ class DegradePolicy(OverloadPolicy):
         self.active = False
         self._tick_no = 0
 
-    def admit(self, site, records: list) -> int:
+    def admit(self, site, records: RecordBatch) -> int:
         site._backlog.extend(records)
         # Last resort: even the coarse path cannot keep up — trim so
         # memory stays bounded (counted as shed, never silent).

@@ -232,7 +232,7 @@ class PeriodicTask:
 class PeriodicGroup:
     """Many same-interval callbacks driven by ONE periodic queue event.
 
-    Batch event scheduling for the columnar record plane: a streaming
+    Batch event scheduling for the streaming record plane: a
     site with many sources costs one event-queue entry per tick instead
     of one per source, collapsing ``sim.dispatch`` volume by the fan-in
     factor. Members fire in registration order within the shared tick —

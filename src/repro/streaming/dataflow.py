@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.config import RecordPlaneConfig
 from repro.flow.policy import FlowConfig
 from repro.streaming.batching import BatchPolicy, HybridBatchPolicy
 from repro.streaming.operators import AggregateFn, Operator, builtin_aggregate
@@ -28,7 +27,7 @@ class SiteSpec:
 
     region: str
     sources: list[StreamSource]
-    #: Per-record operators applied before windowed aggregation.
+    #: Batch operators applied, in order, before windowed aggregation.
     operators: list[Operator] = field(default_factory=list)
     #: VMs to use at this site (None = all deployment VMs there).
     n_vms: int | None = None
@@ -64,10 +63,6 @@ class StreamJob:
     #: Flow-control and overload behaviour (``None`` = legacy unbounded
     #: buffers, no backpressure — exactly the pre-flow semantics).
     flow: FlowConfig | None = None
-    #: Record-plane selection: ``None`` defers to the process default
-    #: (:func:`repro.config.default_record_plane` — columnar), a pinned
-    #: :class:`~repro.config.RecordPlaneConfig` overrides it per job.
-    record_plane: RecordPlaneConfig | None = None
 
     def __post_init__(self) -> None:
         if not self.sites:

@@ -1,4 +1,11 @@
-"""Stream records and wide-area batches."""
+"""One stream event as an object, and the batches that cross the WAN.
+
+The data plane moves records as columns
+(:class:`~repro.streaming.records.RecordBatch`); a :class:`Record`
+object exists per *window partial* (a few per window, not one per
+event), at the bridges ``RecordBatch.from_records`` / ``to_records``,
+and inside a :class:`~repro.streaming.operators.PerRecordAdapter`.
+"""
 
 from __future__ import annotations
 
@@ -36,8 +43,8 @@ class Batch:
     """A set of records (or partial aggregates) packed for the WAN.
 
     The payload ``records`` is one of two kinds: a ``list[Record]``
-    (partial aggregates, or raw records from the per-record plane or a
-    hand-built batch) or a columnar
+    (partial aggregates, or the raw records of a hand-built batch) or a
+    columnar
     :class:`~repro.streaming.records.RecordBatch` of raw records, which
     crosses the WAN without a ``Record`` object per element. ``count``
     and ``size_bytes`` are fixed once at construction — the batcher

@@ -7,20 +7,16 @@ area. Partials are mergeable: the global aggregator combines partials from
 every site into the exact global result, so shipping partials instead of
 raw records loses nothing but volume.
 
-The canonical operator interface is **batch-first**:
-``process_batch(batch) -> RecordBatch`` transforms one columnar
-:class:`~repro.streaming.records.RecordBatch` at a time (vectorized
-where possible). Legacy per-record operators — anything exposing only
-``process(record) -> list[Record]`` — keep working through
-:class:`PerRecordAdapter`, which the site runtime wraps around them
-automatically (with a :class:`DeprecationWarning`) when the columnar
-plane is active.
+Operators have one protocol: ``process_batch(batch) -> RecordBatch``
+transforms one :class:`~repro.streaming.records.RecordBatch` at a time
+(vectorized where possible). A function written record by record —
+``process(record) -> list[Record]`` — joins a chain through an explicit
+:class:`PerRecordAdapter`; the site runtime refuses a bare one.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
@@ -34,11 +30,9 @@ from repro.streaming.windows import TumblingWindows, Window
 class Operator(Protocol):
     """A batch transformation: one :class:`RecordBatch` in, one out.
 
-    ``process_batch`` is the canonical interface; implementations that
-    also serve the legacy per-record plane provide ``process(record) ->
-    list[Record]`` with identical semantics. Objects exposing *only*
-    ``process`` are accepted everywhere an ``Operator`` is — the
-    runtime wraps them in :class:`PerRecordAdapter`.
+    The built-ins also expose ``process(record) -> list[Record]`` with
+    identical semantics, as the small pure reference tests compare
+    ``process_batch`` against; the runtime never calls it.
     """
 
     def process_batch(
@@ -48,23 +42,15 @@ class Operator(Protocol):
 
 
 class PerRecordAdapter:
-    """Adapt a legacy per-record operator to the batch-first protocol.
+    """The bridge for an operator written one record at a time.
 
     Materializes each batch into :class:`Record` objects, runs the
     wrapped operator's ``process`` on every one, and re-columnarizes the
-    outputs — same results as the legacy plane, minus its scheduling
-    overhead but plus the conversion cost. Migrate hot operators to a
-    native ``process_batch`` to shed the adapter.
+    outputs — the results a native ``process_batch`` must reproduce, at
+    one Python object per record. Write hot operators natively.
     """
 
     def __init__(self, inner) -> None:
-        warnings.warn(
-            f"{type(inner).__name__} implements only the per-record "
-            "process() interface; wrapping it in PerRecordAdapter. "
-            "Implement process_batch(batch) for native batch support.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
         self.inner = inner
 
     def process(self, record: Record) -> list[Record]:
@@ -162,7 +148,7 @@ class AggregateFn:
     #: float64 array of raw values into a partial state, **bit-identical**
     #: to applying ``add`` left-to-right over the array. Aggregates
     #: without an exactly-equivalent vectorized form (``var``) leave
-    #: this ``None`` and the columnar plane falls back to per-element
+    #: this ``None`` and the window fold falls back to per-element
     #: ``add``.
     fold_batch: Callable[[Any, np.ndarray], Any] | None = None
 
@@ -232,7 +218,7 @@ def builtin_aggregate(name: str) -> AggregateFn:
         # state cancels catastrophically when the mean is large relative
         # to the spread, so merged and sequential results diverged.
         # The Welford chain has no bit-exact vectorized form, so no
-        # fold_batch: the columnar plane folds var per element.
+        # fold_batch: windows fold var per element.
         return AggregateFn(
             "var",
             zero=lambda: (0, 0.0, 0.0),
@@ -360,8 +346,8 @@ class WindowedAggregator:
     def _fold_tumbling(self, batch: RecordBatch, fold) -> None:
         starts = self.windows.assign_starts(batch.t)
         # Stable sort: within one (window, key) group, values keep their
-        # arrival order, so sequential folds match the legacy plane's
-        # interleaved per-record adds exactly.
+        # arrival order, so sequential folds match interleaved
+        # per-record adds (:meth:`process`) exactly.
         order = np.lexsort((batch.key_idx, starts))
         starts = starts[order]
         key_idx = batch.key_idx[order]

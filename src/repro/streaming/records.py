@@ -1,26 +1,26 @@
-"""The columnar record plane: batches of records as parallel arrays.
+"""The record plane: batches of records as parallel arrays.
 
 A :class:`RecordBatch` carries one chunk of stream records as four
 parallel numpy columns — event time ``t``, ``key_idx`` (indices into a
 shared per-batch key table), ``value``, and ``size`` — plus the batch's
 ``origin`` site. Sources emit one batch per tick, operators transform
 whole batches (vectorized where possible), and the windowed aggregator
-folds grouped slices — so the per-record Python-object cost of the
-legacy plane (one ``Record`` instance, one dict lookup, one method call
-per record) collapses into a handful of array operations per chunk.
+folds grouped slices — a handful of array operations per chunk instead
+of one ``Record`` instance, one dict lookup and one method call per
+record.
 
-Semantics are pinned to the per-record plane: a batch is *defined* as
+Semantics are those of a record list: a batch is *defined* as
 equivalent to the ordered list ``batch.to_records()``, and every
 consumer preserves record order, per-record arithmetic (sequential
 left-to-right folds), and front-of-chunk admission/backpressure
-slicing. The equivalence suite (``tests/test_columnar_equivalence.py``)
-asserts identical window results, loss identities, and soak digests
-between the two planes for the same seed.
+slicing. What a per-record implementation of the whole pipeline
+produced — window results, loss identities, soak digests — is frozen in
+``tests/golden/record_plane.json`` and replayed against this plane.
 
 Memory layout:
 
 * ``t``     — float64, event times (non-decreasing within one source
-  emission, as with the legacy plane);
+  emission);
 * ``key_idx`` — int64 indices into ``keys``, a per-batch tuple of key
   strings (sources with a fixed key universe share one table across
   every batch they emit);
@@ -36,7 +36,7 @@ tail or splitting a backlog chunk never copies record data.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class RecordBatch:
     def from_records(
         cls, records: list[Record], origin: str | None = None
     ) -> "RecordBatch":
-        """Columnarize a record list (the legacy-plane bridge).
+        """Columnarize a record list.
 
         ``value`` stays a float64 column only when every value is a
         plain float; any other payload switches the column to object
@@ -220,7 +220,7 @@ class RecordBatch:
 
     # -- record materialization ----------------------------------------
     def to_records(self) -> list[Record]:
-        """The equivalent legacy record list (bit-identical fields)."""
+        """The equivalent record list (bit-identical fields)."""
         return list(self.iter_records())
 
     def iter_records(self) -> Iterator[Record]:
@@ -262,8 +262,8 @@ class ChunkedBacklog:
     """A site ingest backlog holding :class:`RecordBatch` chunks.
 
     Presents *record-count* semantics (``len`` is records, not chunks)
-    so overload policies and watermark logic read it exactly like the
-    legacy ``deque[Record]``: ``extend`` appends at the tail,
+    so overload policies and watermark logic read it like a queue of
+    records: ``extend`` appends at the tail,
     ``pop_upto``/``trim_to`` consume/drop from the head, preserving
     record order across chunk boundaries. Oversized batches are split
     into chunks of at most ``chunk_records`` on the way in.
@@ -281,9 +281,7 @@ class ChunkedBacklog:
     def __len__(self) -> int:
         return self._count
 
-    def extend(self, records: "RecordBatch | Iterable[Record]") -> None:
-        if not isinstance(records, RecordBatch):
-            records = RecordBatch.from_records(list(records))
+    def extend(self, records: RecordBatch) -> None:
         n = len(records)
         if not n:
             return

@@ -19,13 +19,11 @@ and counted otherwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.config import RecordPlaneConfig, default_record_plane
 from repro.core.engine import SageEngine
 from repro.flow.checkpoint import Checkpointer, CheckpointStore
 from repro.flow.credits import CreditGate
@@ -35,11 +33,7 @@ from repro.simulation.engine import PeriodicGroup
 from repro.streaming.batching import Batcher
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
-from repro.streaming.operators import (
-    PartialAggregate,
-    PerRecordAdapter,
-    WindowedAggregator,
-)
+from repro.streaming.operators import PartialAggregate, WindowedAggregator
 from repro.streaming.records import ChunkedBacklog, RecordBatch
 from repro.streaming.windows import Window
 
@@ -138,8 +132,12 @@ class SiteRuntime:
         per_vm_records_per_s: float = 5000.0,
         tick: float = 1.0,
         flow: FlowConfig | None = None,
-        record_plane: RecordPlaneConfig | None = None,
     ) -> None:
+        for op in spec.operators:
+            if not hasattr(op, "process_batch"):
+                raise TypeError(
+                    f"{type(op).__name__} needs process_batch (see PerRecordAdapter)"
+                )
         self.engine = engine
         self.job = job
         self.spec = spec
@@ -148,14 +146,6 @@ class SiteRuntime:
         self.tick = tick
         self.flow = flow
         self.policy = make_policy(flow) if flow is not None else None
-        if record_plane is None:
-            record_plane = (
-                job.record_plane
-                if job.record_plane is not None
-                else default_record_plane()
-            )
-        self.record_plane = record_plane
-        self._columnar = record_plane.columnar
         vms = engine.deployment.vms(spec.region)
         if not vms:
             raise ValueError(f"no VMs deployed in site region {spec.region}")
@@ -163,20 +153,7 @@ class SiteRuntime:
         self.capacity_per_tick = per_vm_records_per_s * len(self.vms) * tick
         self.aggregator = WindowedAggregator(job.windows, job.aggregate)
         self.batcher = Batcher(job.batch_policy_factory(), origin=spec.region)
-        #: Operator chain as executed: on the columnar plane, anything
-        #: lacking process_batch is wrapped in a PerRecordAdapter.
-        if self._columnar:
-            self._ops = [
-                op if hasattr(op, "process_batch") else PerRecordAdapter(op)
-                for op in spec.operators
-            ]
-        else:
-            self._ops = list(spec.operators)
-        self._backlog: "deque[Record] | ChunkedBacklog" = (
-            ChunkedBacklog(record_plane.chunk_records)
-            if self._columnar
-            else deque()
-        )
+        self._backlog = ChunkedBacklog()
         self._watermark = -float("inf")
         self.records_ingested = 0
         self.records_processed = 0
@@ -195,6 +172,10 @@ class SiteRuntime:
         #: overload policy spends pipeline resources on them.
         self.admission = None
         self.records_admission_rejected = 0
+        #: ONE periodic queue event per tick for the site's sources and its
+        #: drain, fired in registration order — the stable same-timestamp
+        #: order separate events would have, at one dispatch per tick.
+        self._group = PeriodicGroup(engine.sim, tick)
         self._task = None
         obs = engine.observer
         self._obs_on = obs.enabled
@@ -230,50 +211,37 @@ class SiteRuntime:
         self._m_blocked = obs.counter("flow_blocked_ticks_total", site=site)
         self._m_degraded = obs.counter("flow_degraded_ticks_total", site=site)
         self._m_degrade_active = obs.gauge("flow_degrade_active", site=site)
-        #: Stage timers fire at tick granularity (cheap even as no-ops);
-        #: per-operator timers are per record, so they only exist when
-        #: observability is on — ``None`` keeps the disabled ``_process``
-        #: at its uninstrumented cost.
+        #: Stage timers fire per tick, the operators' per backlog chunk —
+        #: cheap even as the no-ops they are with observability off.
         self._st_drain = obs.stage("site.drain")
         self._st_window = obs.stage("site.window")
         self._st_batch = obs.stage("site.batch")
         self._st_ship = obs.stage("ship.send")
         self._mt_records = obs.meter("records")
-        self._op_stages = (
-            [
-                # Adapter-wrapped operators keep their inner type's
-                # stage label so profiles read the same on both planes.
-                (op, obs.stage(f"op.{type(getattr(op, 'inner', op)).__name__}"))
-                for op in self._ops
-            ]
-            if self._obs_on and self._ops
-            else None
-        )
+        self._op_stages = [
+            # An adapter is labelled by the operator it wraps.
+            (op, obs.stage(f"op.{type(getattr(op, 'inner', op)).__name__}"))
+            for op in spec.operators
+        ]
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        # Batch event scheduling: on the columnar plane all of a site's
-        # same-tick sources plus the site tick share ONE periodic queue
-        # event (fired in registration order — identical to the stable
-        # same-timestamp ordering of separate events), so a site costs
-        # one dispatch per tick instead of one per source.
-        sim = self.engine.sim
-        group = PeriodicGroup(sim, self.tick) if self._columnar else None
+        """Attach and schedule every stopped source, then the drain (also
+        :meth:`restart`'s path). Sources ticking with the site join its group;
+        the drain registers behind them: within a tick they fire before it."""
+        join = self._group.add
+        joined = False
         for source in self.spec.sources:
-            source.attach(
-                sim,
-                self.spec.region,
-                self.ingest,
-                batch_default=self._columnar,
-            )
-            if group is not None and source.tick == self.tick:
-                source.start(schedule=group.add)
-            else:
-                source.start()
-        if group is not None:
-            self._task = group.add(self._on_tick)
-        else:
-            self._task = sim.add_periodic(self.tick, self._on_tick)
+            if not source.running:
+                source.attach(self.engine.sim, self.spec.region, self.ingest)
+                shares_tick = source.tick == self.tick
+                source.start(schedule=join if shares_tick else None)
+                joined = joined or shares_tick
+        if joined and self._task is not None:
+            self._task.stop()
+            self._task = None
+        if self._task is None:
+            self._task = join(self._on_tick)
 
     def stop_sources(self, drain: bool = False) -> None:
         """Stop ingestion but keep the tick loop running.
@@ -295,7 +263,7 @@ class SiteRuntime:
             self._task.stop()
             self._task = None
 
-    def ingest(self, records: list[Record]) -> int:
+    def ingest(self, records: RecordBatch) -> int:
         """Offer records to the site; returns how many were consumed.
 
         Under the ``block`` policy fewer than offered may be consumed —
@@ -374,15 +342,9 @@ class SiteRuntime:
             budget = self.policy.drain_budget(self, budget)
         processed = 0
         with self._st_drain:
-            if self._columnar:
-                for chunk in self._backlog.pop_upto(budget):
-                    processed += len(chunk)
-                    self._process_batch(chunk, now)
-            else:
-                while self._backlog and processed < budget:
-                    record = self._backlog.popleft()
-                    processed += 1
-                    self._process(record, now)
+            for chunk in self._backlog.pop_upto(budget):
+                processed += len(chunk)
+                self._process_batch(chunk, now)
         self.records_processed += processed
         if processed:
             # Freed ingest slots return to the credit pool (no-op for
@@ -393,12 +355,7 @@ class SiteRuntime:
         # shows up as extra window latency (windows close later).
         watermark = now - self.job.watermark_lag
         if self._backlog:
-            oldest_backlogged = (
-                self._backlog.first_event_time
-                if self._columnar
-                else self._backlog[0].event_time
-            )
-            watermark = min(watermark, oldest_backlogged)
+            watermark = min(watermark, self._backlog.first_event_time)
         for source in self.spec.sources:
             oldest = source.oldest_pending_time
             if oldest is not None:
@@ -438,56 +395,20 @@ class SiteRuntime:
                 if out is not None:
                     self._ship(out)
 
-    def _process(self, record: Record, now: float) -> None:
-        pending = [record]
-        if self._op_stages is None:
-            for op in self._ops:
-                nxt: list[Record] = []
-                for r in pending:
-                    nxt.extend(op.process(r))
-                pending = nxt
-                if not pending:
-                    return
-        else:
-            for op, stage in self._op_stages:
-                with stage:
-                    nxt = []
-                    for r in pending:
-                        nxt.extend(op.process(r))
-                pending = nxt
-                if not pending:
-                    return
-        for r in pending:
-            if self.job.ship_raw_records:
-                self._emit(r, now)
-            else:
-                self.aggregator.process(r)
-
     def _process_batch(self, batch: RecordBatch, now: float) -> None:
-        """Columnar drain: one backlog chunk through the operator chain
-        and into the windowed aggregator (or the batcher, for raw-record
-        shipping jobs)."""
-        if self._op_stages is None:
-            for op in self._ops:
+        """One backlog chunk through the operator chain and into the
+        windowed aggregator (or the batcher, for raw-record shipping
+        jobs)."""
+        for op, stage in self._op_stages:
+            with stage:
                 batch = op.process_batch(batch)
-                if not len(batch):
-                    return
-        else:
-            for op, stage in self._op_stages:
-                with stage:
-                    batch = op.process_batch(batch)
-                if not len(batch):
-                    return
+            if not len(batch):
+                return
         if self.job.ship_raw_records:
             for cut in self.batcher.offer_many(batch, now):
                 self._ship(cut)
         else:
             self.aggregator.process_batch(batch)
-
-    def _emit(self, record: Record, now: float) -> None:
-        batch = self.batcher.offer(record, now)
-        if batch is not None:
-            self._ship(batch)
 
     def _ship(self, batch: Batch) -> None:
         if self.retain_batches:
@@ -556,11 +477,7 @@ class SiteRuntime:
         self.max_backlog = len(self._backlog)
         if self._obs_on:
             self._m_backlog_peak.set(self.max_backlog)
-        for source in self.spec.sources:
-            if not source.running and source.sink is not None:
-                source.start()
-        if self._task is None:
-            self._task = self.engine.sim.add_periodic(self.tick, self._on_tick)
+        self.start()
 
 
 #: Format version of :meth:`GlobalAggregator.checkpoint` payloads.
@@ -651,9 +568,9 @@ class GlobalAggregator:
         payload = batch.records
         if isinstance(payload, list):
             # A list payload is one kind throughout: partial aggregates
-            # from a site's window close, or raw records from the
-            # per-record plane / a hand-built batch — columnarized here,
-            # once, so raw records have a single fold path.
+            # from a site's window close, or the raw records of a
+            # hand-built batch — columnarized here, once, so raw records
+            # have a single fold path.
             if isinstance(payload[0].value, PartialAggregate):
                 for record in payload:
                     self._merge_partial(record, record.value, batch, now)
@@ -907,18 +824,10 @@ class GeoStreamRuntime:
         shipping_factory,
         per_vm_records_per_s: float = 5000.0,
         flow: FlowConfig | None = None,
-        record_plane: RecordPlaneConfig | None = None,
     ) -> None:
         self.engine = engine
         self.job = job
         self.flow = flow if flow is not None else job.flow
-        if record_plane is None:
-            record_plane = (
-                job.record_plane
-                if job.record_plane is not None
-                else default_record_plane()
-            )
-        self.record_plane = record_plane
         agg_vms = engine.deployment.vms(job.aggregation_region)
         if not agg_vms:
             raise ValueError(
@@ -954,7 +863,6 @@ class GeoStreamRuntime:
                 self._deliver,
                 per_vm_records_per_s=per_vm_records_per_s,
                 flow=self.flow,
-                record_plane=record_plane,
             )
 
     def _deliver(self, batch: Batch) -> None:

@@ -13,15 +13,12 @@ event times and re-offered first on the next tick — so a throttled source
 loses nothing; the deferral simply shows up as end-to-end latency.
 Sinks returning ``None`` (the historical contract) admit everything.
 
-Emission is dual-plane. Every source exposes one keyword-only surface —
-``emit_batch`` / ``chunk_records`` — controlling *how* a tick's records
-reach the sink: as a columnar :class:`~repro.streaming.records.RecordBatch`
-(the default under the columnar record plane, resolved at attach time) or
-as the legacy ``list[Record]``. The built-in sources draw from their RNG
-streams in the exact same order on both planes, so a fixed seed produces
-bit-identical records either way — except :class:`SensorGridSource`,
-whose batch plane vectorizes the per-sensor draw loop (documented on the
-class; it appears in no digest-pinned scenario).
+Every source hands its sink one columnar
+:class:`~repro.streaming.records.RecordBatch` per tick — never a
+``Record`` object per event. The order in which a source draws from its
+named RNG stream is part of its contract (pinned digests depend on it);
+``tests/_source_oracle.py`` holds the per-record draw loops the
+Poisson-family and trace sources are compared against, column for column.
 """
 
 from __future__ import annotations
@@ -31,26 +28,15 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.simulation.engine import PeriodicTask, Simulator
-from repro.streaming.events import Record
 from repro.streaming.records import RecordBatch
 
 
 class StreamSource:
     """Base class wiring a source to the simulator.
 
-    Subclasses implement :meth:`_emit_tick` returning the records of one
-    tick interval — and, for native columnar emission,
-    :meth:`_emit_tick_batch` returning the same records as one
-    :class:`RecordBatch` (the base implementation materializes through
-    ``_emit_tick``, so batch mode works for any subclass). ``sink`` is
-    set by the runtime when the source is attached to a site.
-
-    ``emit_batch`` — tri-state: ``True`` forces batch emission,
-    ``False`` forces record lists, ``None`` (default) defers to the
-    site's record plane at attach time. ``chunk_records`` caps the size
-    of a single sink offer in batch mode (``None`` = one offer per
-    tick); a partially accepted chunk stops the tick's offers, exactly
-    like a partially accepted list did.
+    Subclasses implement :meth:`_emit_tick`, returning the records of one
+    tick interval as one :class:`RecordBatch`. ``sink`` is set by the
+    runtime when the source is attached to a site.
     """
 
     def __init__(
@@ -58,44 +44,35 @@ class StreamSource:
         name: str,
         tick: float = 1.0,
         record_bytes: float = 200.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
         if tick <= 0:
             raise ValueError("tick must be positive")
-        if chunk_records is not None and chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
         self.name = name
         self.tick = tick
         self.record_bytes = record_bytes
-        self.emit_batch = emit_batch
-        self.chunk_records = chunk_records
-        self.sink: Callable[[list[Record]], None] | None = None
+        self.sink: Callable[[RecordBatch], int | None] | None = None
         self.origin: str = ""
         #: Records the sink accepted (deferred records count on delivery).
         self.records_emitted = 0
         #: Sink-rejected records awaiting re-offer (block backpressure).
-        #: A list on the legacy plane, a RecordBatch on the columnar one.
-        self._pending: "list[Record] | RecordBatch" = []
+        self._pending = RecordBatch.empty()
         #: High-water mark of the pending buffer.
         self.max_deferred = 0
         self._task: PeriodicTask | None = None
         self._draining = False
         self._sim: Simulator | None = None
-        self._batch_mode = bool(emit_batch)
 
     # ------------------------------------------------------------------
     def attach(
-        self, sim: Simulator, origin: str, sink, *, batch_default: bool = False
+        self, sim: Simulator, origin: str, sink, *, batch_default: bool = True
     ) -> None:
+        # The keyword selected the emission plane while there were two;
+        # the benchmark's micro-benches still pass it (as True).
+        if not batch_default:
+            raise ValueError("sources emit RecordBatches; there is no list plane")
         self._sim = sim
         self.origin = origin
         self.sink = sink
-        resolved = (
-            batch_default if self.emit_batch is None else self.emit_batch
-        )
-        self._batch_mode = bool(resolved)
 
     def start(self, *, schedule=None) -> None:
         """Begin ticking. ``schedule`` optionally overrides how the tick
@@ -136,37 +113,19 @@ class StreamSource:
 
     def _fire(self) -> None:
         assert self._sim is not None and self.sink is not None
-        t0 = self._sim.now - self.tick
-        if self._batch_mode:
-            fresh = (
-                RecordBatch.empty(self.origin)
-                if self._draining
-                else self._emit_tick_batch(t0, self._sim.now)
-            )
-        else:
-            fresh = (
-                [] if self._draining else self._emit_tick(t0, self._sim.now)
-            )
+        fresh = (
+            RecordBatch.empty(self.origin)
+            if self._draining
+            else self._emit_tick(self._sim.now - self.tick, self._sim.now)
+        )
         records = self._pending + fresh if len(self._pending) else fresh
         if not records:
             if self._draining:
                 self.stop()
             return
-        chunk = self.chunk_records
-        if self._batch_mode and chunk is not None and len(records) > chunk:
-            accepted = 0
-            for offset in range(0, len(records), chunk):
-                piece = records[offset:offset + chunk]
-                got = self.sink(piece)
-                if got is None:  # legacy sink: everything admitted
-                    got = len(piece)
-                accepted += got
-                if got < len(piece):
-                    break
-        else:
-            accepted = self.sink(records)
-            if accepted is None:  # legacy sink: everything admitted
-                accepted = len(records)
+        accepted = self.sink(records)
+        if accepted is None:  # a sink that returns nothing admitted everything
+            accepted = len(records)
         self.records_emitted += accepted
         self._pending = records[accepted:]
         if len(self._pending) > self.max_deferred:
@@ -192,32 +151,74 @@ class StreamSource:
         a late-drop would make the ``block`` policy lossy.
         """
         pending = self._pending
-        if not len(pending):
-            return None
-        if isinstance(pending, RecordBatch):
-            return pending.first_event_time
-        return pending[0].event_time
+        return pending.first_event_time if len(pending) else None
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        """Columnar form of :meth:`_emit_tick`.
-
-        Base implementation materializes the per-record path — correct
-        for any subclass; the built-ins override it with vectorized
-        draws.
-        """
-        return RecordBatch.from_records(
-            self._emit_tick(t0, t1), origin=self.origin
-        )
 
     def _rng(self) -> np.random.Generator:
         assert self._sim is not None
         return self._sim.rngs.get(f"source/{self.name}")
 
 
-class PoissonSource(StreamSource):
+class _PoissonArrivals(StreamSource):
+    """Sources whose tick is a Poisson count of uniformly placed arrivals."""
+
+    def __init__(
+        self,
+        name: str,
+        keys: list[str] | None,
+        tick: float,
+        record_bytes: float,
+    ) -> None:
+        super().__init__(name, tick, record_bytes)
+        self.keys = keys or ["k0"]
+        self._key_table: tuple[str, ...] | None = None
+
+    def _draw(
+        self,
+        rng: np.random.Generator,
+        mean: float,
+        t0: float,
+        t1: float,
+        *,
+        key_p: np.ndarray | None = None,
+        value_fn: Callable[[np.random.Generator], float] | None = None,
+        size_at: Callable[[float], float] | None = None,
+    ) -> RecordBatch:
+        """One tick's arrivals. The RNG call order — count, times, key
+        pick, values — is fixed: pinned digests replay this stream (an
+        array fill consumes the bit stream exactly like n scalar calls;
+        ``size_at`` draws nothing)."""
+        n = int(rng.poisson(mean)) if mean > 0 else 0
+        if n == 0:
+            return RecordBatch.empty(self.origin)
+        times = np.sort(rng.uniform(t0, t1, n))
+        if key_p is not None:
+            key_idx = np.asarray(
+                rng.choice(len(self.keys), size=n, p=key_p), dtype=np.int64
+            )
+        else:
+            key_idx = rng.integers(0, len(self.keys), n)
+        if size_at is not None:
+            sizes = np.fromiter((size_at(float(t)) for t in times), np.float64, n)
+        else:
+            sizes = np.full(n, self.record_bytes, dtype=np.float64)
+        if value_fn is None:
+            values = rng.normal(size=n)
+        else:
+            # A custom value_fn draws one value at a time, in record order.
+            values = np.fromiter(
+                (float(value_fn(rng)) for _ in range(n)), np.float64, n
+            )
+        if self._key_table is None or len(self._key_table) != len(self.keys):
+            self._key_table = tuple(self.keys)
+        return RecordBatch(
+            times, key_idx, values, sizes, self._key_table, self.origin
+        )
+
+
+class PoissonSource(_PoissonArrivals):
     """Memoryless arrivals at a constant mean rate."""
 
     def __init__(
@@ -228,76 +229,21 @@ class PoissonSource(StreamSource):
         value_fn: Callable[[np.random.Generator], float] | None = None,
         tick: float = 1.0,
         record_bytes: float = 200.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, keys, tick, record_bytes)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.keys = keys or ["k0"]
-        #: A custom value_fn forces a per-record draw loop even on the
-        #: columnar plane (to preserve its RNG stream); the default
-        #: standard-normal values vectorize.
-        self._default_values = value_fn is None
-        self.value_fn = value_fn or (lambda rng: float(rng.normal()))
-        self._key_table: tuple[str, ...] | None = None
+        #: ``None`` = standard-normal values, drawn as one array.
+        self.value_fn = value_fn
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
-        rng = self._rng()
-        n = rng.poisson(self.rate * (t1 - t0))
-        if n == 0:
-            return []
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        return [
-            Record(
-                event_time=float(times[i]),
-                key=self.keys[key_idx[i]],
-                value=self.value_fn(rng),
-                origin=self.origin,
-                size_bytes=self.record_bytes,
-            )
-            for i in range(n)
-        ]
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Same RNG stream order as _emit_tick: poisson, uniform(n),
-        # integers(n), then n value draws (an array fill consumes the
-        # bit stream exactly like n scalar calls).
-        rng = self._rng()
-        n = int(rng.poisson(self.rate * (t1 - t0)))
-        if n == 0:
-            return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        if self._default_values:
-            values = rng.normal(size=n)
-        else:
-            value_fn = self.value_fn
-            values = np.fromiter(
-                (float(value_fn(rng)) for _ in range(n)), np.float64, n
-            )
-        if self._key_table is None or len(self._key_table) != len(self.keys):
-            self._key_table = tuple(self.keys)
-        return RecordBatch(
-            times,
-            key_idx,
-            values,
-            np.full(n, self.record_bytes, dtype=np.float64),
-            self._key_table,
-            self.origin,
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
+        return self._draw(
+            self._rng(), self.rate * (t1 - t0), t0, t1, value_fn=self.value_fn
         )
 
 
-class MmppSource(StreamSource):
+class MmppSource(_PoissonArrivals):
     """Bursty arrivals: a two-state Markov-modulated Poisson process.
 
     The source alternates between a quiet state (``base_rate``) and a
@@ -315,17 +261,8 @@ class MmppSource(StreamSource):
         keys: list[str] | None = None,
         tick: float = 1.0,
         record_bytes: float = 200.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, keys, tick, record_bytes)
         if base_rate <= 0 or burst_rate <= 0:
             raise ValueError("rates must be positive")
         if mean_quiet <= 0 or mean_burst <= 0:
@@ -334,10 +271,8 @@ class MmppSource(StreamSource):
         self.burst_rate = burst_rate
         self.mean_quiet = mean_quiet
         self.mean_burst = mean_burst
-        self.keys = keys or ["k0"]
         self._bursting = False
         self._switch_at: float | None = None
-        self._key_table: tuple[str, ...] | None = None
 
     def current_rate(self) -> float:
         return self.burst_rate if self._bursting else self.base_rate
@@ -350,46 +285,10 @@ class MmppSource(StreamSource):
             hold = self.mean_burst if self._bursting else self.mean_quiet
             self._switch_at += rng.exponential(hold)
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         rng = self._rng()
-        self._advance_state(t0, t1, rng)
-        n = rng.poisson(self.current_rate() * (t1 - t0))
-        if n == 0:
-            return []
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        return [
-            Record(
-                event_time=float(times[i]),
-                key=self.keys[key_idx[i]],
-                value=float(rng.normal()),
-                origin=self.origin,
-                size_bytes=self.record_bytes,
-            )
-            for i in range(n)
-        ]
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Identical RNG order to _emit_tick: state switches, poisson,
-        # uniform(n), integers(n), normal(n).
-        rng = self._rng()
-        self._advance_state(t0, t1, rng)
-        n = int(rng.poisson(self.current_rate() * (t1 - t0)))
-        if n == 0:
-            return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        values = rng.normal(size=n)
-        if self._key_table is None or len(self._key_table) != len(self.keys):
-            self._key_table = tuple(self.keys)
-        return RecordBatch(
-            times,
-            key_idx,
-            values,
-            np.full(n, self.record_bytes, dtype=np.float64),
-            self._key_table,
-            self.origin,
-        )
+        self._advance_state(t0, t1, rng)  # state switches draw first
+        return self._draw(rng, self.current_rate() * (t1 - t0), t0, t1)
 
 
 class SensorGridSource(StreamSource):
@@ -399,13 +298,11 @@ class SensorGridSource(StreamSource):
     environmental monitoring and easy to aggregate meaningfully (means,
     extremes per region).
 
-    .. note:: This is the one built-in source whose columnar plane is
-       *statistically* rather than bit-for-bit equivalent to its legacy
-       plane: the per-sensor report loop draws (noise, jitter) sensor by
-       sensor, while the batch plane draws them in vectorized rounds
-       across all due sensors — same distributions, same per-tick report
-       counts and report-time sequences per sensor, different RNG
-       interleaving. No digest-pinned scenario uses a sensor grid.
+    Each pass of the tick reports every still-due sensor once, drawing
+    noise and next-report jitter as one array each across all due
+    sensors — so the RNG interleaving is per round, not per sensor.
+    ``tests/test_streaming_sources.py`` pins the resulting stream by
+    value.
     """
 
     def __init__(
@@ -417,17 +314,8 @@ class SensorGridSource(StreamSource):
         record_bytes: float = 120.0,
         drift_sigma: float = 0.02,
         noise_sigma: float = 0.1,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, tick, record_bytes)
         if n_sensors < 1:
             raise ValueError("need at least one sensor")
         if report_interval <= 0:
@@ -440,41 +328,9 @@ class SensorGridSource(StreamSource):
         self._next_report: np.ndarray | None = None
         self._key_table: tuple[str, ...] | None = None
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
-        rng = self._rng()
-        if self._levels is None:
-            self._levels = rng.normal(20.0, 5.0, self.n_sensors)
-            self._next_report = t0 + rng.uniform(
-                0, self.report_interval, self.n_sensors
-            )
-        assert self._next_report is not None
-        self._levels += rng.normal(0, self.drift_sigma, self.n_sensors)
-        out: list[Record] = []
-        due = np.where(self._next_report < t1)[0]
-        for idx in due:
-            t = float(self._next_report[idx])
-            while t < t1:
-                out.append(
-                    Record(
-                        event_time=max(t, t0),
-                        key=f"{self.name}/s{idx:04d}",
-                        value=float(
-                            self._levels[idx] + rng.normal(0, self.noise_sigma)
-                        ),
-                        origin=self.origin,
-                        size_bytes=self.record_bytes,
-                    )
-                )
-                t += self.report_interval * float(rng.uniform(0.9, 1.1))
-            self._next_report[idx] = t
-        out.sort(key=lambda r: r.event_time)
-        return out
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Vectorized rounds: each pass reports every still-due sensor
-        # once, drawing its noise and next-report jitter as one array
-        # each. Loop depth is max reports per sensor per tick (usually
-        # 1), not total reports.
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
+        # Loop depth is max reports per sensor per tick (usually 1), not
+        # total reports.
         rng = self._rng()
         if self._levels is None:
             self._levels = rng.normal(20.0, 5.0, self.n_sensors)
@@ -529,39 +385,14 @@ class TraceSource(StreamSource):
         trace: Iterable[tuple[float, str, object]],
         tick: float = 1.0,
         record_bytes: float = 200.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, tick, record_bytes)
         self.trace = sorted(trace, key=lambda e: e[0])
         if not self.trace:
             raise ValueError("trace is empty")
         self._cursor = 0
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
-        out: list[Record] = []
-        while self._cursor < len(self.trace) and self.trace[self._cursor][0] < t1:
-            t, key, value = self.trace[self._cursor]
-            out.append(
-                Record(
-                    event_time=t,
-                    key=key,
-                    value=value,
-                    origin=self.origin,
-                    size_bytes=self.record_bytes,
-                )
-            )
-            self._cursor += 1
-        return out
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         start = self._cursor
         trace = self.trace
         cursor = start
@@ -599,7 +430,7 @@ class TraceSource(StreamSource):
         return self._cursor >= len(self.trace)
 
 
-class ScheduleSource(StreamSource):
+class ScheduleSource(_PoissonArrivals):
     """Poisson arrivals driven by an arbitrary rate program.
 
     ``rate_fn(t)`` gives the instantaneous arrival rate at time ``t``
@@ -626,21 +457,11 @@ class ScheduleSource(StreamSource):
         tick: float = 1.0,
         record_bytes: float = 200.0,
         integrate_step: float = 1.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, keys, tick, record_bytes)
         if integrate_step <= 0:
             raise ValueError("integrate_step must be positive")
         self.rate_fn = rate_fn
-        self.keys = keys or ["k0"]
         if key_weights is not None:
             if len(key_weights) != len(self.keys):
                 raise ValueError("key_weights must match keys in length")
@@ -655,7 +476,6 @@ class ScheduleSource(StreamSource):
         self.bytes_fn = bytes_fn
         self.integrate_step = integrate_step
         self._origin_time: float | None = None
-        self._key_table: tuple[str, ...] | None = None
 
     def rate_at(self, t: float) -> float:
         """Arrival rate at virtual time ``t`` (after the source started)."""
@@ -672,78 +492,25 @@ class ScheduleSource(StreamSource):
             t += step
         return total
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
-        rng = self._rng()
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         if self._origin_time is None:
             self._origin_time = t0
-        mean = self._mean_count(t0, t1)
-        n = rng.poisson(mean) if mean > 0 else 0
-        if n == 0:
-            return []
-        times = np.sort(rng.uniform(t0, t1, n))
-        if self._key_p is not None:
-            key_idx = rng.choice(len(self.keys), size=n, p=self._key_p)
-        else:
-            key_idx = rng.integers(0, len(self.keys), n)
-        origin_t = self._origin_time
-        if self.bytes_fn is not None:
-            sizes = [
-                max(1.0, float(self.bytes_fn(float(times[i]) - origin_t)))
-                for i in range(n)
-            ]
-        else:
-            sizes = [self.record_bytes] * n
-        return [
-            Record(
-                event_time=float(times[i]),
-                key=self.keys[key_idx[i]],
-                value=float(rng.normal()),
-                origin=self.origin,
-                size_bytes=sizes[i],
-            )
-            for i in range(n)
-        ]
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Same RNG order as _emit_tick: poisson, uniform(n),
-        # choice/integers(n), normal(n) — bytes_fn draws nothing.
-        rng = self._rng()
-        if self._origin_time is None:
-            self._origin_time = t0
-        mean = self._mean_count(t0, t1)
-        n = int(rng.poisson(mean)) if mean > 0 else 0
-        if n == 0:
-            return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
-        if self._key_p is not None:
-            key_idx = np.asarray(
-                rng.choice(len(self.keys), size=n, p=self._key_p),
-                dtype=np.int64,
-            )
-        else:
-            key_idx = rng.integers(0, len(self.keys), n)
-        origin_t = self._origin_time
-        if self.bytes_fn is not None:
-            bytes_fn = self.bytes_fn
-            sizes = np.fromiter(
-                (
-                    max(1.0, float(bytes_fn(float(times[i]) - origin_t)))
-                    for i in range(n)
-                ),
-                np.float64,
-                n,
-            )
-        else:
-            sizes = np.full(n, self.record_bytes, dtype=np.float64)
-        values = rng.normal(size=n)
-        if self._key_table is None or len(self._key_table) != len(self.keys):
-            self._key_table = tuple(self.keys)
-        return RecordBatch(
-            times, key_idx, values, sizes, self._key_table, self.origin
+        bytes_fn, origin_t = self.bytes_fn, self._origin_time
+        return self._draw(
+            self._rng(),
+            self._mean_count(t0, t1),
+            t0,
+            t1,
+            key_p=self._key_p,
+            size_at=(
+                None
+                if bytes_fn is None
+                else lambda t: max(1.0, float(bytes_fn(t - origin_t)))
+            ),
         )
 
 
-class BurstSource(StreamSource):
+class BurstSource(_PoissonArrivals):
     """Poisson arrivals with one scripted overload burst.
 
     Emits at ``base_rate`` except inside ``[burst_start, burst_end)``,
@@ -767,17 +534,8 @@ class BurstSource(StreamSource):
         keys: list[str] | None = None,
         tick: float = 1.0,
         record_bytes: float = 200.0,
-        *,
-        emit_batch: bool | None = None,
-        chunk_records: int | None = None,
     ) -> None:
-        super().__init__(
-            name,
-            tick,
-            record_bytes,
-            emit_batch=emit_batch,
-            chunk_records=chunk_records,
-        )
+        super().__init__(name, keys, tick, record_bytes)
         if base_rate < 0 or burst_rate <= 0:
             raise ValueError("rates must be positive (base may be zero)")
         if burst_end <= burst_start:
@@ -786,9 +544,7 @@ class BurstSource(StreamSource):
         self.burst_rate = burst_rate
         self.burst_start = burst_start
         self.burst_end = burst_end
-        self.keys = keys or ["k0"]
         self._origin_time: float | None = None
-        self._key_table: tuple[str, ...] | None = None
 
     def rate_at(self, t: float) -> float:
         """Arrival rate at virtual time ``t`` (after the source started)."""
@@ -797,8 +553,7 @@ class BurstSource(StreamSource):
             return self.burst_rate
         return self.base_rate
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
-        rng = self._rng()
+    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         if self._origin_time is None:
             self._origin_time = t0
         # Integrate the piecewise-constant rate over the tick so a tick
@@ -810,48 +565,4 @@ class BurstSource(StreamSource):
             self.base_rate * ((t1 - t0) - burst_overlap)
             + self.burst_rate * burst_overlap
         )
-        n = rng.poisson(mean) if mean > 0 else 0
-        if n == 0:
-            return []
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        return [
-            Record(
-                event_time=float(times[i]),
-                key=self.keys[key_idx[i]],
-                value=float(rng.normal()),
-                origin=self.origin,
-                size_bytes=self.record_bytes,
-            )
-            for i in range(n)
-        ]
-
-    def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Same RNG order as _emit_tick: poisson, uniform(n),
-        # integers(n), normal(n).
-        rng = self._rng()
-        if self._origin_time is None:
-            self._origin_time = t0
-        lo = self._origin_time + self.burst_start
-        hi = self._origin_time + self.burst_end
-        burst_overlap = max(0.0, min(t1, hi) - max(t0, lo))
-        mean = (
-            self.base_rate * ((t1 - t0) - burst_overlap)
-            + self.burst_rate * burst_overlap
-        )
-        n = int(rng.poisson(mean)) if mean > 0 else 0
-        if n == 0:
-            return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
-        key_idx = rng.integers(0, len(self.keys), n)
-        values = rng.normal(size=n)
-        if self._key_table is None or len(self._key_table) != len(self.keys):
-            self._key_table = tuple(self.keys)
-        return RecordBatch(
-            times,
-            key_idx,
-            values,
-            np.full(n, self.record_bytes, dtype=np.float64),
-            self._key_table,
-            self.origin,
-        )
+        return self._draw(self._rng(), mean, t0, t1)

@@ -1,7 +1,5 @@
 """Unit tests for overload policies and the credit gate."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -13,17 +11,30 @@ from repro.flow.policy import (
     ShedPolicy,
     make_policy,
 )
+from repro.streaming.records import ChunkedBacklog, RecordBatch
 
 
 class _Shipping:
     saturated = False
 
 
+def batch(n, first=0):
+    """``n`` records whose values count up from ``first``."""
+    return RecordBatch(
+        np.arange(n, dtype=np.float64),
+        np.zeros(n, dtype=np.int64),
+        np.arange(first, first + n, dtype=np.float64),
+        np.full(n, 200.0),
+        ("k",),
+        "NEU",
+    )
+
+
 class FakeSite:
     """The minimal SiteRuntime surface a policy touches."""
 
     def __init__(self, max_backlog=10):
-        self._backlog = deque()
+        self._backlog = ChunkedBacklog()
         self.credits = CreditGate(max_backlog)
         self.shipping = _Shipping()
         self.records_shed = 0
@@ -43,6 +54,14 @@ class FakeSite:
 
     def count_degrade(self, active):
         self.degrade_transitions += 1
+
+    def refill(self, n):
+        """Replace the backlog with ``n`` fresh records."""
+        self._backlog = ChunkedBacklog()
+        self._backlog.extend(batch(n))
+
+    def backlog_values(self):
+        return [v for chunk in self._backlog._chunks for v in chunk.value]
 
 
 # ----------------------------------------------------------------------
@@ -125,10 +144,10 @@ def test_credit_gate_validation():
 def test_block_admits_only_free_credits():
     site = FakeSite(max_backlog=10)
     policy = make_policy(FlowConfig(policy="block", max_backlog=10))
-    assert policy.admit(site, list(range(6))) == 6
-    assert policy.admit(site, list(range(6))) == 4  # only 4 credits left
-    assert list(site._backlog) == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
-    assert policy.admit(site, [99]) == 0  # full: nothing admitted
+    assert policy.admit(site, batch(6)) == 6
+    assert policy.admit(site, batch(6)) == 4  # only 4 credits left
+    assert site.backlog_values() == [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
+    assert policy.admit(site, batch(1, first=99)) == 0  # full: nothing admitted
     assert site.records_shed == 0  # block never sheds
 
 
@@ -147,8 +166,8 @@ def test_block_stalls_drain_when_shipping_saturated():
 def test_shed_drops_oldest_and_counts():
     site = FakeSite(max_backlog=5)
     policy = make_policy(FlowConfig(policy="shed", max_backlog=5))
-    assert policy.admit(site, list(range(8))) == 8  # source sees full accept
-    assert list(site._backlog) == [3, 4, 5, 6, 7]  # oldest trimmed
+    assert policy.admit(site, batch(8)) == 8  # source sees full accept
+    assert site.backlog_values() == [3, 4, 5, 6, 7]  # oldest trimmed
     assert site.records_shed == 3
 
 
@@ -157,9 +176,9 @@ def test_shed_sample_mode_thins_arrivals_when_full():
     policy = make_policy(
         FlowConfig(policy="shed", max_backlog=10, shed_mode="sample")
     )
-    policy.admit(site, list(range(10)))  # exactly fills the buffer
+    policy.admit(site, batch(10))  # exactly fills the buffer
     assert site.records_shed == 0
-    policy.admit(site, list(range(200)))
+    policy.admit(site, batch(200))
     # p=0.5 sampling keeps roughly half; the trim sheds whatever the
     # sampling kept — either way every lost record is counted.
     assert len(site._backlog) == 10
@@ -175,15 +194,13 @@ def test_degrade_hysteresis_and_budget():
     )
     site = FakeSite()
     policy = make_policy(cfg)
-    site._backlog.extend(range(11))  # above the bound
+    site.refill(11)  # above the bound
     assert policy.drain_budget(site, 10) == 40  # coarse mode: 4x budget
     assert policy.active
     assert site.degraded_ticks == 1
-    site._backlog.clear()
-    site._backlog.extend(range(6))  # above resume point (5): stays coarse
+    site.refill(6)  # above resume point (5): stays coarse
     assert policy.drain_budget(site, 10) == 40
-    site._backlog.clear()
-    site._backlog.extend(range(4))  # below resume point: back to normal
+    site.refill(4)  # below resume point: back to normal
     assert policy.drain_budget(site, 10) == 10
     assert not policy.active
     assert site.degrade_transitions == 2
@@ -193,7 +210,7 @@ def test_degrade_trims_at_twice_the_bound():
     cfg = FlowConfig(policy="degrade", max_backlog=10)
     site = FakeSite()
     policy = make_policy(cfg)
-    assert policy.admit(site, list(range(50))) == 50
+    assert policy.admit(site, batch(50)) == 50
     assert len(site._backlog) == 20  # 2x bound, last resort
     assert site.records_shed == 30
 
@@ -204,7 +221,7 @@ def test_degrade_coarsens_flush_cadence():
     policy = make_policy(cfg)
     # Inactive: every tick may flush.
     assert all(policy.flush_allowed(site) for _ in range(4))
-    site._backlog.extend(range(11))
+    site.refill(11)
     policy.drain_budget(site, 1)  # enters coarse mode
     allowed = [policy.flush_allowed(site) for _ in range(8)]
     assert allowed.count(True) == 2  # every 4th tick only

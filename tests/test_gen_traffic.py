@@ -12,6 +12,7 @@ from repro.gen.traffic import (
     render_sizes,
 )
 from repro.simulation.engine import Simulator
+from repro.streaming.records import RecordBatch
 from repro.streaming.sources import ScheduleSource
 
 
@@ -126,18 +127,18 @@ def test_build_source_emits_reproducibly():
     def collect(source, seed=9):
         sim = Simulator(seed=seed)
         out = []
-        source.attach(sim, "NEU", out.extend)
+        source.attach(sim, "NEU", out.append)
         source.start()
         sim.run_until(300.0)
         source.stop()
-        return out
+        return RecordBatch.concat(out)
 
     a, b = collect(src_a), collect(src_b)
     assert len(a) > 0
-    assert [r.event_time for r in a] == [r.event_time for r in b]
-    assert [r.key for r in a] == [r.key for r in b]
+    assert a.t.tolist() == b.t.tolist()
+    assert a.keys == b.keys and a.key_idx.tolist() == b.key_idx.tolist()
     # Keys come from the workload shape's keyspace.
-    assert all(r.key.startswith("/page/") for r in a)
+    assert all(key.startswith("/page/") for key in a.keys)
 
 
 def test_schedule_source_tracks_its_program():
@@ -145,11 +146,11 @@ def test_schedule_source_tracks_its_program():
     src = ScheduleSource("s", rate_fn=sched.at, keys=["k"], tick=1.0)
     sim = Simulator(seed=1)
     out = []
-    src.attach(sim, "NEU", out.extend)
+    src.attach(sim, "NEU", out.append)
     src.start()
     sim.run_until(120.0)
     src.stop()
-    slow = [r for r in out if r.event_time < 60.0]
-    fast = [r for r in out if r.event_time >= 60.0]
+    t = RecordBatch.concat(out).t
+    slow, fast = np.count_nonzero(t < 60.0), np.count_nonzero(t >= 60.0)
     # 25x the rate in the second minute must show up in the counts.
-    assert len(fast) > 5 * max(1, len(slow))
+    assert fast > 5 * max(1, slow)

@@ -7,6 +7,7 @@ from repro.core.engine import SageEngine
 from repro.flow.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.flow.policy import FlowConfig
 from repro.obs import Observer
+from repro.simulation.engine import PeriodicGroup
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.operators import builtin_aggregate
@@ -346,6 +347,46 @@ def test_restart_resets_peak_backlog_and_resumes_sources():
     assert source.running  # stopped sources were resumed
     site.restart()  # idempotent on a live site
     site.stop()
+
+
+@pytest.mark.parametrize("halt", ["stop", "stop_sources"])
+def test_restarted_site_keeps_one_event_per_tick_and_source_first_order(halt):
+    # restart() goes through the registration start() uses: the sources
+    # and the drain share the site's one periodic queue event, sources
+    # ahead of the drain — whether the whole site stopped or only its
+    # sources did (the drain then re-registers behind them).
+    engine = make_engine(seed=59)
+    sources = [PoissonSource(f"p{i}", rate=200.0, keys=["k"]) for i in range(3)]
+    job = make_job(sources[0])
+    job.sites[0].sources.extend(sources[1:])
+    runtime = GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2))
+    site = runtime.sites["NEU"]
+    runtime.start()
+    engine.run_until(engine.sim.now + 5.0)
+    getattr(site, halt)()
+    assert not any(source.running for source in sources)
+    site.restart()
+    assert all(source.running for source in sources)
+
+    site_events = []  # queue events that run any of this site's callbacks
+
+    def trace(event):
+        task = getattr(event.callback, "__self__", None)  # PeriodicTask._fire
+        owner = getattr(getattr(task, "callback", None), "__self__", None)
+        # The only PeriodicGroup in this engine is the one site's.
+        if isinstance(owner, PeriodicGroup) or owner in (site, *sources):
+            site_events.append(event.time)
+
+    engine.sim.add_tracer(trace)
+    emitted = sum(source.records_emitted for source in sources)
+    for tick in range(1, 11):
+        engine.run_until(engine.sim.now + 1.0)
+        assert len(site_events) == tick  # one dispatch, not one per source
+        # Sources fired before the drain: what they emitted this tick was
+        # drained this tick (capacity is ample), so nothing waits.
+        assert site.backlog == 0
+    assert sum(source.records_emitted for source in sources) > emitted + 3000
+    runtime.stop()
 
 
 def test_streaming_report_shows_flow_state():

@@ -152,3 +152,16 @@ def test_hub_rejects_raw_payloads_of_either_kind():
             hub.deliver(Batch(payload, "NEU", 0.0, seq=seq))
     assert hub.partials_in == 0
     hub.stop()
+    # A raw-shipping job can only ever produce such payloads, so the
+    # runtime refuses it up front — before a hub (and its ticker) exists —
+    # rather than from inside a delivery callback mid-run.
+    raw_job = make_job()
+    raw_job.ship_raw_records = True
+    queued = len(engine.sim.queue)
+    with pytest.raises(ValueError, match="requires partials"):
+        HierarchicalRuntime(
+            engine, raw_job, hubs=HUBS,
+            site_shipping_factory=SageShipping.factory(),
+            hub_shipping_factory=SageShipping.factory(),
+        )
+    assert len(engine.sim.queue) == queued

@@ -15,7 +15,7 @@ from repro.streaming.operators import (
     builtin_aggregate,
 )
 from repro.streaming.records import RecordBatch
-from repro.streaming.windows import TumblingWindows, Window
+from repro.streaming.windows import SlidingWindows, TumblingWindows, Window
 
 
 def rec(t, key="k", value=1.0):
@@ -205,3 +205,71 @@ def test_fold_hashes_each_slot_once_and_twice_to_open_it(monkeypatch):
         (f"k{k}", (4, 4.0 * k), 4) for k in range(4)
     ]
     assert wa.open_windows == 1
+
+
+# ----------------------------------------------------------------------
+# process_batch against process, the per-record reference
+# ----------------------------------------------------------------------
+def _open_state(agg):
+    """Everything a fold leaves behind, floats by repr (bit-exact)."""
+    slots = sorted(
+        (w.start, w.end, key, repr(state), count)
+        for (w, key), (state, count) in agg._slots.items()
+    )
+    return slots, agg.records_seen, agg.late_dropped
+
+
+@pytest.mark.parametrize("windows", ["tumbling", "sliding"])
+@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean", "var"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_property_process_batch_equals_per_record_process(name, windows, data):
+    # Unordered event times, a watermark that falls inside the batch (so
+    # part of it is late), a second batch after the watermark moved on,
+    # float64 and object-dtype value columns.
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    object_payload = data.draw(st.booleans(), label="object payload")
+    value = st.one_of(finite, st.integers(-1000, 1000)) if object_payload else finite
+    # A narrow span and a single key make groups long enough for the
+    # summation order inside one (window, key) fold to show.
+    span = data.draw(st.sampled_from([4.0, 30.0]), label="time span")
+    keys = data.draw(st.sampled_from([["a"], ["a", "b"]]), label="keys")
+    records = data.draw(
+        st.lists(
+            st.builds(
+                rec,
+                st.floats(0.0, span, allow_nan=False),
+                st.sampled_from(keys),
+                value,
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        label="records",
+    )
+    cut = data.draw(st.integers(0, len(records)), label="second batch starts at")
+    watermarks = sorted(
+        data.draw(st.lists(st.floats(0.0, span), min_size=2, max_size=2))
+    )
+    lateness = data.draw(st.sampled_from([0.0, 3.0]), label="allowed lateness")
+
+    def aggregator():
+        assigner = (
+            TumblingWindows(10.0) if windows == "tumbling" else SlidingWindows(10.0, 5.0)
+        )
+        return WindowedAggregator(
+            assigner, builtin_aggregate(name), allowed_lateness=lateness
+        )
+
+    reference, batched = aggregator(), aggregator()
+    for chunk, watermark in zip((records[:cut], records[cut:]), watermarks):
+        closed_ref = reference.advance_watermark(watermark)
+        closed = batched.advance_watermark(watermark)
+        assert repr(closed) == repr(closed_ref)
+        for record in chunk:
+            reference.process(record)
+        batched.process_batch(RecordBatch.from_records(chunk, origin="NEU"))
+        assert _open_state(batched) == _open_state(reference)
+    if object_payload and any(type(r.value) is int for r in records[:cut]):
+        assert RecordBatch.from_records(records[:cut]).value.dtype == object
+
