@@ -261,6 +261,14 @@ class PartialAggregate:
     count: int
 
 
+#: Most records the window fold holds unfolded (beside
+#: ``ChunkedBacklog``'s 4 096-record chunks): reaching it flushes, so
+#: memory does not grow with window length. Kept this small so a flush's
+#: columns (16 KB each) are reused from the heap: at 8 192 the allocator
+#: trimmed and re-faulted them every flush (8x the parent's page faults).
+HOLD_RECORDS = 2048
+
+
 class WindowedAggregator:
     """Keyed, windowed aggregation producing mergeable partials.
 
@@ -269,6 +277,12 @@ class WindowedAggregator:
     partial records are emitted. Late records beyond lateness are counted
     and dropped — the global aggregator must never block on a straggler
     site's slow clock.
+
+    Batches the vectorized fold serves are counted and late-filtered at
+    ingest but only *held*; they are folded as one concatenation when a
+    window can close, the hold reaches :data:`HOLD_RECORDS`, or the fold
+    state is read. ``fold_batch`` is a left-to-right chain and the sort
+    stable, so that equals folding batch by batch, bit for bit.
     """
 
     def __init__(
@@ -282,15 +296,28 @@ class WindowedAggregator:
         self.aggregate = aggregate
         self.allowed_lateness = allowed_lateness
         self.partial_record_bytes = partial_record_bytes
-        #: Open slots: ``(window, key) -> [state, count]``, updated in
+        #: Folded slots: ``(window, key) -> [state, count]``, updated in
         #: place so a fold hashes its slot once (twice when it opens it).
-        self._slots: dict[tuple[Window, str], list] = {}
+        self._folded: dict[tuple[Window, str], list] = {}
+        #: Admitted batches not folded yet, and how many records they hold.
+        self._held: list[RecordBatch] = []
+        self._held_n = 0
+        #: Earliest ``window.end + allowed_lateness`` over held records
+        #: and folded slots: no window closes below this watermark.
+        self._next_close = math.inf
         self.records_seen = 0
         self.late_dropped = 0
         self._watermark = -math.inf
 
+    @property
+    def _slots(self) -> dict[tuple[Window, str], list]:
+        """Open slots, the hold folded in first."""
+        self._flush()
+        return self._folded
+
     def process(self, record: Record) -> list[Record]:
         """Fold a record in; emits nothing (emission is watermark-driven)."""
+        self._flush()
         self.records_seen += 1
         if record.event_time + self.allowed_lateness < self._watermark:
             self.late_dropped += 1
@@ -303,9 +330,12 @@ class WindowedAggregator:
 
     def _open(self, slot: tuple[Window, str]) -> list:
         """The slot's ``[state, count]``, opened at zero if new."""
-        held = self._slots.get(slot)
+        held = self._folded.get(slot)
         if held is None:
-            held = self._slots[slot] = [self.aggregate.zero(), 0]
+            held = self._folded[slot] = [self.aggregate.zero(), 0]
+            close = slot[0].end + self.allowed_lateness
+            if close < self._next_close:
+                self._next_close = close
         elif held[0] is None:
             held[0] = self.aggregate.zero()
         return held
@@ -314,36 +344,54 @@ class WindowedAggregator:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
 
         The fast path — tumbling windows, float64 values, and an
-        aggregate with a ``fold_batch`` — groups the batch by (window,
-        key) with one stable lexsort and folds each contiguous group in
-        a single vectorized call. Everything else (sliding windows,
-        object payloads, ``var``, custom aggregates) takes a per-record
-        loop with semantics identical to :meth:`process`.
+        aggregate with a ``fold_batch`` — holds the batch for
+        :meth:`_flush`. Everything else (sliding windows, object
+        payloads, ``var``, custom aggregates) takes a per-record loop
+        with semantics identical to :meth:`process`.
         """
         n = len(batch)
         if not n:
             return batch
         self.records_seen += n
-        if self._watermark != -math.inf:
+        # t + lateness is monotone in t, so the earliest record says
+        # whether any is late — and, window starts being monotone too,
+        # which held window can close first.
+        first = batch.t.min().item()
+        if first + self.allowed_lateness < self._watermark:
             keep = batch.t + self.allowed_lateness >= self._watermark
             n_keep = int(np.count_nonzero(keep))
-            if n_keep != n:
-                self.late_dropped += n - n_keep
-                if not n_keep:
-                    return RecordBatch.empty(batch.origin)
-                batch = batch.where(keep)
-        fold = self.aggregate.fold_batch
+            self.late_dropped += n - n_keep
+            if not n_keep:
+                return RecordBatch.empty(batch.origin)
+            batch = batch.where(keep)
+            first = batch.t.min().item()
         if (
-            fold is not None
+            self.aggregate.fold_batch is not None
             and isinstance(self.windows, TumblingWindows)
             and batch.value.dtype != object
         ):
-            self._fold_tumbling(batch, fold)
+            self._held.append(batch)
+            self._held_n += len(batch.t)
+            close = self.windows.assign(first)[0].end + self.allowed_lateness
+            if close < self._next_close:
+                self._next_close = close
+            if self._held_n >= HOLD_RECORDS:
+                self._flush()
         else:
             self._fold_slow(batch)
         return RecordBatch.empty(batch.origin)
 
-    def _fold_tumbling(self, batch: RecordBatch, fold) -> None:
+    def _flush(self) -> None:
+        """Fold the held batches, as one, into the slots."""
+        if self._held:
+            batch = RecordBatch.concat(self._held)
+            self._held, self._held_n = [], 0
+            self._fold_tumbling(batch)
+
+    def _fold_tumbling(self, batch: RecordBatch) -> None:
+        """Group by (window, key) with one stable lexsort and fold each
+        contiguous group in a single vectorized call."""
+        fold = self.aggregate.fold_batch
         starts = self.windows.assign_starts(batch.t)
         # Stable sort: within one (window, key) group, values keep their
         # arrival order, so sequential folds match interleaved
@@ -372,6 +420,7 @@ class WindowedAggregator:
     def _fold_slow(self, batch: RecordBatch) -> None:
         # Exact replica of the per-record fold for shapes the vectorized
         # path cannot serve bit-identically.
+        self._flush()
         add = self.aggregate.add
         assign = self.windows.assign
         t = batch.t
@@ -393,15 +442,24 @@ class WindowedAggregator:
         if watermark < self._watermark:
             raise ValueError("watermark cannot move backwards")
         self._watermark = watermark
+        if watermark < self._next_close:
+            return []
+        self._flush()
+        slots = self._folded
+        lateness = self.allowed_lateness
+        closed = []
+        next_close = math.inf
+        for slot in slots:
+            close = slot[0].end + lateness
+            if close <= watermark:
+                closed.append(slot)
+            elif close < next_close:
+                next_close = close
+        self._next_close = next_close
         out: list[Record] = []
-        closed = [
-            slot
-            for slot in self._slots
-            if slot[0].end + self.allowed_lateness <= watermark
-        ]
         for slot in sorted(closed, key=lambda s: (s[0], s[1])):
             window, key = slot
-            state, count = self._slots.pop(slot)
+            state, count = slots.pop(slot)
             out.append(
                 Record(
                     event_time=window.end,
@@ -444,7 +502,9 @@ class WindowedAggregator:
         self._watermark = -math.inf if wm is None else wm
         self.records_seen = payload["records_seen"]
         self.late_dropped = payload["late_dropped"]
-        self._slots = {
+        self._held, self._held_n = [], 0
+        self._folded = {
             (Window(start, end), key): [state, count]
             for start, end, key, state, count in payload["slots"]
         }
+        self._next_close = -math.inf  # unknown: the next advance rescans

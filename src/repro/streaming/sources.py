@@ -23,6 +23,7 @@ Poisson-family and trace sources are compared against, column for column.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable
 
 import numpy as np
@@ -119,18 +120,20 @@ class StreamSource:
             else self._emit_tick(self._sim.now - self.tick, self._sim.now)
         )
         records = self._pending + fresh if len(self._pending) else fresh
-        if not records:
+        offered = len(records)
+        if not offered:
             if self._draining:
                 self.stop()
             return
         accepted = self.sink(records)
         if accepted is None:  # a sink that returns nothing admitted everything
-            accepted = len(records)
+            accepted = offered
         self.records_emitted += accepted
         self._pending = records[accepted:]
-        if len(self._pending) > self.max_deferred:
-            self.max_deferred = len(self._pending)
-        if self._draining and not len(self._pending):
+        deferred = offered - accepted
+        if deferred > self.max_deferred:
+            self.max_deferred = deferred
+        if self._draining and not deferred:
             self.stop()
 
     @property
@@ -182,7 +185,7 @@ class _PoissonArrivals(StreamSource):
         t0: float,
         t1: float,
         *,
-        key_p: np.ndarray | None = None,
+        key_cdf: np.ndarray | None = None,
         value_fn: Callable[[np.random.Generator], float] | None = None,
         size_at: Callable[[float], float] | None = None,
     ) -> RecordBatch:
@@ -194,10 +197,10 @@ class _PoissonArrivals(StreamSource):
         if n == 0:
             return RecordBatch.empty(self.origin)
         times = np.sort(rng.uniform(t0, t1, n))
-        if key_p is not None:
-            key_idx = np.asarray(
-                rng.choice(len(self.keys), size=n, p=key_p), dtype=np.int64
-            )
+        if key_cdf is not None:
+            # rng.choice(len(keys), size=n, p=...) draws exactly this,
+            # after re-validating p and re-summing its CDF on every call.
+            key_idx = key_cdf.searchsorted(rng.random(n), side="right")
         else:
             key_idx = rng.integers(0, len(self.keys), n)
         if size_at is not None:
@@ -327,6 +330,8 @@ class SensorGridSource(StreamSource):
         self._levels: np.ndarray | None = None
         self._next_report: np.ndarray | None = None
         self._key_table: tuple[str, ...] | None = None
+        #: The constant ``size`` column; a tick slices what it needs.
+        self._sizes = np.full(n_sensors, float(record_bytes))
 
     def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         # Loop depth is max reports per sensor per tick (usually 1), not
@@ -337,36 +342,37 @@ class SensorGridSource(StreamSource):
             self._next_report = t0 + rng.uniform(
                 0, self.report_interval, self.n_sensors
             )
-        assert self._next_report is not None
+        next_report = self._next_report
+        assert next_report is not None
         self._levels += rng.normal(0, self.drift_sigma, self.n_sensors)
         if self._key_table is None:
             self._key_table = tuple(
                 f"{self.name}/s{idx:04d}" for idx in range(self.n_sensors)
             )
-        times: list[np.ndarray] = []
-        sensor_idx: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        due = np.flatnonzero(self._next_report < t1)
+        rounds: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        due = (next_report < t1).nonzero()[0]
         while due.size:
-            report_t = self._next_report[due]
-            times.append(np.maximum(report_t, t0))
-            sensor_idx.append(due)
-            values.append(
-                self._levels[due] + rng.normal(0, self.noise_sigma, due.size)
-            )
-            self._next_report[due] = report_t + self.report_interval * (
+            report_t = next_report[due]
+            value = self._levels[due] + rng.normal(0, self.noise_sigma, due.size)
+            next_report[due] = report_t + self.report_interval * (
                 rng.uniform(0.9, 1.1, due.size)
             )
-            due = due[self._next_report[due] < t1]
-        if not times:
+            rounds.append((np.maximum(report_t, t0), due, value))
+            due = due[next_report[due] < t1]
+        if not rounds:
             return RecordBatch.empty(self.origin)
-        t = np.concatenate(times)
+        if len(rounds) == 1:  # the usual tick: no list of columns to join
+            t, sensor_idx, value = rounds[0]
+        else:
+            t, sensor_idx, value = (np.concatenate(c) for c in zip(*rounds))
         order = np.argsort(t, kind="stable")
+        if t.size > self._sizes.size:  # several rounds in one tick
+            self._sizes = np.full(t.size, self.record_bytes)
         return RecordBatch(
             t[order],
-            np.concatenate(sensor_idx)[order],
-            np.concatenate(values)[order],
-            np.full(t.size, self.record_bytes, dtype=np.float64),
+            sensor_idx[order],
+            value[order],
+            self._sizes[:t.size],
             self._key_table,
             self.origin,
         )
@@ -390,16 +396,13 @@ class TraceSource(StreamSource):
         self.trace = sorted(trace, key=lambda e: e[0])
         if not self.trace:
             raise ValueError("trace is empty")
+        self._times = [row[0] for row in self.trace]
         self._cursor = 0
 
     def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
         start = self._cursor
-        trace = self.trace
-        cursor = start
-        while cursor < len(trace) and trace[cursor][0] < t1:
-            cursor += 1
-        self._cursor = cursor
-        rows = trace[start:cursor]
+        self._cursor = bisect_left(self._times, t1, start)  # rows before t1
+        rows = self.trace[start:self._cursor]
         if not rows:
             return RecordBatch.empty(self.origin)
         n = len(rows)
@@ -468,11 +471,12 @@ class ScheduleSource(_PoissonArrivals):
             if any(w < 0 for w in key_weights) or sum(key_weights) <= 0:
                 raise ValueError("key_weights must be non-negative, sum > 0")
             total = float(sum(key_weights))
-            self._key_p: np.ndarray | None = (
-                np.asarray(key_weights, dtype=float) / total
-            )
+            # The CDF numpy's weighted choice builds from p, built once.
+            cdf = (np.asarray(key_weights, dtype=float) / total).cumsum()
+            cdf /= cdf[-1]
+            self._key_cdf: np.ndarray | None = cdf
         else:
-            self._key_p = None
+            self._key_cdf = None
         self.bytes_fn = bytes_fn
         self.integrate_step = integrate_step
         self._origin_time: float | None = None
@@ -501,7 +505,7 @@ class ScheduleSource(_PoissonArrivals):
             self._mean_count(t0, t1),
             t0,
             t1,
-            key_p=self._key_p,
+            key_cdf=self._key_cdf,
             size_at=(
                 None
                 if bytes_fn is None

@@ -7,8 +7,13 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.flow.checkpoint import Checkpointer, CheckpointStore
+from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Record
 from repro.streaming.operators import WindowedAggregator, builtin_aggregate
+from repro.streaming.records import RecordBatch
+from repro.streaming.runtime import GeoStreamRuntime
+from repro.streaming.shipping import SageShipping
+from repro.streaming.sources import PoissonSource
 from repro.streaming.windows import TumblingWindows
 
 
@@ -256,3 +261,83 @@ def test_windowed_aggregator_restore_replaces_watermark():
     fresh = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("count"))
     fresh.restore(fresh.snapshot())  # None watermark roundtrips too
     fresh.advance_watermark(0.0)
+
+
+def test_windowed_aggregator_restore_drops_the_hold():
+    # Batches the fold is holding are volatile state like any other: a
+    # snapshot folds them in, a restore forgets whatever came after it.
+    agg = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("count"))
+    agg.process_batch(RecordBatch.from_records([_record(1.0), _record(2.0)]))
+    assert agg._held_n == 2
+    snap = agg.snapshot()
+    assert agg._held_n == 0 and snap["slots"] == [[0.0, 10.0, "k", 2, 2]]
+    agg.process_batch(RecordBatch.from_records([_record(3.0)]))
+    assert agg._held_n == 1
+    agg.restore(snap)
+    assert agg._held_n == 0 and agg.records_seen == 2
+    out = agg.advance_watermark(10.0)
+    assert [(r.value.state, r.value.count) for r in out] == [(2, 2)]
+
+
+# ----------------------------------------------------------------------
+# Crash/restore while the window fold is holding records, end to end
+# ----------------------------------------------------------------------
+def _streaming(aggregate, **job_kwargs):
+    env = CloudEnvironment(seed=21, variability_sigma=0.0, glitches=False)
+    engine = SageEngine(env, deployment_spec={"NEU": 2, "NUS": 2})
+    engine.start(learning_phase=120.0)
+    job = StreamJob(
+        name="mid-hold",
+        sites=[
+            SiteSpec("NEU", [PoissonSource("p", rate=50.0, keys=["a", "b"])])
+        ],
+        aggregation_region="NUS",
+        windows=TumblingWindows(10.0),
+        aggregate=builtin_aggregate(aggregate),
+        **job_kwargs,
+    )
+    runtime = GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2))
+    runtime.start()
+    engine.run_until(engine.sim.now + 25.0)  # between two window closes
+    return engine, runtime
+
+
+def _finish(engine, runtime):
+    engine.run_until(engine.sim.now + 30.0)
+    runtime.stop()
+    engine.run_until(engine.sim.now + 60.0)
+    return sorted(
+        (r.window, r.key, r.value, r.record_count) for r in runtime.results
+    )
+
+
+def test_site_crash_mid_hold_restores_to_the_uncrashed_twins_partials():
+    engine, runtime = _streaming("sum")
+    twin_engine, twin = _streaming("sum")
+    site = runtime.sites["NEU"]
+    assert site.aggregator._held_n > 0  # records admitted, not folded yet
+    store = CheckpointStore()
+    store.save("site/NEU", site.snapshot(), now=engine.sim.now)
+    # The crash: the site process and its volatile window state are gone.
+    site.aggregator = WindowedAggregator(runtime.job.windows, runtime.job.aggregate)
+    site.restore(store.load("site/NEU"))
+    results = _finish(engine, runtime)
+    assert results and results == _finish(twin_engine, twin)
+
+
+def test_aggregator_crash_mid_hold_restores_raw_records_from_its_checkpoint():
+    engine, runtime = _streaming("count", ship_raw_records=True)
+    twin_engine, twin = _streaming("count", ship_raw_records=True)
+    for r in (runtime, twin):
+        r.enable_checkpointing(interval=1000.0)  # rounds by hand only
+    raw = runtime.aggregator._raw_aggregator
+    held = raw._held_n
+    assert held > 0  # raw records delivered, not folded yet
+    folded = sum(count for _, count in raw._folded.values())
+    runtime._checkpointer.run_once()
+    saved = runtime.checkpoint_store.load("aggregator")["raw"]
+    assert sum(row[4] for row in saved["slots"]) == folded + held
+    runtime.crash_aggregator()
+    runtime.restart_aggregator()
+    results = _finish(engine, runtime)
+    assert results and results == _finish(twin_engine, twin)

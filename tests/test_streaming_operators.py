@@ -1,13 +1,17 @@
 """Unit + property tests for operators and mergeable aggregates."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.streaming import operators
 from repro.streaming.events import Record
 from repro.streaming.operators import (
+    HOLD_RECORDS,
     FilterOperator,
     MapOperator,
     PartialAggregate,
@@ -172,9 +176,10 @@ def test_open_windows_tracked():
 
 
 def test_fold_hashes_each_slot_once_and_twice_to_open_it(monkeypatch):
-    # One dict holds (state, count) per open slot: a fold group looks its
-    # slot up once, plus one insert when the slot is new. (Two parallel
-    # dicts cost four Window hashes per group.)
+    # One dict holds (state, count) per open slot: a flushed group looks
+    # its slot up once, plus one insert when the slot is new. (Two parallel
+    # dicts cost four Window hashes per group.) Holding a batch hashes
+    # nothing, and batches held together share one lookup per group.
     hashes = [0]
     generated = Window.__hash__
 
@@ -189,10 +194,15 @@ def test_fold_hashes_each_slot_once_and_twice_to_open_it(monkeypatch):
     ]
     wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("mean"))
     monkeypatch.setattr(Window, "__hash__", counting)
-    wa.process_batch(RecordBatch.from_records(records))
+    wa.process_batch(RecordBatch.from_records(records[:6]))
+    wa.process_batch(RecordBatch.from_records(records[6:]))
+    assert hashes[0] == 0  # held, not folded
+    wa._flush()
     assert hashes[0] == 2 * 8  # 8 new (window, key) slots
     hashes[0] = 0
-    wa.process_batch(RecordBatch.from_records(records))
+    wa.process_batch(RecordBatch.from_records(records[:6]))
+    wa.process_batch(RecordBatch.from_records(records[6:]))
+    wa._flush()
     assert hashes[0] == 8  # the same 8 groups, slots already open
     monkeypatch.undo()
     slots = wa.snapshot()["slots"]
@@ -224,34 +234,29 @@ def _open_state(agg):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_property_process_batch_equals_per_record_process(name, windows, data):
-    # Unordered event times, a watermark that falls inside the batch (so
-    # part of it is late), a second batch after the watermark moved on,
-    # float64 and object-dtype value columns.
+    # A sequence of steps, each mirrored record by record on a reference
+    # aggregator: batches with unordered event times and different key
+    # tables (float64 columns are held, object-dtype ones take the slow
+    # path into the same slots), the watermark advancing at arbitrary
+    # points (so parts of later batches are late), snapshot -> restore
+    # into a fresh aggregator mid-hold, reads of the fold state, and a
+    # hold bound small enough to be crossed mid-sequence.
     finite = st.floats(-1e6, 1e6, allow_nan=False)
-    object_payload = data.draw(st.booleans(), label="object payload")
-    value = st.one_of(finite, st.integers(-1000, 1000)) if object_payload else finite
-    # A narrow span and a single key make groups long enough for the
+    # A narrow span and few keys make groups long enough for the
     # summation order inside one (window, key) fold to show.
     span = data.draw(st.sampled_from([4.0, 30.0]), label="time span")
-    keys = data.draw(st.sampled_from([["a"], ["a", "b"]]), label="keys")
-    records = data.draw(
+    lateness = data.draw(st.sampled_from([0.0, 3.0]), label="allowed lateness")
+    bound = data.draw(st.sampled_from([2, 9, HOLD_RECORDS]), label="hold bound")
+    steps = data.draw(
         st.lists(
-            st.builds(
-                rec,
-                st.floats(0.0, span, allow_nan=False),
-                st.sampled_from(keys),
-                value,
+            st.sampled_from(
+                ["batch", "batch", "object batch", "advance", "restore", "read"]
             ),
             min_size=1,
-            max_size=80,
+            max_size=8,
         ),
-        label="records",
+        label="steps",
     )
-    cut = data.draw(st.integers(0, len(records)), label="second batch starts at")
-    watermarks = sorted(
-        data.draw(st.lists(st.floats(0.0, span), min_size=2, max_size=2))
-    )
-    lateness = data.draw(st.sampled_from([0.0, 3.0]), label="allowed lateness")
 
     def aggregator():
         assigner = (
@@ -261,15 +266,112 @@ def test_property_process_batch_equals_per_record_process(name, windows, data):
             assigner, builtin_aggregate(name), allowed_lateness=lateness
         )
 
-    reference, batched = aggregator(), aggregator()
-    for chunk, watermark in zip((records[:cut], records[cut:]), watermarks):
-        closed_ref = reference.advance_watermark(watermark)
-        closed = batched.advance_watermark(watermark)
-        assert repr(closed) == repr(closed_ref)
-        for record in chunk:
-            reference.process(record)
-        batched.process_batch(RecordBatch.from_records(chunk, origin="NEU"))
-        assert _open_state(batched) == _open_state(reference)
-    if object_payload and any(type(r.value) is int for r in records[:cut]):
-        assert RecordBatch.from_records(records[:cut]).value.dtype == object
+    def draw_records(object_payload):
+        keys = data.draw(st.sampled_from([["a"], ["a", "b"], ["c", "b", "a"]]))
+        value = st.one_of(finite, st.integers(-1000, 1000)) if object_payload else finite
+        return data.draw(
+            st.lists(
+                st.builds(
+                    rec,
+                    st.floats(0.0, span, allow_nan=False),
+                    st.sampled_from(keys),
+                    value,
+                ),
+                min_size=1,
+                max_size=40,
+            ),
+            label="records",
+        )
 
+    reference, batched = aggregator(), aggregator()
+    watermark = 0.0
+    with mock.patch.object(operators, "HOLD_RECORDS", bound):
+        for step in [*steps, "read", "close all", "read"]:
+            if step in ("advance", "close all"):
+                if step == "advance":
+                    watermark += data.draw(st.floats(0.0, span / 2), label="advance by")
+                else:
+                    watermark += span + 20.0
+                closed = batched.advance_watermark(watermark)
+                assert repr(closed) == repr(reference.advance_watermark(watermark))
+            elif step == "restore":
+                payload = batched.snapshot()
+                batched = aggregator()
+                batched.restore(payload)
+            elif step == "read":
+                assert _open_state(batched) == _open_state(reference)
+            else:
+                records = draw_records(step == "object batch")
+                for record in records:
+                    reference.process(record)
+                batched.process_batch(RecordBatch.from_records(records, origin="NEU"))
+                assert batched._held_n < bound
+            assert batched.records_seen == reference.records_seen
+            assert batched.late_dropped == reference.late_dropped
+    assert not batched._slots
+
+
+def _batch(times, key="k", values=None):
+    values = [1.0] * len(times) if values is None else values
+    return RecordBatch.from_records(
+        [rec(t, key, v) for t, v in zip(times, values)], origin="NEU"
+    )
+
+
+def test_advance_below_next_close_touches_neither_hold_nor_slots(monkeypatch):
+    class Unscanned(dict):
+        def __iter__(self):
+            raise AssertionError("advance_watermark scanned the open slots")
+
+    wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("sum"))
+    wa.process_batch(_batch([11.0, 12.0]))
+    wa._flush()  # one folded slot, [10, 20)
+    wa.process_batch(_batch([3.0, 14.0], values=[5.0, 7.0]))  # held; opens [0, 10)
+    assert wa._next_close == 10.0
+    held = wa._held
+    wa._folded = Unscanned(wa._folded)
+    monkeypatch.setattr(wa, "_flush", lambda: pytest.fail("flushed the hold"))
+    assert wa.advance_watermark(5.0) == []
+    assert wa.advance_watermark(10.0 - 1e-9) == []
+    assert wa._held is held and len(held) == 1 and wa._held_n == 2
+    monkeypatch.undo()
+    wa._folded = dict(wa._folded)
+    out = wa.advance_watermark(10.0)
+    assert [(r.value.window, r.value.state) for r in out] == [(Window(0.0, 10.0), 5.0)]
+    assert wa._next_close == 20.0  # recomputed from what stayed open
+    out = wa.advance_watermark(20.0)
+    assert [(r.value.state, r.value.count) for r in out] == [(9.0, 3)]
+    assert wa._next_close == math.inf
+
+
+def test_hold_stays_under_its_bound_in_a_one_hour_window():
+    # Nothing can close for an hour, so only the bound flushes: the hold
+    # never reaches it, and crossing it repeatedly leaves exactly what
+    # folding record by record leaves.
+    rng = np.random.default_rng(5)
+    keys = ("a", "b", "c")
+    batched = WindowedAggregator(TumblingWindows(3600.0), builtin_aggregate("mean"))
+    reference = WindowedAggregator(TumblingWindows(3600.0), builtin_aggregate("mean"))
+    peak = 0
+    for tick in range(60):
+        n = 500
+        batch = RecordBatch(
+            rng.uniform(tick, tick + 1.0, n),
+            rng.integers(0, len(keys), n),
+            rng.normal(size=n),
+            np.full(n, 200.0),
+            keys,
+            "NEU",
+        )
+        batched.process_batch(batch)
+        assert batched.advance_watermark(tick - 1.0) == []
+        assert batched._held_n < HOLD_RECORDS
+        peak = max(peak, batched._held_n)
+        for record in batch.iter_records():
+            reference.process(record)
+    assert peak > HOLD_RECORDS - 500  # the bound, not a close, did the flushing
+    assert batched._folded  # ... at least once already
+    assert _open_state(batched) == _open_state(reference)
+    assert repr(batched.advance_watermark(3600.0)) == repr(
+        reference.advance_watermark(3600.0)
+    )

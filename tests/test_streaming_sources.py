@@ -235,3 +235,19 @@ def test_sensor_grid_stream_is_pinned_by_value():
     assert digest.hexdigest() == (
         "dada90adf5cbdb8651b9004471ea8275a6400d44e0472d178fdce461e734758a"
     )
+
+
+def test_sensor_grid_multi_round_ticks_are_pinned_too():
+    # A report interval well under the tick makes every tick several
+    # reporting rounds (up to 133 records from 50 sensors) — the branch
+    # that joins per-round columns. Recorded from the list-and-concatenate
+    # form this replaced: 50 sensors, seed 7, 40 ticks.
+    src = SensorGridSource("grid", n_sensors=50, report_interval=0.4)
+    _, batch = collect(src, 40.0, seed=7)
+    digest = sha256()
+    for column in (batch.t, batch.key_idx.astype(np.int64), batch.value, batch.size):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    assert len(batch) == 4991
+    assert digest.hexdigest() == (
+        "e5e9bec010d73f5c8186eb5b3e0375ea7d859bf51d1dbe3e1ea6335012c09646"
+    )

@@ -1,7 +1,7 @@
 """Unit + property tests for window assigners and watermark edge cases."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.streaming.events import Record
@@ -149,6 +149,12 @@ def test_window_closes_when_watermark_equals_end_plus_lateness():
     st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=100, deadline=None)
+# t // slide lands a grid step low and start + length rounds to exactly t.
+@example(t=999999.0, slide=1.1, factor=1)
+# start + length rounds down onto t although start > t - length: the old
+# loop returned that window, which excludes t (alone; beside a real one).
+@example(t=33.0, slide=1.1, factor=1)
+@example(t=5.5, slide=1.1, factor=2)
 def test_property_sliding_every_window_contains_event(t, slide, factor):
     length = slide * factor
     windows = SlidingWindows(length, slide).assign(t)
@@ -158,3 +164,15 @@ def test_property_sliding_every_window_contains_event(t, slide, factor):
     assert abs(len(windows) - factor) <= 1
     # Windows are aligned to the slide grid and distinct.
     assert len({w.start for w in windows}) == len(windows)
+
+
+def test_sliding_window_in_a_rounding_gap_still_counts_its_record():
+    # No grid window contains this instant in floats: [999997.9, 999999.0)
+    # ends on it and the next grid start rounds to 999999.0000000001.
+    t = 999999.0
+    assert all(w.contains(t) for w in SlidingWindows(1.1, 1.1).assign(t))
+    agg = WindowedAggregator(SlidingWindows(1.1, 1.1), builtin_aggregate("count"))
+    agg.process(_rec(t))
+    out = agg.advance_watermark(t + 2.0)
+    assert [(r.value.count, r.value.window.contains(t)) for r in out] == [(1, True)]
+    assert agg.records_seen == 1 and agg.open_windows == 0
