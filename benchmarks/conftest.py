@@ -26,13 +26,6 @@ def _results_dir():
 
 
 @pytest.fixture
-def bench_dir():
-    """Where ``BENCH_*.json`` trajectory records are published."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture
 def report():
     """Print an experiment's output and persist it to results/."""
 

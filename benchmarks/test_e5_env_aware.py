@@ -47,7 +47,7 @@ def run_one(strategy_name: str, src: str, dst: str, size: float) -> float:
     if strategy_name == "sage":
         strat = SageStrategy(n_nodes=N_NODES, adaptive=True)
     else:
-        strat = StaticParallel(n_nodes=N_NODES, streams=4)
+        strat = StaticParallel({"n_nodes": N_NODES, "streams": 4})
     return strat.run(engine, src, dst, size).seconds
 
 

@@ -24,7 +24,7 @@ SEED = 24006
 SIZES = (64 * MB, 256 * MB, 1 * GB, 2 * GB)
 STRATEGIES = (
     ("AzureBlobs", lambda: BlobRelay()),
-    ("EndPoint2EndPoint", lambda: EndPoint2EndPoint(streams=4)),
+    ("EndPoint2EndPoint", lambda: EndPoint2EndPoint({"streams": 4})),
     ("GlobusOnline-like", lambda: GridFtpLike()),
     ("GEO-SAGE", lambda: SageStrategy(n_nodes=10)),
 )

@@ -18,15 +18,12 @@ sits near the best of both.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.obs import Observer
-from repro.obs.bench import BenchRecord, read_bench, write_bench
 from repro.simulation.units import KB, MB
 from repro.streaming.batching import (
     AdaptiveBatchPolicy,
@@ -69,16 +66,13 @@ def make_rate_job(rate: float, ship_raw: bool) -> StreamJob:
 def run_e9a():
     rates = (200.0, 1000.0, 5000.0, 20000.0)
     out = {}
-    profile = None
     lineage = None
     for rate in rates:
         for raw in (False, True):
-            # The canonical (1000 ev/s, partial-agg) leg runs with the
-            # stage profiler attached and publishes the E9 point of the
-            # perf trajectory; instrumentation only observes, so the
-            # simulated results are unchanged.
+            # The canonical (1000 ev/s, partial-agg) leg runs observed
+            # for the lineage and ledger checks; instrumentation only
+            # observes, so the simulated results are unchanged.
             obs = Observer() if (rate == 1000.0 and not raw) else None
-            wall0 = time.perf_counter()
             engine = fresh_engine(
                 seed=SEED, spec=SPEC, learning_phase=120.0, observer=obs
             )
@@ -89,11 +83,9 @@ def run_e9a():
                 per_vm_records_per_s=5000.0,
             )
             runtime.run_for(DURATION)
-            wall = time.perf_counter() - wall0
             stats = runtime.latency_stats()
             out[(rate, raw)] = (stats.p50, stats.p95, runtime.wan_bytes())
             if obs is not None:
-                profile = obs.profiler.snapshot(wall_seconds=wall)
                 # Lineage + ledger checks on the canonical leg: every
                 # emitted window must carry complete provenance, and the
                 # attributed cost must reconcile with the meter.
@@ -105,7 +97,6 @@ def run_e9a():
                 lineage = {
                     "stats": runtime.lineage_stats(),
                     "reconciled": engine.ledger.reconcile(),
-                    "p99_s": stats.p99,
                     "usd_per_1k": cost.usd_per_1k_records,
                     "per_site_p99_s": {
                         site: obs.histogram(
@@ -114,12 +105,12 @@ def run_e9a():
                         for site in SITES
                     },
                 }
-    return rates, out, profile, lineage
+    return rates, out, lineage
 
 
 @pytest.mark.benchmark(group="e9")
-def test_e9a_latency_vs_rate(benchmark, report, bench_dir):
-    rates, out, profile, lineage = benchmark.pedantic(
+def test_e9a_latency_vs_rate(benchmark, report):
+    rates, out, lineage = benchmark.pedantic(
         run_e9a, rounds=1, iterations=1
     )
     rows = []
@@ -179,33 +170,6 @@ def test_e9a_latency_vs_rate(benchmark, report, bench_dir):
     )
     report("E9a", table, rec.render())
 
-    # Publish the E9 trajectory point from the instrumented leg.
-    meters = profile["meters"]
-    bench = BenchRecord.from_profile(
-        "e9_streaming",
-        "e9a-rate1000-partial",
-        SEED,
-        profile,
-        config={
-            "rate_per_site": 1000.0,
-            "ship_raw": False,
-            "duration": DURATION,
-            "window": 10.0,
-            "sites": list(SITES),
-            "spec": SPEC,
-        },
-        records=meters.get("records", {}).get("count", 0.0),
-        events=meters.get("events", {}).get("count", 0.0),
-        extras={
-            "p50_s": out[(1000.0, False)][0],
-            "p95_s": out[(1000.0, False)][1],
-            "wan_bytes": out[(1000.0, False)][2],
-            "per_site_p99_s": per_site,
-        },
-        e2e_latency_p99_s=lineage["p99_s"],
-        usd_per_1k_records=lineage["usd_per_1k"],
-    )
-    read_bench(write_bench(bench, bench_dir))  # round-trip validates
     rec.assert_shape()
 
 

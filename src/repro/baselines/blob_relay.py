@@ -25,13 +25,9 @@ class BlobRelay:
     _names = itertools.count()
 
     def __init__(
-        self, config: BlobRelayConfig | dict | None = None, **legacy
+        self, config: BlobRelayConfig | dict | None = None
     ) -> None:
-        cfg = resolve_config(
-            BlobRelayConfig, config, legacy,
-            "BlobRelay(staging_region=..., object_size=..., ...)",
-            "BlobRelay(BlobRelayConfig(...))",
-        )
+        cfg = resolve_config(BlobRelayConfig, config)
         self.config = cfg
         self.staging_region = cfg.staging_region
         self.object_size = cfg.object_size

@@ -13,13 +13,9 @@ class EndPoint2EndPoint:
     label = "EndPoint2EndPoint"
 
     def __init__(
-        self, config: DirectConfig | dict | None = None, **legacy
+        self, config: DirectConfig | dict | None = None
     ) -> None:
-        cfg = resolve_config(
-            DirectConfig, config, legacy,
-            "EndPoint2EndPoint(streams=...)",
-            "EndPoint2EndPoint(DirectConfig(...))",
-        )
+        cfg = resolve_config(DirectConfig, config)
         self.config = cfg
         self.streams = cfg.streams
 

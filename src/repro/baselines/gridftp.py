@@ -22,13 +22,9 @@ class GridFtpLike:
     label = "GlobusOnline-like"
 
     def __init__(
-        self, config: GridFtpConfig | dict | None = None, **legacy
+        self, config: GridFtpConfig | dict | None = None
     ) -> None:
-        cfg = resolve_config(
-            GridFtpConfig, config, legacy,
-            "GridFtpLike(streams=..., submission_latency=..., ...)",
-            "GridFtpLike(GridFtpConfig(...))",
-        )
+        cfg = resolve_config(GridFtpConfig, config)
         self.config = cfg
         self.streams = cfg.streams
         self.submission_latency = cfg.submission_latency

@@ -22,13 +22,9 @@ class StaticParallel:
     label = "StaticParallel"
 
     def __init__(
-        self, config: ParallelStaticConfig | dict | None = None, **legacy
+        self, config: ParallelStaticConfig | dict | None = None
     ) -> None:
-        cfg = resolve_config(
-            ParallelStaticConfig, config, legacy,
-            "StaticParallel(n_nodes=..., streams=...)",
-            "StaticParallel(ParallelStaticConfig(...))",
-        )
+        cfg = resolve_config(ParallelStaticConfig, config)
         self.config = cfg
         self.n_nodes = cfg.n_nodes
         self.streams = cfg.streams

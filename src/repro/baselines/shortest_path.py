@@ -55,14 +55,9 @@ class StaticShortestPath:
     label = "ShortestPath-static"
 
     def __init__(
-        self, config: ShortestPathConfig | dict | None = None, **legacy
+        self, config: ShortestPathConfig | dict | None = None
     ) -> None:
-        legacy.pop("replan_interval", None)  # dynamic-only knob
-        cfg = resolve_config(
-            ShortestPathConfig, config, legacy,
-            "StaticShortestPath(n_nodes=..., streams=..., max_hops=...)",
-            "StaticShortestPath(ShortestPathConfig(...))",
-        )
+        cfg = resolve_config(ShortestPathConfig, config)
         self.config = cfg
         self.n_nodes = cfg.n_nodes
         self.streams = cfg.streams
@@ -104,13 +99,9 @@ class DynamicShortestPath(StaticShortestPath):
     label = "ShortestPath-dynamic"
 
     def __init__(
-        self, config: ShortestPathConfig | dict | None = None, **legacy
+        self, config: ShortestPathConfig | dict | None = None
     ) -> None:
-        cfg = resolve_config(
-            ShortestPathConfig, config, legacy,
-            "DynamicShortestPath(n_nodes=..., replan_interval=...)",
-            "DynamicShortestPath(ShortestPathConfig(...))",
-        )
+        cfg = resolve_config(ShortestPathConfig, config)
         super().__init__(cfg)
         self.replan_interval = cfg.replan_interval
 

@@ -30,6 +30,7 @@ import json
 import os
 import re
 import sys
+from time import perf_counter
 
 from repro.analysis.introspection import introspection_report, streaming_report
 from repro.analysis.tables import render_table
@@ -397,62 +398,29 @@ def cmd_serve(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """Profile one scenario; print the dashboard; optionally publish it."""
-    from time import perf_counter
-
-    from repro.obs.bench import BenchRecord, write_bench
+    """Profile one scenario; print the dashboard."""
     from repro.obs.dashboard import render_dashboard
 
-    obs = _force_observer(args)
-    extras: dict[str, object] = {}
+    # Coverage is attributed time against the whole command: engine
+    # construction and the learning phase are part of what a user waits for.
     wall0 = perf_counter()
+    obs = _force_observer(args)
     if args.scenario == "stream":
         engine = _engine(args)
         runtime = _stream_runtime(engine, args)
         runtime.run_for(args.duration)
-        extras = {
-            "results": len(runtime.results),
-            "wan_bytes": runtime.wan_bytes(),
-        }
-        config = {
-            "scenario": "stream",
-            "workload": args.workload,
-            "duration": args.duration,
-            "seed": args.seed,
-        }
     else:
         from repro.api import run_experiment
 
-        report = run_experiment(
+        run_experiment(
             args.scenario,
             {"duration": args.duration},
             seed=args.seed,
             observer=obs,
         )
-        extras = {"clean": report.clean}
-        config = {
-            "scenario": args.scenario,
-            "duration": args.duration,
-            "seed": args.seed,
-        }
-    wall = perf_counter() - wall0
-    profile = obs.profiler.snapshot(wall_seconds=wall)
     print(render_dashboard(obs, top=args.top,
-                           title=f"SAGE perf — {args.scenario}"))
-    if args.bench_dir:
-        meters = profile["meters"]
-        record = BenchRecord.from_profile(
-            f"perf_{args.scenario}",
-            args.scenario,
-            args.seed,
-            profile,
-            config=config,
-            records=meters.get("records", {}).get("count", 0.0),
-            events=meters.get("events", {}).get("count", 0.0),
-            extras=extras,
-        )
-        path = write_bench(record, args.bench_dir)
-        print(f"bench: wrote {path}")
+                           title=f"SAGE perf — {args.scenario}",
+                           wall_seconds=perf_counter() - wall0))
     return 0
 
 
@@ -460,10 +428,16 @@ def cmd_dashboard(args) -> int:
     """Run a streaming workload, re-rendering the dashboard as it goes."""
     from repro.obs.dashboard import render_dashboard
 
+    wall0 = perf_counter()
     obs = _force_observer(args)
     engine = _engine(args)
     runtime = _stream_runtime(engine, args)
     title = f"SAGE dashboard — {args.workload}"
+
+    def frame(title: str) -> str:
+        return render_dashboard(obs, top=args.top, title=title,
+                                wall_seconds=perf_counter() - wall0)
+
     runtime.start()
     end = engine.sim.now + args.duration
     # Re-painting with ANSI clear only makes sense on a terminal; when
@@ -472,11 +446,11 @@ def cmd_dashboard(args) -> int:
     while engine.sim.now < end:
         engine.run_until(min(end, engine.sim.now + args.refresh))
         if not args.once:
-            print(clear + render_dashboard(obs, top=args.top, title=title))
+            print(clear + frame(title))
             print()
     runtime.stop()
     engine.run_until(engine.sim.now + runtime.job.finalize_grace + 30.0)
-    print(render_dashboard(obs, top=args.top, title=f"{title} (final)"))
+    print(frame(f"{title} (final)"))
     return 0
 
 
@@ -765,8 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="profile a scenario: hot stages, throughput, optional "
-        "BENCH_*.json",
+        help="profile a scenario: hot stages, throughput",
     )
     p.add_argument("scenario", choices=("stream", "chaos", "overload"))
     p.add_argument(
@@ -775,11 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--max-backlog", type=int, default=50_000)
     p.add_argument("--top", type=int, default=10, help="hot stages shown")
-    p.add_argument(
-        "--bench-dir",
-        metavar="DIR",
-        help="write BENCH_perf_<scenario>.json under DIR",
-    )
 
     p = sub.add_parser(
         "dashboard",

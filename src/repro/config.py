@@ -10,9 +10,8 @@ re-tupled on the way in) and ``replace``. Dict form is what the sweep
 runner hashes for cache keys and ships across process boundaries, so the
 round trip must be loss-free.
 
-Scenario entry points take a config object, its dict, or ``None`` and
-nothing else; only the baseline constructors still accept their old
-keyword surface (with a ``DeprecationWarning``), see
+Scenario entry points and the baseline constructors take a config
+object, its dict, or ``None`` and nothing else, see
 :func:`resolve_config`.
 """
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-import warnings
 from dataclasses import dataclass
 
 from repro.simulation.units import MB
@@ -532,29 +530,20 @@ class GridFtpConfig(ConfigBase):
             raise ValueError("endpoints must be >= 1")
 
 
-def resolve_config(cls, config, legacy_kwargs=None, old: str = "", new: str = ""):
+def resolve_config(cls, config):
     """The one (config | dict | None) coercion.
 
     ``config`` may be an instance of ``cls``, a dict for
     ``cls.from_dict``, or ``None`` for defaults; scenario entry points,
-    ``run_experiment`` and the sweep worker all come through here.
-    ``legacy_kwargs`` exists for the baseline constructors only: their
-    keyword surface (``StaticParallel(n_nodes=...)``) is accepted with a
-    :class:`DeprecationWarning` and merged *into* the config.
+    the baseline constructors, ``run_experiment`` and the sweep worker
+    all come through here.
     """
     if config is None:
-        config = cls()
-    elif isinstance(config, dict):
-        config = cls.from_dict(config)
-    elif not isinstance(config, cls):
+        return cls()
+    if isinstance(config, dict):
+        return cls.from_dict(config)
+    if not isinstance(config, cls):
         raise TypeError(
             f"expected {cls.__name__}, dict, or None — got {type(config).__name__}"
         )
-    if legacy_kwargs:
-        warnings.warn(
-            f"{old} is deprecated; use {new} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = config.replace(**legacy_kwargs)
     return config

@@ -4,7 +4,7 @@ The paper's monitoring service drives *decisions*; this layer is the
 introspection companion — it records what the engine, the streaming
 runtime, and the monitor actually did, in a form that can be exported
 (JSONL trace, Prometheus text, flight-recorder dump), profiled (per-stage
-wall-clock attribution + throughput meters), and folded into reports.
+wall-clock attribution), and folded into reports.
 
 Usage::
 
@@ -16,11 +16,11 @@ Usage::
     obs.recorder.dump("flight.jsonl")     # last N events, post-mortem
 
 Every instrumented component takes its handles from the observer at
-construction time — metric handles (:meth:`Observer.counter`, ...),
-stage timers (:meth:`Observer.stage`), throughput meters
-(:meth:`Observer.meter`). When no observer is supplied the shared
-:data:`NULL_OBSERVER` is used and every handle is a no-op singleton, so
-the disabled hot path performs one boolean check and allocates nothing.
+construction time — metric handles (:meth:`Observer.counter`, ...) and
+stage timers (:meth:`Observer.stage`). When no observer is supplied the
+shared :data:`NULL_OBSERVER` is used and every handle is a no-op
+singleton, so the disabled hot path performs one boolean check and
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.profile import (
-    NULL_METER,
     NULL_PROFILER,
     NULL_STAGE_TIMER,
-    Meter,
-    NullMeter,
     NullStageProfiler,
     NullStageTimer,
     StageProfiler,
@@ -74,19 +71,11 @@ class Observer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        flight_capacity: int | None = None,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock)
         self.profiler = StageProfiler(clock)
-        self.recorder = (
-            FlightRecorder(clock=clock)
-            if flight_capacity is None
-            else FlightRecorder(flight_capacity, clock=clock)
-        )
+        self.recorder = FlightRecorder(clock=clock)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point span/flight timestamps at a clock (normally ``sim.now``)."""
@@ -108,10 +97,6 @@ class Observer:
     def stage(self, name: str) -> StageTimer:
         """The (cached) wall-clock stage timer for ``name``."""
         return self.profiler.timer(name)
-
-    def meter(self, name: str) -> Meter:
-        """The (cached) throughput meter for ``name``."""
-        return self.profiler.meter(name)
 
     # Spans ------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
@@ -181,9 +166,6 @@ class NullObserver:
     def stage(self, name: str) -> NullStageTimer:
         return NULL_STAGE_TIMER
 
-    def meter(self, name: str) -> NullMeter:
-        return NULL_METER
-
     def span(self, name: str, **attrs: Any) -> NullSpan:
         return NULL_SPAN
 
@@ -231,8 +213,6 @@ __all__ = [
     "NullStageProfiler",
     "StageTimer",
     "NullStageTimer",
-    "Meter",
-    "NullMeter",
     "FlightRecorder",
     "NullFlightRecorder",
     "read_flight_jsonl",
@@ -244,6 +224,5 @@ __all__ = [
     "NULL_HISTOGRAM",
     "NULL_PROFILER",
     "NULL_STAGE_TIMER",
-    "NULL_METER",
     "NULL_RECORDER",
 ]

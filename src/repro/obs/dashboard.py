@@ -1,11 +1,12 @@
 """Text perf dashboard rendered from a live observer.
 
-One snapshot API feeds everything: the :class:`~repro.obs.profile.StageProfiler`
-supplies hottest stages and throughput meters, the metrics registry
-supplies backlog/credit gauges and breaker states. ``sage perf`` prints
-the final frame of a profiled scenario; ``sage dashboard`` re-renders
-frames while a streaming run advances (and ``--once`` prints a single
-snapshot) — both call :func:`render_dashboard`.
+Each frame takes two snapshots: the :class:`~repro.obs.profile.StageProfiler`
+supplies hottest stages and the wall / virtual window, the metrics
+registry supplies the throughput counts, backlog/credit gauges and
+breaker states. ``sage perf`` prints the final frame of a profiled
+scenario; ``sage dashboard`` re-renders frames while a streaming run
+advances (and ``--once`` prints a single snapshot) — both call
+:func:`render_dashboard`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ GAUGE_PANEL_PREFIXES = (
     "sim_virtual_time_seconds",
 )
 
+#: Throughput panel rows: display name -> the registry counter it sums
+#: over that counter's label sets.
+THROUGHPUT_COUNTERS = (
+    ("batches", "ship_batches_total"),
+    ("bytes", "ship_bytes_total"),
+    ("events", "sim_events_total"),
+    ("records", "stream_records_processed_total"),
+)
+
 _BREAKER_STATES = {0.0: "closed", 1.0: "half-open", 2.0: "open"}
 
 
@@ -41,13 +51,12 @@ def _fmt_count(value: float) -> str:
     return f"{value:g}"
 
 
-def hottest_stages(observer, top: int = 10) -> str:
+def hottest_stages(profile: dict, top: int = 10) -> str:
     """Top-``top`` stages by exclusive wall time, with share bars."""
-    snap = observer.profiler.snapshot()
     rows = [
         [name, s["calls"], f"{s['seconds']:.4f}",
          f"{100.0 * s['share']:5.1f}%", _bar(s["share"])]
-        for name, s in list(snap["stages"].items())[:top]
+        for name, s in list(profile["stages"].items())[:top]
     ]
     if not rows:
         return "Hot stages\n(no stages profiled)"
@@ -58,37 +67,48 @@ def hottest_stages(observer, top: int = 10) -> str:
     )
 
 
-def throughput_panel(observer) -> str:
-    """Meter counts and rates over the profiled window."""
-    snap = observer.profiler.snapshot()
-    rows = [
-        [name, _fmt_count(m["count"]), f"{m['per_wall_s']:,.0f}",
-         f"{m['per_virtual_s']:,.0f}"]
-        for name, m in snap["meters"].items()
-    ]
+def _series(snapshot: dict, kind: str, *names: str):
+    """``(series key, snapshot)`` of every ``kind`` series called one of
+    ``names`` — in the order the names are given, then by key."""
+    for name in names:
+        for key in sorted(snapshot):
+            snap = snapshot[key]
+            if snap.kind == kind and snap.name == name:
+                yield key, snap
+
+
+def throughput_panel(profile: dict, snapshot: dict) -> str:
+    """Registry counts and their rates over the profiled window."""
+    wall = profile["profiled_seconds"]
+    virt = profile["virtual_seconds"]
+    rows = []
+    for label, counter in THROUGHPUT_COUNTERS:
+        series = [snap.value for _, snap in _series(snapshot, "counter", counter)]
+        if series:
+            count = sum(series)
+            rows.append(
+                [label, _fmt_count(count),
+                 f"{count / wall:,.0f}" if wall > 0 else "0",
+                 f"{count / virt:,.0f}" if virt > 0 else "0"]
+            )
     if not rows:
-        return "Throughput\n(no meters recorded)"
+        return "Throughput\n(no throughput recorded)"
     return render_table(
-        ["meter", "count", "/s wall", "/s virtual"],
+        ["quantity", "count", "/s wall", "/s virtual"],
         rows,
         title="Throughput",
     )
 
 
-def gauges_panel(observer) -> str:
+def gauges_panel(snapshot: dict) -> str:
     """Backlog/credit gauges and breaker states from the registry."""
-    snapshot = observer.registry.snapshot()
     rows: list[list[object]] = []
-    for prefix in GAUGE_PANEL_PREFIXES:
-        for key in sorted(snapshot):
-            snap = snapshot[key]
-            if snap.kind == "gauge" and snap.name == prefix:
-                last = "" if math.isnan(snap.value) else f"{snap.value:g}"
-                hi = "" if math.isnan(snap.max) else f"{snap.max:g}"
-                rows.append([key, last, hi])
-    for key in sorted(snapshot):
-        snap = snapshot[key]
-        if snap.name == "flow_breaker_state" and not math.isnan(snap.value):
+    for key, snap in _series(snapshot, "gauge", *GAUGE_PANEL_PREFIXES):
+        last = "" if math.isnan(snap.value) else f"{snap.value:g}"
+        hi = "" if math.isnan(snap.max) else f"{snap.max:g}"
+        rows.append([key, last, hi])
+    for key, snap in _series(snapshot, "gauge", "flow_breaker_state"):
+        if not math.isnan(snap.value):
             state = _BREAKER_STATES.get(snap.value, f"?{snap.value:g}")
             rows.append([key, state, ""])
     if not rows:
@@ -96,26 +116,20 @@ def gauges_panel(observer) -> str:
     return render_table(["gauge", "value", "peak"], rows, title="Gauges")
 
 
-def lineage_panel(observer) -> str:
+def lineage_panel(snapshot: dict) -> str:
     """Per-site end-to-end latency percentiles from the lineage layer.
 
     Empty string (panel hidden) when no lineage histograms exist — runs
     without the streaming aggregator have nothing to show here.
     """
-    snapshot = observer.registry.snapshot()
-    rows: list[list[object]] = []
-    for key in sorted(snapshot):
-        snap = snapshot[key]
-        if (
-            snap.kind == "histogram"
-            and snap.name == "stream_e2e_latency_seconds"
-            and snap.count
-        ):
-            site = dict(snap.labels).get("site", "?")
-            rows.append(
-                [site, snap.count, f"{snap.p50:.1f}", f"{snap.p95:.1f}",
-                 f"{snap.p99:.1f}", f"{snap.max:.1f}"]
-            )
+    rows = [
+        [dict(snap.labels).get("site", "?"), snap.count, f"{snap.p50:.1f}",
+         f"{snap.p95:.1f}", f"{snap.p99:.1f}", f"{snap.max:.1f}"]
+        for _, snap in _series(
+            snapshot, "histogram", "stream_e2e_latency_seconds"
+        )
+        if snap.count
+    ]
     if not rows:
         return ""
     return render_table(
@@ -134,33 +148,24 @@ _COST_GAUGES = (
 )
 
 
-def cost_panel(observer) -> str:
+def cost_panel(snapshot: dict) -> str:
     """Attributed spend from the cost ledger (hidden when no charges)."""
-    snapshot = observer.registry.snapshot()
-    rows: list[list[object]] = []
-    for prefix in _COST_GAUGES:
-        for key in sorted(snapshot):
-            snap = snapshot[key]
-            if (
-                snap.kind == "gauge"
-                and snap.name == prefix
-                and not math.isnan(snap.value)
-            ):
-                rows.append([key, f"${snap.value:.4f}"])
+    rows = [
+        [key, f"${snap.value:.4f}"]
+        for key, snap in _series(snapshot, "gauge", *_COST_GAUGES)
+        if not math.isnan(snap.value)
+    ]
     if not rows:
         return ""
     return render_table(["cost", "usd"], rows, title="Cost ledger")
 
 
-def slo_panel(observer) -> str:
+def slo_panel(snapshot: dict) -> str:
     """SLO-auditor violation counts by kind (hidden when never audited)."""
-    snapshot = observer.registry.snapshot()
-    rows: list[list[object]] = []
-    for key in sorted(snapshot):
-        snap = snapshot[key]
-        if snap.kind == "counter" and snap.name == "audit_violations_total":
-            kind = dict(snap.labels).get("kind", "?")
-            rows.append([kind, f"{snap.value:g}"])
+    rows = [
+        [dict(snap.labels).get("kind", "?"), f"{snap.value:g}"]
+        for _, snap in _series(snapshot, "counter", "audit_violations_total")
+    ]
     if not rows:
         return ""
     return render_table(
@@ -168,27 +173,37 @@ def slo_panel(observer) -> str:
     )
 
 
-def render_dashboard(observer, top: int = 10, title: str = "SAGE perf") -> str:
+def render_dashboard(
+    observer,
+    top: int = 10,
+    title: str = "SAGE perf",
+    wall_seconds: float | None = None,
+) -> str:
     """The full dashboard: header + throughput + hot stages + gauges,
-    plus lineage/cost/SLO panels whenever their layers recorded data."""
+    plus lineage/cost/SLO panels whenever their layers recorded data.
+    ``wall_seconds`` is the run so far as the caller measured it, for the
+    header's coverage (see :meth:`StageProfiler.snapshot`).
+    """
     if not observer.enabled:
         return f"{title}\n(observability disabled — nothing to show)"
-    snap = observer.profiler.snapshot()
-    wall = snap["wall_seconds"]
-    virt = snap["virtual_seconds"]
+    profile = observer.profiler.snapshot(wall_seconds=wall_seconds)
+    snapshot = observer.registry.snapshot()
+    wall = profile["wall_seconds"]
+    virt = profile["virtual_seconds"]
     speedup = virt / wall if wall > 0 else 0.0
     header = (
-        f"{title} — wall {wall:.2f}s, virtual {virt:.0f}s "
+        f"{title} — wall {wall:.2f}s "
+        f"({profile['profiled_seconds']:.2f}s profiled), virtual {virt:.0f}s "
         f"({speedup:,.0f}x real time), "
-        f"attribution coverage {100.0 * snap['coverage']:.0f}%"
+        f"attribution coverage {100.0 * profile['coverage']:.0f}%"
     )
     panels = [
         header,
-        throughput_panel(observer),
-        hottest_stages(observer, top=top),
-        gauges_panel(observer),
-        lineage_panel(observer),
-        cost_panel(observer),
-        slo_panel(observer),
+        throughput_panel(profile, snapshot),
+        hottest_stages(profile, top=top),
+        gauges_panel(snapshot),
+        lineage_panel(snapshot),
+        cost_panel(snapshot),
+        slo_panel(snapshot),
     ]
     return "\n\n".join(panel for panel in panels if panel)

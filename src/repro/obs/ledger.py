@@ -156,7 +156,7 @@ class CostLedger:
         return sum(c.seconds for c in self.per_region.values())
 
     def delta(self):
-        """Meter charges accrued since this ledger was attached."""
+        """``CostMeter`` charges accrued since this ledger was attached."""
         return self.meter.snapshot() - self.baseline
 
     def reconcile(self, rel_tol: float = 1e-9, abs_tol: float = 1e-9) -> bool:

@@ -1,68 +1,53 @@
-"""Hot-path stage profiling: wall-clock attribution + throughput meters.
+"""Hot-path stage profiling: exclusive wall-clock attribution by stage.
 
-The ROADMAP's million-source rewrite needs to know *where* wall time
-goes before anything is rewritten — per stage (event dispatch, operator
-apply, window close, batching, shipping, checkpoint), not just in total.
-:class:`StageProfiler` provides that with the same handle-based contract
-as :mod:`repro.obs.metrics`: a component asks the observer for a
+:class:`StageProfiler` follows the handle contract of
+:mod:`repro.obs.metrics`: a component asks the observer for a
 :class:`StageTimer` once, at construction, and drives it from the hot
-path; when observability is disabled the handle is the shared
+path; with observability disabled the handle is the shared
 :data:`NULL_STAGE_TIMER` and the hot path pays one no-op ``with``.
 
 Attribution is **exclusive** (self-time): entering a nested stage pauses
 the enclosing one, so the per-stage seconds are disjoint and sum to the
 wall time spent inside the outermost stage. The simulator wraps its
-event loop in ``sim.loop`` and each callback in ``sim.dispatch``; every
-instrumented block inside a callback subtracts itself out, leaving
-``sim.dispatch`` holding exactly the *un*-instrumented remainder. The
-share a stage reports is therefore "fraction of accounted wall time this
-stage spent on CPU", and coverage ("accounted / measured wall") tells
-you how much of a run the attribution explains.
+event loop in ``sim.loop`` and runs each callback in the stage
+:meth:`StageProfiler.owner_timer` names after the module that defines it
+(``streaming.sources``, ``cloud.network``, ...); a stage is hand-placed
+only where a callback crosses into another layer (``streaming.windows``
+inside the site tick). Coverage ("accounted / measured wall") tells how
+much of a run the attribution explains.
 
-The profiler is virtual-time-aware: the bound clock (normally
-``sim.now``) is read when the outermost stage opens and closes, so a
-snapshot can report records/sec against wall *and* virtual seconds —
-the simulator speedup falls out for free.
-
-Throughput meters (:class:`Meter`) are monotone counts (records, events,
-batches, bytes) whose rates are computed at snapshot time against the
-profiled wall/virtual window — no per-sample timestamps on the hot path.
+The bound clock (normally ``sim.now``) is read when the outermost stage
+opens and closes, so the dashboard can report the registry's counters
+per wall *and* per virtual second.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable
 
 
-class StageStat:
-    """Accumulated exclusive time and call count of one stage."""
-
-    __slots__ = ("name", "seconds", "calls")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.seconds = 0.0
-        self.calls = 0
-
-
 class StageTimer:
-    """Reusable context manager attributing exclusive time to a stage.
+    """One stage: its accumulated exclusive seconds and call count, and
+    the reusable context manager that attributes to them.
 
     Handles are cached per stage name by the profiler; one timer may be
     entered recursively (the inner entry simply keeps attributing to the
     same stage).
     """
 
-    __slots__ = ("_profiler", "_stat")
+    __slots__ = ("_profiler", "name", "seconds", "calls")
 
-    def __init__(self, profiler: "StageProfiler", stat: StageStat) -> None:
+    def __init__(self, profiler: "StageProfiler", name: str) -> None:
         self._profiler = profiler
-        self._stat = stat
+        self.name = name
+        self.seconds = 0.0
+        self.calls = 0
 
     def __enter__(self) -> "StageTimer":
-        prof = self._profiler
         t = perf_counter()
+        prof = self._profiler
         stack = prof._stack
         if stack:
             top = stack[-1]
@@ -70,46 +55,35 @@ class StageTimer:
         else:
             prof._outer_t0 = t
             prof._outer_v0 = prof._clock()
-        stack.append([self._stat, t])
+        stack.append([self, t])
         return self
 
     def __exit__(self, *exc: Any) -> None:
+        # The clock is read after the bookkeeping on the way out (and
+        # before it on the way in): a stage pays for its own
+        # instrumentation, not its caller.
         prof = self._profiler
+        stack = prof._stack
+        stage, mark = stack.pop()
+        stage.calls += 1
         t = perf_counter()
-        stat, mark = prof._stack.pop()
-        stat.seconds += t - mark
-        stat.calls += 1
-        if prof._stack:
-            prof._stack[-1][1] = t
+        stage.seconds += t - mark
+        if stack:
+            stack[-1][1] = t
         else:
             prof.wall_seconds += t - prof._outer_t0
             prof.virtual_seconds += max(0.0, prof._clock() - prof._outer_v0)
 
 
-class Meter:
-    """Monotone throughput count; rates are derived at snapshot time."""
-
-    __slots__ = ("name", "count")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0.0
-
-    def mark(self, amount: float = 1.0) -> None:
-        self.count += amount
-
-
 class StageProfiler:
-    """Creates stage timers and meters; snapshots shares and rates."""
-
-    enabled = True
+    """Creates stage timers; snapshots shares and coverage."""
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self._stats: dict[str, StageStat] = {}
         self._timers: dict[str, StageTimer] = {}
-        self._meters: dict[str, Meter] = {}
-        #: [stat, mark] per open stage; mark is the perf_counter reading
+        #: code object (or type, for other callables) -> its owner's timer.
+        self._owners: dict[Any, StageTimer] = {}
+        #: [timer, mark] per open stage; mark is the perf_counter reading
         #: the stage last resumed at (entry, or a nested stage's exit).
         self._stack: list[list] = []
         self._outer_t0 = 0.0
@@ -127,36 +101,44 @@ class StageProfiler:
         """The (cached) stage timer handle for ``name``."""
         timer = self._timers.get(name)
         if timer is None:
-            stat = self._stats.setdefault(name, StageStat(name))
-            timer = self._timers[name] = StageTimer(self, stat)
+            timer = self._timers[name] = StageTimer(self, name)
         return timer
 
-    def meter(self, name: str) -> Meter:
-        """The (cached) throughput meter handle for ``name``."""
-        meter = self._meters.get(name)
-        if meter is None:
-            meter = self._meters[name] = Meter(name)
-        return meter
+    def owner_timer(self, callback: Callable[..., Any]) -> StageTimer:
+        """The timer of the stage named after ``callback``'s owning module.
 
-    def stages(self) -> dict[str, StageStat]:
-        return dict(self._stats)
+        The owner is the module that defines the function, seen through
+        ``functools.partial`` and bound methods, with the ``repro.``
+        prefix dropped (``repro.cloud.network`` -> ``cloud.network``).
+        Resolved once per code object.
+        """
+        fn = callback
+        while isinstance(fn, partial):
+            fn = fn.func
+        fn = getattr(fn, "__func__", fn)
+        key = getattr(fn, "__code__", None) or type(fn)
+        timer = self._owners.get(key)
+        if timer is None:
+            module = getattr(fn, "__module__", None) or type(fn).__module__
+            timer = self._owners[key] = self.timer(
+                module.removeprefix("repro.")
+            )
+        return timer
 
-    def meters(self) -> dict[str, Meter]:
-        return dict(self._meters)
+    def stages(self) -> dict[str, StageTimer]:
+        return dict(self._timers)
 
     def accounted_seconds(self) -> float:
         """Total exclusive seconds attributed across all stages."""
-        return sum(s.seconds for s in self._stats.values())
+        return sum(s.seconds for s in self._timers.values())
 
     def snapshot(self, wall_seconds: float | None = None) -> dict[str, Any]:
-        """Shares, coverage, and meter rates over the profiled window.
+        """Shares and coverage over the profiled window.
 
-        ``wall_seconds`` is the externally measured wall time to compute
-        coverage against; it defaults to the profiler's own window (in
-        which case coverage is the fraction of *profiled* time that is
-        attributed — ~1.0 by construction). Shares are normalised over
-        the attributed seconds, so they sum to 1.0 whenever any stage
-        ran at all.
+        Coverage is attributed seconds over ``wall_seconds``, the
+        caller's own measurement of the run (default: the profiled
+        window, where it is ~1.0 by construction). Shares are over the
+        attributed seconds, so they sum to 1.0 whenever any stage ran.
         """
         accounted = self.accounted_seconds()
         wall = self.wall_seconds if wall_seconds is None else wall_seconds
@@ -167,20 +149,8 @@ class StageProfiler:
                 "share": stat.seconds / accounted if accounted > 0 else 0.0,
             }
             for name, stat in sorted(
-                self._stats.items(), key=lambda kv: -kv[1].seconds
+                self._timers.items(), key=lambda kv: -kv[1].seconds
             )
-        }
-        meters = {
-            name: {
-                "count": m.count,
-                "per_wall_s": m.count / wall if wall > 0 else 0.0,
-                "per_virtual_s": (
-                    m.count / self.virtual_seconds
-                    if self.virtual_seconds > 0
-                    else 0.0
-                ),
-            }
-            for name, m in sorted(self._meters.items())
         }
         return {
             "wall_seconds": wall,
@@ -189,16 +159,13 @@ class StageProfiler:
             "accounted_seconds": accounted,
             "coverage": accounted / wall if wall > 0 else 0.0,
             "stages": stages,
-            "meters": meters,
         }
 
     def reset(self) -> None:
         """Zero all accumulated stats (handles stay valid)."""
-        for stat in self._stats.values():
-            stat.seconds = 0.0
-            stat.calls = 0
-        for meter in self._meters.values():
-            meter.count = 0.0
+        for stage in self._timers.values():
+            stage.seconds = 0.0
+            stage.calls = 0
         self.wall_seconds = 0.0
         self.virtual_seconds = 0.0
 
@@ -208,6 +175,9 @@ class StageProfiler:
 # ----------------------------------------------------------------------
 class NullStageTimer:
     __slots__ = ()
+    name = ""
+    seconds = 0.0
+    calls = 0
 
     def __enter__(self) -> "NullStageTimer":
         return self
@@ -216,24 +186,13 @@ class NullStageTimer:
         pass
 
 
-class NullMeter:
-    __slots__ = ()
-    name = ""
-    count = 0.0
-
-    def mark(self, amount: float = 1.0) -> None:
-        pass
-
-
 NULL_STAGE_TIMER = NullStageTimer()
-NULL_METER = NullMeter()
 
 
 class NullStageProfiler:
     """Profiler façade that hands out the shared no-op handles."""
 
     __slots__ = ()
-    enabled = False
     wall_seconds = 0.0
     virtual_seconds = 0.0
 
@@ -243,28 +202,17 @@ class NullStageProfiler:
     def timer(self, name: str) -> NullStageTimer:
         return NULL_STAGE_TIMER
 
-    def meter(self, name: str) -> NullMeter:
-        return NULL_METER
+    def owner_timer(self, callback: Callable[..., Any]) -> NullStageTimer:
+        return NULL_STAGE_TIMER
 
-    def stages(self) -> dict[str, StageStat]:
-        return {}
-
-    def meters(self) -> dict[str, Meter]:
+    def stages(self) -> dict[str, StageTimer]:
         return {}
 
     def accounted_seconds(self) -> float:
         return 0.0
 
     def snapshot(self, wall_seconds: float | None = None) -> dict[str, Any]:
-        return {
-            "wall_seconds": wall_seconds or 0.0,
-            "profiled_seconds": 0.0,
-            "virtual_seconds": 0.0,
-            "accounted_seconds": 0.0,
-            "coverage": 0.0,
-            "stages": {},
-            "meters": {},
-        }
+        return StageProfiler().snapshot(wall_seconds)  # of nothing: all zero
 
     def reset(self) -> None:
         pass

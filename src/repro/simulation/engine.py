@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from repro.obs import NULL_OBSERVER
+from repro.obs import NULL_OBSERVER, NULL_STAGE_TIMER
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.random import RngRegistry
 
@@ -37,11 +37,11 @@ class Simulator:
         self._m_events = NULL_OBSERVER.counter("sim_events_total")
         self._m_vtime = NULL_OBSERVER.gauge("sim_virtual_time_seconds")
         self._m_wall = NULL_OBSERVER.counter("sim_wall_seconds_total")
-        #: ``None`` while disabled so :meth:`step` pays one comparison
-        #: instead of a no-op context manager on every dispatched event.
-        self._st_dispatch = None
+        #: ``StageProfiler.owner_timer`` while profiled; ``None`` while
+        #: disabled so :meth:`step` pays one comparison instead of a no-op
+        #: context manager on every dispatched event.
+        self._owner_timer = None
         self._st_loop = NULL_OBSERVER.stage("sim.loop")
-        self._mt_events = NULL_OBSERVER.meter("events")
         self._flight = None
 
     def attach_observer(self, observer) -> None:
@@ -56,10 +56,9 @@ class Simulator:
         self._m_vtime = observer.gauge("sim_virtual_time_seconds")
         self._m_wall = observer.counter("sim_wall_seconds_total")
         self._st_loop = observer.stage("sim.loop")
-        self._st_dispatch = (
-            observer.stage("sim.dispatch") if observer.enabled else None
+        self._owner_timer = (
+            observer.profiler.owner_timer if observer.enabled else None
         )
-        self._mt_events = observer.meter("events")
         self._flight = observer.recorder if observer.enabled else None
 
     # ------------------------------------------------------------------
@@ -127,23 +126,48 @@ class Simulator:
             )
         for tracer in self._tracers:
             tracer(event)
-        dispatch = self._st_dispatch
-        if dispatch is None:
+        if self._owner_timer is None:
             event.callback(*event.args)
         else:
-            # ``sim.dispatch`` accumulates exactly the callback time no
-            # instrumented inner stage claims for itself — the profiler's
-            # "unattributed application code" bucket.
-            self._mt_events.mark()
             callback = event.callback
-            self._flight.record(
-                "event",
-                fn=getattr(callback, "__qualname__", None)
-                or repr(callback),
-            )
-            with dispatch:
+            with self._owner_stage(callback):
+                self._flight.record(
+                    "event",
+                    fn=getattr(callback, "__qualname__", None)
+                    or repr(callback),
+                )
                 callback(*event.args)
         return True
+
+    def _owner_stage(self, callback: Callable[..., Any]):
+        """The stage a profiled callback runs in: its owning module's.
+
+        The kernel's own re-arming callbacks are looked through — a
+        :class:`PeriodicTask` firing is its ``callback``'s work — and a
+        :class:`PeriodicGroup` tick gets no stage of its own (its loop
+        bills ``sim.loop``): each member entered its owner's stage when
+        it joined, see :meth:`_in_owner_stage`.
+        """
+        owner = getattr(callback, "__self__", None)
+        if type(owner) is PeriodicTask:
+            callback = owner.callback
+            owner = getattr(callback, "__self__", None)
+        if type(owner) is PeriodicGroup:
+            return NULL_STAGE_TIMER
+        return self._owner_timer(callback)
+
+    def _in_owner_stage(self, callback: Callable[[], Any]) -> Callable[[], Any]:
+        """``callback`` itself, or while profiled a wrapper that runs it
+        inside its owner's stage (resolved here, once per group member)."""
+        if self._owner_timer is None:
+            return callback
+        stage = self._owner_stage(callback)
+
+        def staged() -> None:
+            with stage:
+                callback()
+
+        return staged
 
     def _drain(self, horizon: float) -> None:
         while True:
@@ -234,7 +258,7 @@ class PeriodicGroup:
 
     Batch event scheduling for the streaming record plane: a
     site with many sources costs one event-queue entry per tick instead
-    of one per source, collapsing ``sim.dispatch`` volume by the fan-in
+    of one per source, collapsing event-dispatch volume by the fan-in
     factor. Members fire in registration order within the shared tick —
     exactly the stable same-timestamp ordering the per-event scheme
     produced for tasks armed in that same order — so simulation results
@@ -261,7 +285,7 @@ class PeriodicGroup:
 
     def add(self, callback: Callable[[], Any]) -> "GroupMember":
         """Register ``callback`` to fire on every group tick."""
-        member = GroupMember(self, callback)
+        member = GroupMember(self, self.sim._in_owner_stage(callback))
         self._members.append(member)
         if self._task is None:
             self._task = self.sim.add_periodic(

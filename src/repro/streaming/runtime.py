@@ -211,16 +211,22 @@ class SiteRuntime:
         self._m_blocked = obs.counter("flow_blocked_ticks_total", site=site)
         self._m_degraded = obs.counter("flow_degraded_ticks_total", site=site)
         self._m_degrade_active = obs.gauge("flow_degrade_active", site=site)
-        #: Stage timers fire per tick, the operators' per backlog chunk —
-        #: cheap even as the no-ops they are with observability off.
-        self._st_drain = obs.stage("site.drain")
-        self._st_window = obs.stage("site.window")
-        self._st_batch = obs.stage("site.batch")
-        self._st_ship = obs.stage("ship.send")
-        self._mt_records = obs.meter("records")
+        #: The tick itself runs in ``streaming.runtime`` (the kernel names
+        #: a callback's stage after its module); these mark where it
+        #: crosses into another layer. They fire per tick or per backlog
+        #: chunk — cheap even as the no-ops they are with observability off.
+        self._st_window = obs.stage("streaming.windows")
+        self._st_batch = obs.stage("streaming.batching")
+        self._st_ship = obs.stage("streaming.shipping")
         self._op_stages = [
             # An adapter is labelled by the operator it wraps.
-            (op, obs.stage(f"op.{type(getattr(op, 'inner', op)).__name__}"))
+            (
+                op,
+                obs.stage(
+                    "streaming.operators."
+                    + type(getattr(op, "inner", op)).__name__
+                ),
+            )
             for op in spec.operators
         ]
 
@@ -341,10 +347,9 @@ class SiteRuntime:
         if self.policy is not None:
             budget = self.policy.drain_budget(self, budget)
         processed = 0
-        with self._st_drain:
-            for chunk in self._backlog.pop_upto(budget):
-                processed += len(chunk)
-                self._process_batch(chunk, now)
+        for chunk in self._backlog.pop_upto(budget):
+            processed += len(chunk)
+            self._process_batch(chunk, now)
         self.records_processed += processed
         if processed:
             # Freed ingest slots return to the credit pool (no-op for
@@ -368,7 +373,6 @@ class SiteRuntime:
         with self._st_window:
             partials = self.aggregator.advance_watermark(watermark)
         if self._obs_on:
-            self._mt_records.mark(processed)
             self._m_processed.inc(processed)
             self._m_backlog.set(len(self._backlog))
             self._m_wm_lag.set(now - watermark)
@@ -405,10 +409,12 @@ class SiteRuntime:
             if not len(batch):
                 return
         if self.job.ship_raw_records:
-            for cut in self.batcher.offer_many(batch, now):
-                self._ship(cut)
+            with self._st_batch:
+                for cut in self.batcher.offer_many(batch, now):
+                    self._ship(cut)
         else:
-            self.aggregator.process_batch(batch)
+            with self._st_window:
+                self.aggregator.process_batch(batch)
 
     def _ship(self, batch: Batch) -> None:
         if self.retain_batches:
@@ -546,7 +552,7 @@ class GlobalAggregator:
         self._m_late = obs.counter("stream_late_partials_total")
         self._m_latency = obs.histogram("stream_window_latency_seconds")
         self._m_dups = obs.counter("agg_duplicates_dropped_total")
-        self._st_merge = obs.stage("agg.merge")
+        self._st_merge = obs.stage("streaming.runtime.merge")
         #: Lazily created per-site / per-hop latency histograms.
         self._lat_by_site: dict[str, object] = {}
         self._hop_hists: dict[tuple[str, str], object] = {}

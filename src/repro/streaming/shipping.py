@@ -84,7 +84,7 @@ class _ShipInstruments:
     """
 
     __slots__ = ("_obs", "_on", "_sim", "_backend", "_link", "_m_bytes",
-                 "_m_batches", "_mt_batches", "_mt_bytes")
+                 "_m_batches")
 
     def __init__(self, engine: SageEngine, backend: str, src: str, dst: str):
         obs = engine.observer
@@ -99,10 +99,6 @@ class _ShipInstruments:
         self._m_batches = obs.counter(
             "ship_batches_total", backend=backend, link=self._link
         )
-        #: Global throughput meters (unlabelled: the dashboard reports
-        #: whole-run batches/sec and bytes/sec across links).
-        self._mt_batches = obs.meter("batches")
-        self._mt_bytes = obs.meter("bytes")
 
     def wrap(
         self, batch: Batch, on_delivered: DeliveryCallback
@@ -126,8 +122,6 @@ class _ShipInstruments:
             return _arrived
         self._m_bytes.inc(batch.size_bytes)
         self._m_batches.inc()
-        self._mt_batches.mark()
-        self._mt_bytes.mark(batch.size_bytes)
         span = self._obs.start_span(
             "ship.batch",
             backend=self._backend,

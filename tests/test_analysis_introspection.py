@@ -41,7 +41,7 @@ def test_capacity_appears_after_saturating_load(engine):
     # it; the decision manager itself avoids doing so on purpose).
     from repro.baselines import StaticParallel
 
-    StaticParallel(n_nodes=10, streams=8).run(engine, "NEU", "NUS", 2 * GB)
+    StaticParallel({"n_nodes": 10, "streams": 8}).run(engine, "NEU", "NUS", 2 * GB)
     sla = link_sla(engine.monitor, "NEU", "NUS")
     assert sla.capacity is not None
     assert sla.capacity > 5 * MB

@@ -11,6 +11,12 @@ from repro.baselines import (
     StaticShortestPath,
 )
 from repro.cloud.deployment import CloudEnvironment
+from repro.config import (
+    DirectConfig,
+    GridFtpConfig,
+    ParallelStaticConfig,
+    ShortestPathConfig,
+)
 from repro.core.engine import SageEngine
 from repro.core.strategy import SageStrategy
 from repro.simulation.units import GB, MB
@@ -34,7 +40,7 @@ SIZE = 256 * MB
 
 def test_endpoint2endpoint_single_flow():
     engine = make_engine()
-    r = EndPoint2EndPoint(streams=1).run(engine, "NEU", "NUS", SIZE)
+    r = EndPoint2EndPoint(DirectConfig(streams=1)).run(engine, "NEU", "NUS", SIZE)
     expected = SIZE / (engine.env.network.tcp_window / engine.env.topology.rtt("NEU", "NUS"))
     assert r.seconds == pytest.approx(expected, rel=0.05)
     assert r.egress_usd > 0
@@ -42,21 +48,21 @@ def test_endpoint2endpoint_single_flow():
 
 def test_static_parallel_faster_than_direct():
     e1 = make_engine(seed=4)
-    direct = EndPoint2EndPoint(streams=4).run(e1, "NEU", "NUS", SIZE)
+    direct = EndPoint2EndPoint(DirectConfig(streams=4)).run(e1, "NEU", "NUS", SIZE)
     e2 = make_engine(seed=4)
-    par = StaticParallel(n_nodes=5, streams=4).run(e2, "NEU", "NUS", SIZE)
+    par = StaticParallel(ParallelStaticConfig(n_nodes=5, streams=4)).run(e2, "NEU", "NUS", SIZE)
     assert par.seconds < direct.seconds
 
 
 def test_static_parallel_suffers_from_degraded_node():
     engine = make_engine(seed=6)
-    strat = StaticParallel(n_nodes=4, streams=4)
+    strat = StaticParallel(ParallelStaticConfig(n_nodes=4, streams=4))
     plan = strat.build_plan(engine, "NEU", "NUS")
     # Degrade one of its fixed senders before launch.
     victim = plan.routes[2].path[0]
     victim.degrade(0.15)
     healthy_engine = make_engine(seed=6)
-    healthy = StaticParallel(n_nodes=4, streams=4).run(
+    healthy = StaticParallel(ParallelStaticConfig(n_nodes=4, streams=4)).run(
         healthy_engine, "NEU", "NUS", SIZE
     )
     hurt = strat.run(engine, "NEU", "NUS", SIZE)
@@ -65,9 +71,9 @@ def test_static_parallel_suffers_from_degraded_node():
 
 def test_gridftp_includes_submission_latency():
     e1 = make_engine(seed=9)
-    fast = GridFtpLike(submission_latency=0.0).run(e1, "NEU", "NUS", SIZE)
+    fast = GridFtpLike(GridFtpConfig(submission_latency=0.0)).run(e1, "NEU", "NUS", SIZE)
     e2 = make_engine(seed=9)
-    slow = GridFtpLike(submission_latency=30.0).run(e2, "NEU", "NUS", SIZE)
+    slow = GridFtpLike(GridFtpConfig(submission_latency=30.0)).run(e2, "NEU", "NUS", SIZE)
     assert slow.seconds == pytest.approx(fast.seconds + 30.0, rel=0.1)
 
 
@@ -82,9 +88,9 @@ def test_blob_relay_two_passes_slower_than_direct_parallel():
 
 def test_shortest_path_strategies_run():
     e1 = make_engine(seed=15)
-    static = StaticShortestPath(n_nodes=8).run(e1, "NEU", "NUS", SIZE)
+    static = StaticShortestPath(ShortestPathConfig(n_nodes=8)).run(e1, "NEU", "NUS", SIZE)
     e2 = make_engine(seed=15)
-    dynamic = DynamicShortestPath(n_nodes=8).run(e2, "NEU", "NUS", SIZE)
+    dynamic = DynamicShortestPath(ShortestPathConfig(n_nodes=8)).run(e2, "NEU", "NUS", SIZE)
     assert static.seconds > 0 and dynamic.seconds > 0
     # Stable cloud: static and dynamic agree (no drift to chase).
     assert dynamic.seconds == pytest.approx(static.seconds, rel=0.25)
@@ -92,7 +98,7 @@ def test_shortest_path_strategies_run():
 
 def test_sage_strategy_beats_naive_on_unstable_cloud():
     e1 = make_engine(seed=33, stable=False)
-    naive = StaticParallel(n_nodes=8, streams=4).run(e1, "NEU", "NUS", 2 * GB)
+    naive = StaticParallel(ParallelStaticConfig(n_nodes=8, streams=4)).run(e1, "NEU", "NUS", 2 * GB)
     e2 = make_engine(seed=33, stable=False)
     sage = SageStrategy(n_nodes=8).run(e2, "NEU", "NUS", 2 * GB)
     assert sage.seconds < naive.seconds * 1.1  # at worst comparable
@@ -100,12 +106,12 @@ def test_sage_strategy_beats_naive_on_unstable_cloud():
 
 def test_validation():
     with pytest.raises(ValueError):
-        StaticParallel(n_nodes=0)
+        StaticParallel({"n_nodes": 0})
     with pytest.raises(ValueError):
-        GridFtpLike(streams=0)
+        GridFtpLike({"streams": 0})
     with pytest.raises(ValueError):
-        GridFtpLike(submission_latency=-1.0)
+        GridFtpLike({"submission_latency": -1.0})
     with pytest.raises(ValueError):
-        BlobRelay(object_size=0.0)
+        BlobRelay({"object_size": 0.0})
     with pytest.raises(ValueError):
-        BlobRelay(parallel_objects=0)
+        BlobRelay({"parallel_objects": 0})

@@ -218,27 +218,20 @@ def test_cmd_sweep_table_has_per_shard_wall_and_cache_columns(
 # ----------------------------------------------------------------------
 # Profiling / flight recorder
 # ----------------------------------------------------------------------
-def test_cmd_perf_renders_dashboard_and_writes_bench(tmp_path, capsys):
-    import json
+def test_cmd_perf_renders_dashboard_with_measured_coverage(capsys):
+    import re
 
-    assert (
-        main(
-            FAST
-            + ["perf", "stream", "--duration", "60",
-               "--bench-dir", str(tmp_path)]
-        )
-        == 0
-    )
+    assert main(FAST + ["perf", "stream", "--duration", "60"]) == 0
     out = capsys.readouterr().out
     assert "Hot stages (exclusive wall time)" in out
-    assert "sim.dispatch" in out
     assert "Throughput" in out
-    assert "attribution coverage" in out
-    bench = json.loads((tmp_path / "BENCH_perf_stream.json").read_text())
-    assert bench["records_per_s"] > 0
-    assert sum(bench["stage_shares"].values()) == pytest.approx(
-        1.0, abs=1e-3
-    )
+    # Coverage is against the command's own wall, so never the
+    # by-construction 100 % of the profiler's own window.
+    coverage = int(re.search(r"attribution coverage (\d+)%", out).group(1))
+    assert 80 <= coverage < 100
+    stages = set(re.findall(r"^\s*([a-z.A-Z]+) \|\s+\d+ \|", out, re.M))
+    assert {"streaming.sources", "streaming.runtime", "cloud.network"} <= stages
+    assert "sim.loop" in stages and not any("dispatch" in s for s in stages)
 
 
 def test_cmd_dashboard_once_prints_single_frame(capsys):

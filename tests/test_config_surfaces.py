@@ -1,4 +1,4 @@
-"""Config dataclasses, deprecation shims, and the ScenarioReport surface."""
+"""Config dataclasses, entry-point surfaces, and the ScenarioReport surface."""
 
 from __future__ import annotations
 
@@ -100,23 +100,27 @@ def test_scenario_entry_points_take_a_config_and_nothing_else():
 
 
 # ----------------------------------------------------------------------
-# Baseline constructors: the one remaining legacy keyword surface
+# Baseline constructors: config | dict | None, nothing else
 # ----------------------------------------------------------------------
+BASELINE_FIELDS = [
+    (EndPoint2EndPoint, "streams", 3),
+    (StaticParallel, "n_nodes", 2),
+    (StaticShortestPath, "max_hops", 2),
+    (DynamicShortestPath, "replan_interval", 5.0),
+    (BlobRelay, "parallel_objects", 3),
+    (GridFtpLike, "endpoints", 3),
+]
+
+
 @pytest.mark.parametrize(
-    ("cls", "legacy_kwargs", "attr", "expected"),
-    [
-        (EndPoint2EndPoint, {"streams": 3}, "streams", 3),
-        (StaticParallel, {"n_nodes": 2}, "n_nodes", 2),
-        (StaticShortestPath, {"max_hops": 2}, "max_hops", 2),
-        (DynamicShortestPath, {"replan_interval": 5.0}, "replan_interval", 5.0),
-        (BlobRelay, {"parallel_objects": 3}, "parallel_objects", 3),
-        (GridFtpLike, {"endpoints": 3}, "endpoints", 3),
-    ],
+    ("cls", "field", "value"),
+    BASELINE_FIELDS,
+    ids=[cls.__name__ for cls, _, _ in BASELINE_FIELDS],
 )
-def test_baseline_legacy_kwargs_warn(cls, legacy_kwargs, attr, expected):
-    with pytest.deprecated_call():
-        baseline = cls(**legacy_kwargs)
-    assert getattr(baseline, attr) == expected
+def test_baseline_takes_a_config_and_nothing_else(cls, field, value):
+    with pytest.raises(TypeError):
+        cls(**{field: value})  # the keyword surface is gone
+    assert getattr(cls({field: value}), field) == value
 
 
 def test_baseline_config_path_does_not_warn():

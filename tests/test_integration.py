@@ -93,7 +93,7 @@ def test_sage_vs_naive_with_glitchy_cloud_many_seeds():
     ratios = []
     for seed in (81, 82, 83):
         e1 = make_engine(seed)
-        naive = StaticParallel(n_nodes=6, streams=4).run(e1, "NEU", "NUS", 1 * GB)
+        naive = StaticParallel({"n_nodes": 6, "streams": 4}).run(e1, "NEU", "NUS", 1 * GB)
         e2 = make_engine(seed)
         sage = SageStrategy(n_nodes=6).run(e2, "NEU", "NUS", 1 * GB)
         ratios.append(sage.seconds / naive.seconds)

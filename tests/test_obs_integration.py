@@ -6,19 +6,26 @@ end-to-end latency distribution as :class:`LatencyStats` computes from
 the emitted results.
 """
 
+import importlib.util
+import time
+
 import numpy as np
 import pytest
 
+from repro.api import run_experiment
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.obs import Observer
 from repro.obs.exporters import read_trace_jsonl
+from repro.streaming import operators
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime
 from repro.streaming.shipping import SageShipping
 from repro.streaming.sources import PoissonSource
 from repro.streaming.windows import TumblingWindows
+from repro.workloads.sensors import sensor_fusion_job
+from repro.workloads.synthetic import fresh_engine
 
 
 def make_engine(observer, seed=13):
@@ -149,3 +156,77 @@ def test_export_round_trip_from_run(run, tmp_path):
     back = read_trace_jsonl(str(trace))
     assert len(back) == written["spans"]
     assert "# TYPE" in prom.read_text()
+
+
+# ----------------------------------------------------------------------
+# Stage attribution: one rule (a callback's owner), one vocabulary
+# ----------------------------------------------------------------------
+def _is_layer_name(name: str) -> bool:
+    """``sim.loop``, a ``repro`` module path, or a documented nested layer
+    (DESIGN.md "Stage profiler": the merge, and one stage per operator)."""
+    if name in ("sim.loop", "streaming.runtime.merge"):
+        return True
+    parent, _, leaf = name.rpartition(".")
+    if parent == "streaming.operators":
+        return hasattr(operators, leaf)
+    return importlib.util.find_spec("repro." + name) is not None
+
+
+def test_stage_attribution_covers_the_whole_run():
+    """What the retired perf-baseline bench checked: shares tile, coverage
+    holds against a wall measured around *everything* (engine construction
+    and the learning phase included), every layer has its row."""
+    obs = Observer()
+    wall0 = time.perf_counter()
+    engine = fresh_engine(
+        seed=24013,
+        spec={"NEU": 3, "WEU": 3, "EUS": 3, "NUS": 3},
+        learning_phase=120.0,
+        observer=obs,
+    )
+    runtime = GeoStreamRuntime(
+        engine,
+        sensor_fusion_job(
+            site_regions=["NEU", "WEU", "EUS"], aggregation_region="NUS"
+        ),
+        SageShipping.factory(n_nodes=2),
+    )
+    runtime.run_for(60.0)
+    # A restarted site re-joins its tick group under the same names.
+    before = set(obs.profiler.stages())
+    site = runtime.sites["NEU"]
+    site.stop()
+    site.restart()
+    ticks = obs.profiler.stages()["streaming.runtime"].calls
+    engine.run_until(engine.sim.now + 60.0)
+    profile = obs.profiler.snapshot(
+        wall_seconds=time.perf_counter() - wall0
+    )
+    stages = profile["stages"]
+    assert set(stages) == before
+    assert stages["streaming.runtime"]["calls"] > ticks + 60
+    assert sum(s["share"] for s in stages.values()) == pytest.approx(1.0)
+    assert 0.80 <= profile["coverage"] < 1.0
+    assert {
+        "sim.loop",
+        "streaming.sources",
+        "streaming.runtime",
+        "streaming.operators.MapOperator",
+        "streaming.windows",
+        "streaming.batching",
+        "streaming.shipping",
+        "streaming.runtime.merge",
+        "cloud.network",
+        "monitor.agent",
+    } <= set(stages)
+    assert all(_is_layer_name(name) for name in stages)
+
+
+@pytest.mark.parametrize("scenario", ["chaos", "overload", "serve"])
+def test_scenario_stages_are_named_after_existing_layers(scenario):
+    obs = Observer()
+    run_experiment(scenario, {"duration": 120.0}, seed=7, observer=obs)
+    stages = set(obs.profiler.stages())
+    assert {"streaming.sources", "cloud.network", "obs.audit"} <= stages
+    assert "simulation.engine" not in stages
+    assert [name for name in stages if not _is_layer_name(name)] == []

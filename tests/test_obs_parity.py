@@ -23,7 +23,6 @@ import inspect
 import pytest
 
 from repro.obs import (
-    NULL_METER,
     NULL_OBSERVER,
     NULL_PROFILER,
     NULL_RECORDER,
@@ -68,10 +67,6 @@ def _real_stage_timer():
     return StageProfiler().timer("stage")
 
 
-def _real_meter():
-    return StageProfiler().meter("records")
-
-
 PAIRS = [
     ("observer", Observer(), NULL_OBSERVER),
     ("registry", MetricsRegistry(), NULL_REGISTRY),
@@ -82,7 +77,6 @@ PAIRS = [
     ("span", _real_tracer_span(), NULL_SPAN),
     ("profiler", StageProfiler(), NULL_PROFILER),
     ("stage_timer", _real_stage_timer(), NULL_STAGE_TIMER),
-    ("meter", _real_meter(), NULL_METER),
     ("recorder", FlightRecorder(), NULL_RECORDER),
 ]
 
@@ -136,8 +130,10 @@ def test_null_handles_accept_real_call_shapes(tmp_path):
     obs.counter("c", site="NEU").inc(3)
     obs.gauge("g").set(1.5)
     obs.histogram("h").observe(0.25)
-    with obs.stage("site.drain"):
-        obs.meter("records").mark(10)
+    with obs.stage("streaming.windows"):
+        pass
+    with obs.profiler.owner_timer(public_surface):
+        pass
     with obs.span("unit", site="NEU"):
         pass
     detached = obs.start_span("detached")

@@ -1,16 +1,17 @@
-"""Stage profiler, flight recorder, bench records, dashboard rendering."""
+"""Stage profiler, flight recorder, dashboard rendering."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 
 import pytest
 
 from repro.obs import FlightRecorder, Observer, StageProfiler, read_flight_jsonl
-from repro.obs.bench import BenchRecord, config_digest, read_bench, write_bench
 from repro.obs.dashboard import render_dashboard
-from repro.obs.profile import NULL_METER, NULL_STAGE_TIMER
+from repro.obs.profile import NULL_PROFILER, NULL_STAGE_TIMER
 
 
 # ----------------------------------------------------------------------
@@ -19,7 +20,6 @@ from repro.obs.profile import NULL_METER, NULL_STAGE_TIMER
 def test_timer_handles_are_cached():
     prof = StageProfiler()
     assert prof.timer("a") is prof.timer("a")
-    assert prof.meter("m") is prof.meter("m")
     assert prof.timer("a") is not prof.timer("b")
 
 
@@ -68,16 +68,6 @@ def test_virtual_window_tracks_bound_clock():
     assert snap["virtual_seconds"] == pytest.approx(120.0)
 
 
-def test_meter_rates_against_external_wall():
-    prof = StageProfiler()
-    prof.meter("records").mark(500)
-    prof.meter("records").mark(500)
-    snap = prof.snapshot(wall_seconds=2.0)
-    m = snap["meters"]["records"]
-    assert m["count"] == 1000
-    assert m["per_wall_s"] == pytest.approx(500.0)
-
-
 def test_coverage_against_external_wall():
     prof = StageProfiler()
     with prof.timer("only"):
@@ -91,22 +81,76 @@ def test_coverage_against_external_wall():
 def test_reset_zeroes_but_keeps_handles_valid():
     prof = StageProfiler()
     timer = prof.timer("t")
-    meter = prof.meter("m")
     with timer:
-        meter.mark(5)
+        pass
     prof.reset()
     assert prof.accounted_seconds() == 0.0
     assert prof.wall_seconds == 0.0
     with timer:  # the cached handle still attributes after reset
-        meter.mark(2)
+        pass
     assert prof.stages()["t"].calls == 1
-    assert prof.meters()["m"].count == 2
 
 
 def test_null_handles_are_shared_and_inert():
+    assert NULL_PROFILER.timer("a") is NULL_STAGE_TIMER
+    assert NULL_PROFILER.owner_timer(len) is NULL_STAGE_TIMER
     with NULL_STAGE_TIMER:
-        NULL_METER.mark(100)
-    assert NULL_METER.count == 0.0
+        pass
+    assert NULL_PROFILER.stages() == {}
+
+
+# ----------------------------------------------------------------------
+# Owner attribution: a callback's stage is the module that defines it
+# ----------------------------------------------------------------------
+class _Owner:
+    def method(self):
+        pass
+
+    def __call__(self):
+        pass
+
+
+def _plain():
+    pass
+
+
+HERE = __name__
+
+
+@pytest.mark.parametrize(
+    "callback",
+    [
+        _plain,
+        _Owner().method,
+        functools.partial(functools.partial(_plain)),
+        functools.partial(_Owner().method),
+        lambda: None,
+        _Owner(),
+    ],
+    ids=["function", "bound-method", "partial", "partial-of-method",
+         "lambda", "callable-object"],
+)
+def test_owner_timer_names_the_defining_module(callback):
+    prof = StageProfiler()
+    assert prof.owner_timer(callback) is prof.timer(HERE)
+    assert set(prof.stages()) == {HERE}
+
+
+def test_owner_timer_drops_the_repro_prefix_and_caches_per_code_object():
+    from repro.cloud.network import FluidNetwork
+    from repro.streaming.sources import PoissonSource
+
+    prof = StageProfiler()
+    net = prof.owner_timer(FluidNetwork.notify_change)
+    assert net is prof.timer("cloud.network")
+    assert prof.owner_timer(PoissonSource.start) is prof.timer(
+        "streaming.sources"
+    )
+    # Two bound methods of different instances share one code object.
+    assert prof.owner_timer(_Owner().method) is prof.owner_timer(
+        _Owner().method
+    )
+    assert len(prof._owners) == 3
 
 
 # ----------------------------------------------------------------------
@@ -159,114 +203,34 @@ def test_clear_empties_ring_but_not_total():
 
 
 # ----------------------------------------------------------------------
-# BenchRecord
-# ----------------------------------------------------------------------
-def _profile_fixture():
-    prof = StageProfiler()
-    with prof.timer("sim.dispatch"):
-        with prof.timer("site.drain"):
-            pass
-    prof.meter("records").mark(1000)
-    prof.meter("events").mark(100)
-    return prof.snapshot(wall_seconds=2.0)
-
-
-def test_bench_record_round_trip(tmp_path):
-    profile = _profile_fixture()
-    record = BenchRecord.from_profile(
-        "unit", "scenario-x", 7, profile,
-        config={"duration": 60.0}, records=1000, events=100,
-        extras={"p95_s": 1.5},
-    )
-    path = write_bench(record, tmp_path)
-    assert path.name == "BENCH_unit.json"
-    data = read_bench(path)
-    assert data["scenario"] == "scenario-x"
-    assert data["records_per_s"] == pytest.approx(500.0)
-    assert data["events_per_s"] == pytest.approx(50.0)
-    assert data["config_digest"] == config_digest({"duration": 60.0})
-    assert math.isclose(sum(data["stage_shares"].values()), 1.0, abs_tol=1e-3)
-    assert data["extras"]["p95_s"] == 1.5
-
-
-def test_read_bench_rejects_missing_keys(tmp_path):
-    path = tmp_path / "BENCH_bad.json"
-    path.write_text(json.dumps({"bench": "bad"}))
-    with pytest.raises(ValueError, match="missing bench keys"):
-        read_bench(path)
-
-
-def test_read_bench_rejects_broken_share_sum(tmp_path):
-    profile = _profile_fixture()
-    record = BenchRecord.from_profile("broken", "s", 1, profile)
-    data = record.to_dict()
-    data["stage_shares"] = {"sim.dispatch": 0.4}  # sums to 0.4
-    path = tmp_path / "BENCH_broken.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="stage shares sum"):
-        read_bench(path)
-
-
-def test_bench_record_lineage_ledger_fields_round_trip(tmp_path):
-    profile = _profile_fixture()
-    record = BenchRecord.from_profile(
-        "lin", "s", 1, profile,
-        e2e_latency_p99_s=21.5, usd_per_1k_records=0.00123456789,
-    )
-    path = write_bench(record, tmp_path)
-    data = read_bench(path)
-    assert data["e2e_latency_p99_s"] == pytest.approx(21.5)
-    assert data["usd_per_1k_records"] == pytest.approx(0.00123456789)
-    # Omitted by default: older trajectory records stay byte-compatible.
-    bare = BenchRecord.from_profile("old", "s", 1, _profile_fixture())
-    bare_data = bare.to_dict()
-    assert "e2e_latency_p99_s" not in bare_data
-    assert "usd_per_1k_records" not in bare_data
-    bare_path = write_bench(bare, tmp_path)
-    read_bench(bare_path)  # validates without the optional keys
-
-
-@pytest.mark.parametrize("key", ["e2e_latency_p99_s", "usd_per_1k_records"])
-@pytest.mark.parametrize("bad", [-0.5, float("nan"), "fast", True])
-def test_read_bench_rejects_bad_lineage_fields(tmp_path, key, bad):
-    data = BenchRecord.from_profile("bad", "s", 1, _profile_fixture()).to_dict()
-    data[key] = bad
-    path = tmp_path / "BENCH_bad.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=key):
-        read_bench(path)
-
-
-def test_read_bench_accepts_explicit_null_lineage_fields(tmp_path):
-    data = BenchRecord.from_profile("ok", "s", 1, _profile_fixture()).to_dict()
-    data["e2e_latency_p99_s"] = None
-    path = tmp_path / "BENCH_ok.json"
-    path.write_text(json.dumps(data))
-    assert read_bench(path)["e2e_latency_p99_s"] is None
-
-
-def test_config_digest_is_order_insensitive():
-    assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
-    assert config_digest({"a": 1}) != config_digest({"a": 2})
-
-
-# ----------------------------------------------------------------------
 # Dashboard
 # ----------------------------------------------------------------------
 def test_render_dashboard_surfaces_stages_meters_gauges():
     obs = Observer()
-    with obs.stage("sim.dispatch"):
-        with obs.stage("site.drain"):
+    with obs.stage("streaming.runtime"):
+        with obs.stage("streaming.windows"):
             pass
-    obs.meter("records").mark(42)
+    # The Throughput panel sums registry counters over their labels.
+    obs.counter("stream_records_processed_total", site="NEU").inc(40)
+    obs.counter("stream_records_processed_total", site="WEU").inc(2)
     obs.gauge("stream_backlog_depth", site="NEU").set(17)
     obs.gauge("flow_breaker_state", site="NEU").set(2.0)
     text = render_dashboard(obs, title="unit perf")
     assert "unit perf" in text
-    assert "sim.dispatch" in text and "site.drain" in text
-    assert "records" in text
+    assert "streaming.runtime" in text and "streaming.windows" in text
+    assert re.search(r"records\s*\|\s*42\s*\|", text)
     assert 'stream_backlog_depth{site="NEU"}' in text
     assert "open" in text  # breaker state decoded, not a bare 2.0
+
+
+def test_render_dashboard_coverage_is_against_the_given_wall():
+    obs = Observer()
+    with obs.stage("only"):
+        for _ in range(10000):
+            pass
+    assert "coverage 100%" in render_dashboard(obs)  # its own window
+    wall = obs.profiler.wall_seconds / 0.5
+    assert "coverage 50%" in render_dashboard(obs, wall_seconds=wall)
 
 
 def test_render_dashboard_disabled_observer():
@@ -279,5 +243,5 @@ def test_render_dashboard_disabled_observer():
 def test_render_dashboard_empty_observer_has_placeholders():
     text = render_dashboard(Observer())
     assert "no stages profiled" in text
-    assert "no meters recorded" in text
+    assert "no throughput recorded" in text
     assert "no gauges recorded" in text

@@ -1,8 +1,13 @@
 """Unit tests for the simulator."""
 
+import functools
+import math
+
 import pytest
 
-from repro.simulation.engine import SimulationError, Simulator
+from repro.obs import NULL_OBSERVER, Observer
+from repro.simulation.engine import PeriodicGroup, SimulationError, Simulator
+from repro.simulation.units import format_bytes
 
 
 def test_schedule_and_run_until():
@@ -133,3 +138,91 @@ def test_determinism_same_seed():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+# ----------------------------------------------------------------------
+# Profiled dispatch: a callback runs in the stage of its owning module
+# ----------------------------------------------------------------------
+HERE = __name__
+
+
+class _Component:
+    def __init__(self):
+        self.calls = 0
+
+    def work(self):
+        self.calls += 1
+
+
+def _profiled_sim():
+    obs = Observer()
+    sim = Simulator()
+    sim.attach_observer(obs)
+    return sim, obs.profiler
+
+
+def test_scheduled_callbacks_run_in_their_owners_stage():
+    sim, prof = _profiled_sim()
+    comp = _Component()
+    elsewhere = functools.partial(format_bytes, 1.0)  # repro.simulation.units
+    sim.schedule(1.0, comp.work)
+    sim.schedule(2.0, functools.partial(comp.work))
+    sim.schedule(3.0, lambda: comp.work())
+    sim.schedule(4.0, elsewhere)
+    sim.add_periodic(5.0, comp.work)  # PeriodicTask._fire is looked through
+    sim.add_periodic(5.0, elsewhere)
+    sim.run_until(10.0)
+    calls = {name: stat.calls for name, stat in prof.stages().items()}
+    assert calls == {"sim.loop": 1, HERE: 5, "simulation.units": 3}
+    assert comp.calls == 5
+
+
+def test_group_members_each_get_their_own_stage():
+    sim, prof = _profiled_sim()
+    comp = _Component()
+    group = PeriodicGroup(sim, 1.0)
+    late = []
+
+    def joins_mid_tick():
+        if not late:  # first fires on the NEXT tick, under its own name
+            late.append(group.add(functools.partial(format_bytes, 1.0)))
+
+    group.add(comp.work)
+    group.add(joins_mid_tick)
+    sim.run_until(3.0)
+    calls = {name: stat.calls for name, stat in prof.stages().items()}
+    # No stage for the group's own tick: its loop is the kernel's.
+    assert calls == {"sim.loop": 1, HERE: 6, "simulation.units": 2}
+    assert late[0].fired == 2
+
+
+def test_owner_and_nested_stages_tile_the_profiled_window():
+    sim, prof = _profiled_sim()
+    inner = prof.timer("streaming.windows")
+
+    def crosses_a_layer():
+        with inner:
+            for _ in range(2000):
+                pass
+
+    PeriodicGroup(sim, 1.0).add(crosses_a_layer)
+    sim.add_periodic(1.0, crosses_a_layer)
+    sim.run_until(5.0)
+    assert set(prof.stages()) == {"sim.loop", HERE, "streaming.windows"}
+    assert prof.stages()["streaming.windows"].calls == 10
+    assert math.isclose(
+        prof.accounted_seconds(), prof.wall_seconds, rel_tol=1e-6
+    )
+
+
+def test_null_observer_dispatches_the_raw_callback():
+    sim = Simulator()
+    comp = _Component()
+    callback = comp.work
+    event = sim.schedule(1.0, callback)
+    member = PeriodicGroup(sim, 1.0).add(callback)
+    assert event.callback is callback and member.callback is callback
+    assert sim._owner_timer is None
+    sim.run_until(1.0)
+    assert comp.calls == 2
+    assert NULL_OBSERVER.profiler.stages() == {}
