@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.config import ChaosConfig
-from repro.faults import run_chaos
+from repro.scenarios import run_chaos
 from repro.simulation.units import KB
 
 SEED = 24011

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.config import OverloadConfig
-from repro.flow import run_overload
+from repro.scenarios import run_overload
 from repro.simulation.units import KB
 
 SEED = 24012

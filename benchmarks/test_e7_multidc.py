@@ -19,15 +19,16 @@ aggregating capacity and wins by a clear margin.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
-from repro.core.paths import widest_path
+from repro.baselines.shortest_path import (
+    StaticShortestPath,
+    instances_for_budget,
+    materialise_path,
+)
 from repro.simulation.units import GB, MB
-from repro.transfer.plan import RouteAssignment, TransferPlan
 from repro.workloads.synthetic import fresh_engine
 
 SEED = 24007
@@ -36,28 +37,23 @@ HUGE = 1000 * GB  # never finishes inside the window
 SPEC = {"NEU": 14, "WEU": 8, "NUS": 14, "SUS": 8, "EUS": 8, "WUS": 8}
 
 
-def _materialise(engine, path, instances, streams=4):
-    cyclers = {r: itertools.cycle(engine.deployment.vms(r)) for r in path}
-    routes = [
-        RouteAssignment([next(cyclers[r]) for r in path], streams=streams)
-        for _ in range(instances)
-    ]
-    return TransferPlan(routes, label="e7")
+#: The library's widest-path baseline (3 hops, 4 streams per route); the arms
+#: reuse its path choice and plan building, and measure a window themselves.
+BASELINE = StaticShortestPath()
 
 
-def _thr_map(engine):
-    return {
-        pair: engine.monitor.link_map.throughput(*pair)
-        for pair in engine.monitor.link_map.pairs()
-    }
+def _execute(engine, path, nodes):
+    plan = materialise_path(
+        engine, path, instances_for_budget(path, nodes), BASELINE.streams
+    )
+    return engine.transfers.execute(plan, HUGE, charge=False)
 
 
 class DirectLinkArm:
     label = "DirectLink"
 
     def start(self, engine, nodes):
-        plan = _materialise(engine, ["NEU", "NUS"], nodes)
-        self.session = engine.transfers.execute(plan, HUGE, charge=False)
+        self.session = _execute(engine, ["NEU", "NUS"], nodes)
 
     def delivered(self):
         return self.session.transferred
@@ -67,12 +63,8 @@ class StaticPathArm:
     label = "ShortestPath-static"
 
     def start(self, engine, nodes):
-        path = widest_path(_thr_map(engine), "NEU", "NUS", max_hops=3) or [
-            "NEU", "NUS",
-        ]
-        instances = max(1, nodes // max(1, len(path) - 1))
-        plan = _materialise(engine, path, instances)
-        self.session = engine.transfers.execute(plan, HUGE, charge=False)
+        path = BASELINE.choose_path(engine, "NEU", "NUS")
+        self.session = _execute(engine, path, nodes)
 
     def delivered(self):
         return self.session.transferred
@@ -88,22 +80,18 @@ class DynamicPathArm:
     def start(self, engine, nodes):
         self.engine = engine
         self.nodes = nodes
-        self._launch(widest_path(_thr_map(engine), "NEU", "NUS", 3) or ["NEU", "NUS"])
+        self._launch(BASELINE.choose_path(engine, "NEU", "NUS"))
 
     def _launch(self, path):
         self.path = path
-        instances = max(1, self.nodes // max(1, len(path) - 1))
-        plan = _materialise(self.engine, path, instances)
-        self.sessions.append(self.engine.transfers.execute(plan, HUGE, charge=False))
+        self.sessions.append(_execute(self.engine, path, self.nodes))
         self.engine.sim.schedule(self.replan_interval, self._replan)
 
     def _replan(self):
         session = self.sessions[-1]
         if session.done:
             return
-        fresh = widest_path(_thr_map(self.engine), "NEU", "NUS", 3) or [
-            "NEU", "NUS",
-        ]
+        fresh = BASELINE.choose_path(self.engine, "NEU", "NUS")
         if fresh != self.path:
             session.cancel()
             self._launch(fresh)

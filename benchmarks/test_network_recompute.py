@@ -39,7 +39,7 @@ from repro.analysis.tables import render_table
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow, FluidNetwork
 from repro.config import OverloadConfig
-from repro.flow import run_overload
+from repro.scenarios import run_overload
 from tests._fluid_oracle import EagerReferenceNetwork
 
 SEED = 24012

@@ -8,10 +8,14 @@ The package layers, bottom-up:
 * :mod:`repro.monitor` — the Monitoring Agent and its estimators;
 * :mod:`repro.transfer` — the Transfer Agent (chunks, routes, sessions);
 * :mod:`repro.core` — the Decision Manager: cost/time models, trade-off
-  engine, multi-datacenter path selection, and the public
-  :class:`~repro.core.api.SageSession` facade;
+  engine, multi-datacenter path selection;
 * :mod:`repro.streaming` — geo-distributed stream analysis on top of the
   managed transfer substrate;
+* :mod:`repro.flow`, :mod:`repro.faults`, :mod:`repro.control`,
+  :mod:`repro.gen` — overload handling, fault injection, the failover
+  control plane and the seeded scenario generator (components only);
+* :mod:`repro.scenarios` — the one scenario harness, the chaos /
+  overload / serve / soak scenarios built on it, and their registry;
 * :mod:`repro.baselines` — comparison systems (direct, static parallel,
   shortest-path variants, blob staging, GridFTP-like);
 * :mod:`repro.workloads` — synthetic and application workloads (A-Brain);

@@ -22,7 +22,7 @@ from repro.core.paths import widest_path
 from repro.transfer.plan import RouteAssignment, TransferPlan
 
 
-def _instances_for_budget(path: list[str], n_nodes: int) -> int:
+def instances_for_budget(path: list[str], n_nodes: int) -> int:
     """Parallel route instances affordable within the node budget.
 
     One instance costs a sender plus a relay per intermediate site
@@ -31,7 +31,7 @@ def _instances_for_budget(path: list[str], n_nodes: int) -> int:
     return max(1, n_nodes // max(1, len(path) - 1))
 
 
-def _materialise_path(
+def materialise_path(
     engine: SageEngine, path: list[str], instances: int, streams: int
 ) -> TransferPlan:
     cyclers = {
@@ -75,8 +75,8 @@ class StaticShortestPath:
         self, engine: SageEngine, src_region: str, dst_region: str, size: float
     ) -> BaselineResult:
         path = self.choose_path(engine, src_region, dst_region)
-        plan = _materialise_path(
-            engine, path, _instances_for_budget(path, self.n_nodes), self.streams
+        plan = materialise_path(
+            engine, path, instances_for_budget(path, self.n_nodes), self.streams
         )
         before = engine.env.meter.snapshot()
 
@@ -113,10 +113,10 @@ class DynamicShortestPath(StaticShortestPath):
 
         def _launch(done) -> None:
             path = self.choose_path(engine, src_region, dst_region)
-            plan = _materialise_path(
+            plan = materialise_path(
                 engine,
                 path,
-                _instances_for_budget(path, self.n_nodes),
+                instances_for_budget(path, self.n_nodes),
                 self.streams,
             )
             t_start = engine.sim.now

@@ -13,10 +13,10 @@ simulated cloud:
    $ sage disseminate NEU WEU,EUS,NUS 500MB    # multicast replication
    $ sage introspect --hours 2                 # delivered-SLA report
    $ sage stream --workload sensors --duration 300
-   $ sage chaos --seed 7 --duration 240        # fault-recovery report
+   $ sage --seed 7 chaos --duration 240        # fault-recovery report
    $ sage overload --policy shed               # overload-recovery report
    $ sage audit --jsonl violations.jsonl       # strict SLO/invariant audit
-   $ sage soak --hours 48 --seed 7             # generated adversarial soak
+   $ sage --seed 7 soak --hours 48             # generated adversarial soak
    $ sage soak --hours 2 --failovers 5         # leader-failover chaos soak
    $ sage serve --kill-leader-every 420        # resident service + failover
 
@@ -26,6 +26,7 @@ simulated cloud:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -34,8 +35,20 @@ from time import perf_counter
 
 from repro.analysis.introspection import introspection_report, streaming_report
 from repro.analysis.tables import render_table
+from repro.api import default_suite, run_experiment, run_sweep
+from repro.config import (
+    POLICIES,
+    ChaosConfig,
+    OverloadConfig,
+    ScenarioConfig,
+    ServeConfig,
+    SoakConfig,
+)
 from repro.core.dissemination import Disseminator
+from repro.flow.policy import FlowConfig
 from repro.obs import NULL_OBSERVER, Observer
+from repro.obs.dashboard import render_dashboard
+from repro.scenarios import SCENARIOS
 from repro.simulation.units import GB, KB, MB, TB, format_bytes, format_duration
 from repro.streaming.runtime import GeoStreamRuntime
 from repro.streaming.shipping import SageShipping
@@ -88,14 +101,8 @@ def _observer(args):
 
 
 def _force_observer(args) -> Observer:
-    """Commands that *are* observability (perf, dashboard) always record."""
-    if not _observer(args).enabled:
-        args._observer = Observer()
-    return args._observer
-
-
-def _scenario_observer(args) -> Observer:
-    """Chaos-class commands always fly with the black box armed.
+    """Commands that *are* observability (perf, dashboard) always record,
+    and scenario commands always fly with the black box armed.
 
     Even without ``--trace``/``--metrics``/``--flight-record`` the run
     keeps a flight-recorder ring, so a failing (or crashing) scenario
@@ -103,7 +110,9 @@ def _scenario_observer(args) -> Observer:
     post-mortem dump in :func:`main` must read the very observer the
     engine recorded into; a fresh one would be empty.
     """
-    return _force_observer(args)
+    if not _observer(args).enabled:
+        args._observer = Observer()
+    return args._observer
 
 
 def _dump_flight(args, rc) -> None:
@@ -226,12 +235,8 @@ def _stream_runtime(engine, args) -> GeoStreamRuntime:
         job = clickstream_job(site_regions=regions, aggregation_region="WUS")
     flow = None
     if getattr(args, "policy", None):
-        from repro.flow import FlowConfig
-
         flow = FlowConfig(policy=args.policy, max_backlog=args.max_backlog)
-    return GeoStreamRuntime(
-        engine, job, SageShipping.factory(n_nodes=2), flow=flow
-    )
+    return GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2), flow=flow)
 
 
 def cmd_stream(args) -> int:
@@ -251,41 +256,6 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.config import ChaosConfig
-    from repro.faults import run_chaos
-
-    report = run_chaos(
-        ChaosConfig(
-            seed=args.seed,
-            duration=args.duration,
-            inject=not args.no_faults,
-        ),
-        observer=_scenario_observer(args),
-    )
-    print(report.describe())
-    return 0 if report.clean else 1
-
-
-def cmd_overload(args) -> int:
-    from repro.config import OverloadConfig
-    from repro.flow import run_overload
-
-    report = run_overload(
-        OverloadConfig(
-            policy=args.policy,
-            seed=args.seed,
-            duration=args.duration,
-            max_backlog=args.max_backlog,
-            brownout=None if args.no_brownout else (70.0, 40.0, 0.0),
-            crash_at=None if args.no_crash else 150.0,
-        ),
-        observer=_scenario_observer(args),
-    )
-    print(report.describe())
-    return 0 if report.clean else 1
-
-
 def _write_violations(args, reports) -> int:
     """Write the ``--jsonl`` violation log; returns the violation count."""
     violations = [
@@ -303,29 +273,41 @@ def _write_violations(args, reports) -> int:
     return len(violations)
 
 
-def _write_report(args, report) -> None:
-    if args.report_json:
+def _overrides(args, scenario: str) -> dict:
+    """The config fields of ``scenario`` that ``args`` carries: every
+    scenario flag's ``dest`` is the field it sets (plus the global seed)."""
+    given = vars(args)
+    return {
+        f.name: given[f.name]
+        for f in dataclasses.fields(SCENARIOS[scenario][0])
+        if f.name in given
+    }
+
+
+def cmd_scenario(args) -> int:
+    """``chaos`` / ``overload`` / ``soak`` / ``serve``: flags → config → report."""
+    report = run_experiment(
+        args.command, _overrides(args, args.command), observer=_force_observer(args)
+    )
+    print(report.describe())
+    if hasattr(args, "jsonl"):  # soak, serve
+        _write_violations(args, [report])
+    if getattr(args, "report_json", None):
         with open(args.report_json, "w", encoding="utf-8") as fh:
             fh.write(report.canonical_json() + "\n")
         print(f"report: -> {args.report_json}")
+    if getattr(args, "digest", False):
+        # Bare digest on its own line: CI greps it to compare runs.
+        print(report.digest)
+    return 0 if report.clean else 1
 
 
 def cmd_audit(args) -> int:
     """Run scenarios under the continuous SLO auditor, strictly."""
-    from repro.api import run_experiment
-
-    obs = _scenario_observer(args)
-    overrides = {
-        "seed": args.seed,
-        "duration": args.duration,
-        "strict_slo": True,
-        "slo_max_latency_s": args.max_latency,
-        "slo_max_usd_per_1k": args.max_usd_per_1k,
-    }
-    arms = {"chaos": {}, "overload": {"policy": args.policy}}
+    obs = _force_observer(args)
     reports = [
-        run_experiment(name, {**overrides, **extra}, observer=obs)
-        for name, extra in arms.items()
+        run_experiment(name, {**_overrides(args, name), "strict_slo": True}, observer=obs)
+        for name in ("chaos", "overload")
         if args.scenario in (name, "all")
     ]
     for report in reports:
@@ -340,67 +322,8 @@ def cmd_audit(args) -> int:
     return 0 if all(r.clean for r in reports) and not violations else 1
 
 
-def cmd_soak(args) -> int:
-    """Run a seeded generated scenario for simulated hours, audited."""
-    from repro.config import SoakConfig
-    from repro.gen.soak import run_soak
-
-    report = run_soak(
-        SoakConfig(
-            seed=args.seed,
-            hours=args.hours,
-            profile=args.profile,
-            failovers=args.failovers,
-            check_interval=args.check_interval,
-            phase_hours=args.phase_hours,
-            strict_slo=not args.no_strict,
-            slo_max_latency_s=args.max_latency,
-            slo_max_usd_per_1k=args.max_usd_per_1k,
-        ),
-        observer=_scenario_observer(args),
-    )
-    print(report.describe())
-    _write_violations(args, [report])
-    _write_report(args, report)
-    if args.digest:
-        # Bare digest on its own line: CI greps it to compare runs.
-        print(report.digest)
-    return 0 if report.clean else 1
-
-
-def cmd_serve(args) -> int:
-    """Run the resident-service scenario: lease failover + live config."""
-    from repro.config import ServeConfig
-    from repro.control.scenario import run_serve
-
-    report = run_serve(
-        ServeConfig(
-            seed=args.seed,
-            duration=args.duration,
-            standby_regions=tuple(args.standbys.split(",")),
-            policy=args.policy,
-            kill_leader_every=args.kill_leader_every,
-            max_kills=args.max_kills,
-            reconfigure_at=args.reconfigure_at,
-            admission_rate=args.admission_rate,
-            lease_ttl=args.lease_ttl,
-            retry_budget=args.retry_budget,
-            strict_slo=not args.no_strict,
-            slo_max_latency_s=args.max_latency,
-            slo_max_usd_per_1k=args.max_usd_per_1k,
-        ),
-        observer=_scenario_observer(args),
-    )
-    print(report.describe())
-    _write_violations(args, [report])
-    _write_report(args, report)
-    return 0 if report.clean else 1
-
-
 def cmd_perf(args) -> int:
     """Profile one scenario; print the dashboard."""
-    from repro.obs.dashboard import render_dashboard
-
     # Coverage is attributed time against the whole command: engine
     # construction and the learning phase are part of what a user waits for.
     wall0 = perf_counter()
@@ -410,13 +333,8 @@ def cmd_perf(args) -> int:
         runtime = _stream_runtime(engine, args)
         runtime.run_for(args.duration)
     else:
-        from repro.api import run_experiment
-
         run_experiment(
-            args.scenario,
-            {"duration": args.duration},
-            seed=args.seed,
-            observer=obs,
+            args.scenario, {"duration": args.duration}, seed=args.seed, observer=obs
         )
     print(render_dashboard(obs, top=args.top,
                            title=f"SAGE perf — {args.scenario}",
@@ -426,8 +344,6 @@ def cmd_perf(args) -> int:
 
 def cmd_dashboard(args) -> int:
     """Run a streaming workload, re-rendering the dashboard as it goes."""
-    from repro.obs.dashboard import render_dashboard
-
     wall0 = perf_counter()
     obs = _force_observer(args)
     engine = _engine(args)
@@ -455,8 +371,6 @@ def cmd_dashboard(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.api import default_suite, run_sweep
-
     observer = _observer(args)
     report = run_sweep(
         default_suite(duration=args.duration, generated=args.generated),
@@ -475,36 +389,77 @@ def cmd_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
-def _add_audit_flags(p, report: str | None = None) -> None:
-    """SLO bounds + violation log; ``report`` adds the strictness
-    switch and the canonical-report dump of a single-scenario command."""
-    if report:
-        p.add_argument(
-            "--no-strict",
-            action="store_true",
-            help="report SLO violations without failing the command",
-        )
+#: ``--help`` text of the flags named after the config field they set, by
+#: parser (its ``prog``) then field; type, default and choices are the field's
+#: own (:mod:`repro.config`). A field missing here has no help text.
+_FIELD_HELP = {
+    "sage": {"seed": "experiment seed"},
+    "sage audit": {"policy": "overload policy for the overload arm"},
+    "sage soak": {
+        "hours": "simulated hours to soak (days are fine: 48h of the default profile runs in about two wall minutes)",
+        "profile": "generator intensity profile",
+        "failovers": "arm the control plane with warm standbys and spread exactly N unplanned leader kills across the middle of the run (0: no control plane)",
+        "check_interval": "simulated seconds between invariant checks",
+        "phase_hours": "report-phase length in hours (0: auto-split into up to 6 phases)",
+    },
+    "sage serve": {
+        "duration": "simulated seconds to serve",
+        "kill_leader_every": "kill the current lease holder every N simulated seconds (0: never); kills stop after 75%% of the run so the tail drains",
+        "max_kills": "cap scheduled kills (0: no cap beyond the time window)",
+        "policy": "overload policy of the serving pipeline",
+        "reconfigure_at": "apply the scripted live reconfiguration at this simulated time (0: none)",
+        "admission_rate": "per-site token-bucket admission rate in records/s (0: gate off)",
+        "lease_ttl": "leader lease TTL in simulated seconds",
+        "retry_budget": "cap concurrent shipping retries across all links (0: off)",
+    },
+}
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+_JSONL_HELP = "write the violation log (JSONL; empty file when clean)"
+#: Hand-named flags: option string -> (field it sets, argparse keywords).
+#: Left unset, each carries the config class's own default.
+_NAMED_FLAGS = {
+    "--no-faults": ("inject", {"action": "store_false", "help": "run the identical workload without injecting faults"}),
+    "--no-brownout": ("brownout", {"action": "store_const", "const": None, "help": "skip the mid-burst WAN link outage"}),
+    "--no-crash": ("crash_at", {"action": "store_const", "const": None, "help": "skip the aggregator crash/restart"}),
+    "--no-strict": ("strict_slo", {"action": "store_false", "help": "report SLO violations without failing the command"}),
+    "--standbys": ("standby_regions", {"type": lambda text: tuple(text.split(",")), "metavar": "STANDBYS", "help": "comma-separated warm-standby regions in promotion priority order"}),
+    "--max-latency": ("slo_max_latency_s", {"type": float, "metavar": "MAX_LATENCY", "help": "per-window end-to-end latency SLO in seconds"}),
+    "--max-usd-per-1k": ("slo_max_usd_per_1k", {"type": float, "metavar": "MAX_USD_PER_1K", "help": "cost SLO: attributed $ per 1000 ingested records"}),
+}
+
+
+def _add_field_flags(p, config_cls, *names: str) -> None:
+    """One flag per config field, in order: a field name is spelled
+    ``--field-name`` and typed by the field; an option string comes from
+    :data:`_NAMED_FLAGS`. Either way ``dest`` is the field and the default
+    is the config class's."""
+    fields, helps = config_cls.__dataclass_fields__, _FIELD_HELP.get(p.prog, {})
+    for name in names:
+        if name.startswith("--"):
+            dest, kwargs = _NAMED_FLAGS[name]
+            p.add_argument(name, dest=dest, default=fields[dest].default, **kwargs)
+        else:
+            f = fields[name]
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=_FIELD_TYPES[f.type],
+                default=f.default,
+                choices=f.metadata.get("choices"),
+                help=helps.get(name),
+            )
+
+
+def _add_audit_flags(p, config_cls) -> None:
+    """What a single audited scenario (``soak``, ``serve``) adds: strictness
+    switch, SLO bounds, violation log, canonical-report dump."""
+    _add_field_flags(p, config_cls, "--no-strict", "--max-latency", "--max-usd-per-1k")
+    p.add_argument("--jsonl", metavar="PATH", help=_JSONL_HELP)
+    report = config_cls.__name__.removesuffix("Config")
     p.add_argument(
-        "--max-latency",
-        type=float,
-        help="per-window end-to-end latency SLO in seconds",
-    )
-    p.add_argument(
-        "--max-usd-per-1k",
-        type=float,
-        help="cost SLO: attributed $ per 1000 ingested records",
-    )
-    p.add_argument(
-        "--jsonl",
+        "--report-json",
         metavar="PATH",
-        help="write the violation log (JSONL; empty file when clean)",
+        help=f"write the canonical {report}Report JSON to PATH",
     )
-    if report:
-        p.add_argument(
-            "--report-json",
-            metavar="PATH",
-            help=f"write the canonical {report}Report JSON to PATH",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -513,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sage",
         description="Geo-distributed data analysis over a simulated cloud.",
     )
-    parser.add_argument("--seed", type=int, default=2013, help="experiment seed")
+    _add_field_flags(parser, ScenarioConfig, "seed")
     parser.add_argument(
         "--deploy",
         help="deployment spec REGION:N,... (default: standard 40-node)",
@@ -573,40 +528,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument(
         "--policy",
-        choices=("block", "shed", "degrade"),
+        choices=POLICIES,
         help="enable flow control with this overload policy",
     )
-    p.add_argument("--max-backlog", type=int, default=50_000)
+    _add_field_flags(p, FlowConfig, "max_backlog")
 
     p = sub.add_parser(
         "chaos",
         help="run the scripted fault-recovery scenario and print the report",
     )
-    p.add_argument("--duration", type=float, default=240.0)
-    p.add_argument(
-        "--no-faults",
-        action="store_true",
-        help="run the identical workload without injecting faults",
-    )
+    _add_field_flags(p, ChaosConfig, "duration", "--no-faults")
 
     p = sub.add_parser(
         "overload",
         help="run the scripted overload-recovery scenario and print the report",
     )
-    p.add_argument(
-        "--policy", choices=("block", "shed", "degrade"), default="block"
-    )
-    p.add_argument("--duration", type=float, default=240.0)
-    p.add_argument("--max-backlog", type=int, default=1500)
-    p.add_argument(
-        "--no-brownout",
-        action="store_true",
-        help="skip the mid-burst WAN link outage",
-    )
-    p.add_argument(
-        "--no-crash",
-        action="store_true",
-        help="skip the aggregator crash/restart",
+    _add_field_flags(
+        p, OverloadConfig, "policy", "duration", "max_backlog",
+        "--no-brownout", "--no-crash",
     )
 
     p = sub.add_parser(
@@ -614,58 +553,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="run scenarios under the continuous SLO auditor "
         "(strict: any violation fails the command)",
     )
-    p.add_argument(
-        "--scenario", choices=("chaos", "overload", "all"), default="all"
+    p.add_argument("--scenario", choices=("chaos", "overload", "all"), default="all")
+    _add_field_flags(
+        p, OverloadConfig, "duration", "policy", "--max-latency", "--max-usd-per-1k"
     )
-    p.add_argument("--duration", type=float, default=240.0)
-    p.add_argument(
-        "--policy",
-        choices=("block", "shed", "degrade"),
-        default="block",
-        help="overload policy for the overload arm",
-    )
-    _add_audit_flags(p)
+    p.add_argument("--jsonl", metavar="PATH", help=_JSONL_HELP)
 
     p = sub.add_parser(
         "soak",
         help="generate a seeded adversarial scenario and soak it for "
         "simulated hours under the continuous SLO auditor",
     )
-    p.add_argument(
-        "--hours",
-        type=float,
-        default=2.0,
-        help="simulated hours to soak (days are fine: 48h of the "
-        "default profile runs in about two wall minutes)",
+    _add_field_flags(
+        p, SoakConfig, "hours", "profile", "failovers", "check_interval", "phase_hours"
     )
-    p.add_argument(
-        "--profile",
-        choices=("calm", "diurnal", "adversarial", "hostile"),
-        default="adversarial",
-        help="generator intensity profile",
-    )
-    p.add_argument(
-        "--failovers",
-        type=int,
-        default=0,
-        help="arm the control plane with warm standbys and spread "
-        "exactly N unplanned leader kills across the middle of the "
-        "run (0: no control plane)",
-    )
-    p.add_argument(
-        "--check-interval",
-        type=float,
-        default=30.0,
-        help="simulated seconds between invariant checks",
-    )
-    p.add_argument(
-        "--phase-hours",
-        type=float,
-        default=0.0,
-        help="report-phase length in hours (0: auto-split into up to "
-        "6 phases)",
-    )
-    _add_audit_flags(p, report="Soak")
+    _add_audit_flags(p, SoakConfig)
     p.add_argument(
         "--digest",
         action="store_true",
@@ -677,87 +579,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident service mode: leader-lease failover, live "
         "reconfiguration, and admission control under audit",
     )
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=1800.0,
-        help="simulated seconds to serve",
+    _add_field_flags(
+        p, ServeConfig, "duration", "kill_leader_every", "max_kills", "--standbys",
+        "policy", "reconfigure_at", "admission_rate", "lease_ttl", "retry_budget",
     )
-    p.add_argument(
-        "--kill-leader-every",
-        type=float,
-        default=420.0,
-        help="kill the current lease holder every N simulated seconds "
-        "(0: never); kills stop after 75%% of the run so the tail "
-        "drains",
-    )
-    p.add_argument(
-        "--max-kills",
-        type=int,
-        default=0,
-        help="cap scheduled kills (0: no cap beyond the time window)",
-    )
-    p.add_argument(
-        "--standbys",
-        default="EUS,SUS",
-        help="comma-separated warm-standby regions in promotion "
-        "priority order",
-    )
-    p.add_argument(
-        "--policy",
-        choices=("block", "shed", "degrade"),
-        default="block",
-        help="overload policy of the serving pipeline",
-    )
-    p.add_argument(
-        "--reconfigure-at",
-        type=float,
-        default=600.0,
-        help="apply the scripted live reconfiguration at this "
-        "simulated time (0: none)",
-    )
-    p.add_argument(
-        "--admission-rate",
-        type=float,
-        default=0.0,
-        help="per-site token-bucket admission rate in records/s "
-        "(0: gate off)",
-    )
-    p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=10.0,
-        help="leader lease TTL in simulated seconds",
-    )
-    p.add_argument(
-        "--retry-budget",
-        type=int,
-        default=0,
-        help="cap concurrent shipping retries across all links (0: off)",
-    )
-    _add_audit_flags(p, report="Serve")
+    _add_audit_flags(p, ServeConfig)
 
     p = sub.add_parser(
         "perf",
         help="profile a scenario: hot stages, throughput",
     )
     p.add_argument("scenario", choices=("stream", "chaos", "overload"))
-    p.add_argument(
-        "--workload", choices=("sensors", "clicks"), default="sensors"
-    )
+    p.add_argument("--workload", choices=("sensors", "clicks"), default="sensors")
     p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--max-backlog", type=int, default=50_000)
+    _add_field_flags(p, FlowConfig, "max_backlog")
     p.add_argument("--top", type=int, default=10, help="hot stages shown")
 
     p = sub.add_parser(
         "dashboard",
         help="live-updating text perf dashboard over a streaming run",
     )
-    p.add_argument(
-        "--workload", choices=("sensors", "clicks"), default="sensors"
-    )
+    p.add_argument("--workload", choices=("sensors", "clicks"), default="sensors")
     p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--max-backlog", type=int, default=50_000)
+    _add_field_flags(p, FlowConfig, "max_backlog")
     p.add_argument(
         "--refresh",
         type=float,
@@ -819,11 +663,11 @@ _COMMANDS = {
     "disseminate": cmd_disseminate,
     "introspect": cmd_introspect,
     "stream": cmd_stream,
-    "chaos": cmd_chaos,
-    "overload": cmd_overload,
+    "chaos": cmd_scenario,
+    "overload": cmd_scenario,
     "audit": cmd_audit,
-    "soak": cmd_soak,
-    "serve": cmd_serve,
+    "soak": cmd_scenario,
+    "serve": cmd_scenario,
     "perf": cmd_perf,
     "dashboard": cmd_dashboard,
     "sweep": cmd_sweep,

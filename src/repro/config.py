@@ -1,25 +1,22 @@
 """Frozen configuration dataclasses — the one constructor surface.
 
-Historically every layer grew its own calling convention: scenarios took
-long ad-hoc keyword lists, baselines took positional knobs, and only
-``FlowConfig``/``MonitorConfig``/``DecisionConfig`` were proper
-dataclasses. This module unifies them: every tunable surface is a frozen
-dataclass deriving from :class:`ConfigBase`, which adds symmetric
-``to_dict``/``from_dict`` (JSON round-trip safe — tuple-typed fields are
-re-tupled on the way in) and ``replace``. Dict form is what the sweep
-runner hashes for cache keys and ships across process boundaries, so the
-round trip must be loss-free.
+Every tunable surface is a frozen dataclass deriving from
+:class:`ConfigBase`, which adds symmetric ``to_dict``/``from_dict`` (JSON
+round-trip safe — tuple-typed fields are re-tupled on the way in) and
+``replace``. Dict form is what the sweep runner hashes for cache keys and
+ships across process boundaries, so the round trip must be loss-free.
 
 Scenario entry points and the baseline constructors take a config
 object, its dict, or ``None`` and nothing else, see
-:func:`resolve_config`.
+:func:`resolve_config`. A scenario field is declared once, here: the CLI
+reads each flag's type, default and ``choices`` off the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.simulation.units import MB
 
@@ -59,22 +56,38 @@ class ConfigBase:
         return dataclasses.replace(self, **changes)
 
 
+def _require_positive(cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
+def _require_non_negative(cfg, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 # ----------------------------------------------------------------------
 # Scenario configurations
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChaosConfig(ConfigBase):
-    """Configuration of the scripted fault-recovery scenario."""
+#: Overload policy names (:mod:`repro.flow.policy` implements them).
+POLICIES = ("block", "shed", "degrade")
+
+#: Named generator presets the soak harness accepts (see
+#: :data:`repro.gen.GEN_PROFILES` for the corresponding knob sets).
+SOAK_PROFILES = ("calm", "diurnal", "adversarial", "hostile")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(ConfigBase):
+    """What every scenario config shares — the part the harness reads.
+
+    A field whose metadata carries ``choices`` is checked against them
+    here; the CLI offers the same tuple.
+    """
 
     seed: int = 2013
-    duration: float = 240.0
-    site_regions: tuple[str, str] = ("NEU", "WEU")
-    aggregation_region: str = "NUS"
-    records_per_s: float = 300.0
-    #: Arm the scripted fault plan (False = fault-free control run).
-    inject: bool = True
-    delivery_timeout: float = 15.0
-    max_retries: int = 8
     #: When set, invariant/SLO violations found by the continuous
     #: auditor fail the scenario (``report.clean`` turns False).
     strict_slo: bool = False
@@ -84,24 +97,43 @@ class ChaosConfig(ConfigBase):
     slo_max_usd_per_1k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.records_per_s <= 0:
-            raise ValueError("records_per_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.slo_max_latency_s is not None and self.slo_max_latency_s <= 0:
-            raise ValueError("slo_max_latency_s must be positive")
-        if self.slo_max_usd_per_1k is not None and self.slo_max_usd_per_1k <= 0:
-            raise ValueError("slo_max_usd_per_1k must be positive")
+        for name in ("slo_max_latency_s", "slo_max_usd_per_1k"):
+            bound = getattr(self, name)
+            if bound is not None and bound <= 0:
+                raise ValueError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(
+                    f"unknown {f.name} {getattr(self, f.name)!r}; "
+                    f"choose from {choices}"
+                )
 
 
 @dataclass(frozen=True)
-class OverloadConfig(ConfigBase):
+class ChaosConfig(ScenarioConfig):
+    """Configuration of the scripted fault-recovery scenario."""
+
+    duration: float = 240.0
+    site_regions: tuple[str, str] = ("NEU", "WEU")
+    aggregation_region: str = "NUS"
+    records_per_s: float = 300.0
+    #: Arm the scripted fault plan (False = fault-free control run).
+    inject: bool = True
+    delivery_timeout: float = 15.0
+    max_retries: int = 8
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require_positive(self, "duration", "records_per_s")
+        _require_non_negative(self, "max_retries")
+
+
+@dataclass(frozen=True)
+class OverloadConfig(ScenarioConfig):
     """Configuration of the scripted overload-recovery scenario."""
 
-    policy: str = "block"
-    seed: int = 2013
+    policy: str = field(default="block", metadata={"choices": POLICIES})
     duration: float = 240.0
     site_regions: tuple[str, str] = ("NEU", "WEU")
     aggregation_region: str = "NUS"
@@ -116,30 +148,12 @@ class OverloadConfig(ConfigBase):
     crash_at: float | None = 150.0
     restart_after: float = 15.0
     checkpoint_interval: float = 15.0
-    #: When set, invariant/SLO violations found by the continuous
-    #: auditor fail the scenario (``report.clean`` turns False).
-    strict_slo: bool = False
-    #: Per-window end-to-end latency SLO in seconds (None = no SLO).
-    slo_max_latency_s: float | None = None
-    #: Cost SLO: attributed streaming $ per 1000 raw records.
-    slo_max_usd_per_1k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        super().__post_init__()
+        _require_positive(self, "duration", "max_backlog")
         if self.burst_factor < 1:
             raise ValueError("burst_factor must be >= 1")
-        if self.max_backlog <= 0:
-            raise ValueError("max_backlog must be positive")
-        if self.slo_max_latency_s is not None and self.slo_max_latency_s <= 0:
-            raise ValueError("slo_max_latency_s must be positive")
-        if self.slo_max_usd_per_1k is not None and self.slo_max_usd_per_1k <= 0:
-            raise ValueError("slo_max_usd_per_1k must be positive")
-
-
-#: Named generator presets the soak harness accepts (see
-#: :data:`repro.gen.GEN_PROFILES` for the corresponding knob sets).
-SOAK_PROFILES = ("calm", "diurnal", "adversarial", "hostile")
 
 
 @dataclass(frozen=True)
@@ -150,7 +164,7 @@ class GenConfig(ConfigBase):
     crowds, slow drift in record sizes); adversity knobs are expected
     event counts *per simulated day* — a two-hour soak scales them down
     proportionally, a two-day soak scales them up. All sampling is
-    driven by seeds derived via :func:`repro.runner.seeds.derive_seed`,
+    driven by seeds derived via :func:`repro.simulation.random.derive_seed`,
     so the same ``(seed, GenConfig)`` pair always renders the same
     schedules and fault plans, in any process.
     """
@@ -217,23 +231,22 @@ class GenConfig(ConfigBase):
             raise ValueError("base_rate bounds must satisfy 0 < min <= max")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
-        for name in ("diurnal_period_s", "drift_period_s",
-                     "schedule_resolution_s", "window_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(
+            self, "diurnal_period_s", "drift_period_s", "schedule_resolution_s",
+            "window_s",
+        )
         if not 0.0 < self.slow_burn_floor <= 1.0:
             raise ValueError("slow_burn_floor must be in (0, 1]")
         if not 0.0 < self.flap_scale_min <= self.flap_scale_max <= 1.0:
             raise ValueError("flap_scale bounds must satisfy 0 < min <= max <= 1")
-        for name in ("outages_per_day", "flaps_per_day", "slow_burns_per_day",
-                     "dup_windows_per_day", "drop_windows_per_day",
-                     "leader_kills_per_day"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _require_non_negative(
+            self, "outages_per_day", "flaps_per_day", "slow_burns_per_day",
+            "dup_windows_per_day", "drop_windows_per_day", "leader_kills_per_day",
+        )
 
 
 @dataclass(frozen=True)
-class SoakConfig(ConfigBase):
+class SoakConfig(ScenarioConfig):
     """Configuration of the long-horizon generated soak scenario.
 
     The scenario itself is *sampled*: ``(seed, profile)`` feed the
@@ -242,11 +255,10 @@ class SoakConfig(ConfigBase):
     flat and JSON-safe — exactly what the sweep cache hashes.
     """
 
-    seed: int = 2013
     #: Simulated hours the soak covers (faults and traffic included).
     hours: float = 2.0
     #: Generator preset (see :data:`SOAK_PROFILES`).
-    profile: str = "adversarial"
+    profile: str = field(default="adversarial", metadata={"choices": SOAK_PROFILES})
     #: Virtual seconds between continuous-auditor checks.
     check_interval: float = 30.0
     #: Simulated hours per report phase (0 = auto: ~6 phases).
@@ -256,7 +268,7 @@ class SoakConfig(ConfigBase):
     #: and skipping snapshots keeps multi-day runs fast).
     checkpoint_interval: float = 0.0
     #: Overload policy of the generated job (``block`` is lossless).
-    policy: str = "block"
+    policy: str = field(default="block", metadata={"choices": POLICIES})
     max_backlog: int = 20_000
     delivery_timeout: float = 15.0
     max_retries: int = 10
@@ -265,39 +277,15 @@ class SoakConfig(ConfigBase):
     #: standbys are provisioned, and exactly this many ``leader.kill``
     #: events are spread deterministically across the middle of the run.
     failovers: int = 0
-    #: When set, any auditor violation fails the scenario (soaks are
-    #: strict by default — that is their whole point).
+    #: Soaks are strict by default — that is their whole point.
     strict_slo: bool = True
-    #: Per-window end-to-end latency SLO in seconds (None = no SLO).
-    slo_max_latency_s: float | None = None
-    #: Cost SLO: attributed streaming $ per 1000 raw records.
-    slo_max_usd_per_1k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.hours <= 0:
-            raise ValueError("hours must be positive")
-        if self.profile not in SOAK_PROFILES:
-            raise ValueError(
-                f"unknown profile {self.profile!r}; choose from {SOAK_PROFILES}"
-            )
-        if self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
-        if self.phase_hours < 0:
-            raise ValueError("phase_hours must be >= 0")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
-        if self.policy not in ("block", "shed", "degrade"):
-            raise ValueError("policy must be block, shed, or degrade")
-        if self.max_backlog <= 0:
-            raise ValueError("max_backlog must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.failovers < 0:
-            raise ValueError("failovers must be >= 0")
-        if self.slo_max_latency_s is not None and self.slo_max_latency_s <= 0:
-            raise ValueError("slo_max_latency_s must be positive")
-        if self.slo_max_usd_per_1k is not None and self.slo_max_usd_per_1k <= 0:
-            raise ValueError("slo_max_usd_per_1k must be positive")
+        super().__post_init__()
+        _require_positive(self, "hours", "check_interval", "max_backlog")
+        _require_non_negative(
+            self, "phase_hours", "checkpoint_interval", "max_retries", "failovers"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -338,18 +326,15 @@ class ControlConfig(ConfigBase):
     admission_burst_s: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("lease_ttl", "renew_interval", "watch_interval",
-                     "promotion_delay"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("sync_delay", "cold_fetch_delay", "respawn_delay",
-                     "admission_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _require_positive(
+            self, "lease_ttl", "renew_interval", "watch_interval", "promotion_delay",
+            "admission_burst_s",
+        )
+        _require_non_negative(
+            self, "sync_delay", "cold_fetch_delay", "respawn_delay", "admission_rate"
+        )
         if self.renew_interval >= self.lease_ttl:
             raise ValueError("renew_interval must be < lease_ttl")
-        if self.admission_burst_s <= 0:
-            raise ValueError("admission_burst_s must be positive")
 
     @property
     def mttr_bound(self) -> float:
@@ -359,7 +344,7 @@ class ControlConfig(ConfigBase):
 
 
 @dataclass(frozen=True)
-class ServeConfig(ConfigBase):
+class ServeConfig(ScenarioConfig):
     """Configuration of the resident-service scenario (``sage serve``).
 
     A long-lived session with the control plane armed: warm standbys
@@ -368,7 +353,6 @@ class ServeConfig(ConfigBase):
     checks split-brain / MTTR / exactly-once invariants throughout.
     """
 
-    seed: int = 2013
     duration: float = 1800.0
     site_regions: tuple[str, ...] = ("NEU", "WEU")
     aggregation_region: str = "NUS"
@@ -376,7 +360,7 @@ class ServeConfig(ConfigBase):
     #: order (first = highest priority).
     standby_regions: tuple[str, ...] = ("EUS", "SUS")
     base_rate: float = 60.0
-    policy: str = "block"
+    policy: str = field(default="block", metadata={"choices": POLICIES})
     max_backlog: int = 5000
     checkpoint_interval: float = 10.0
     #: Kill the current leader every this many seconds (0 = never).
@@ -397,12 +381,17 @@ class ServeConfig(ConfigBase):
     #: Cap on concurrent retry attempts across all site links (0 = off).
     retry_budget: int = 0
     strict_slo: bool = True
-    slo_max_latency_s: float | None = None
-    slo_max_usd_per_1k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        super().__post_init__()
+        _require_positive(
+            self, "duration", "base_rate", "max_backlog", "checkpoint_interval",
+            "lease_ttl", "promotion_delay",
+        )
+        _require_non_negative(
+            self, "kill_leader_every", "reconfigure_at", "admission_rate",
+            "respawn_delay", "max_kills", "retry_budget", "max_retries",
+        )
         if not self.site_regions:
             raise ValueError("site_regions must be non-empty")
         if not self.standby_regions:
@@ -413,30 +402,6 @@ class ServeConfig(ConfigBase):
             raise ValueError(
                 f"standby_regions must not overlap sites/aggregation: {sorted(overlap)}"
             )
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if self.policy not in ("block", "shed", "degrade"):
-            raise ValueError("policy must be block, shed, or degrade")
-        if self.max_backlog <= 0:
-            raise ValueError("max_backlog must be positive")
-        if self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
-        for name in ("kill_leader_every", "reconfigure_at", "admission_rate",
-                     "respawn_delay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.max_kills < 0:
-            raise ValueError("max_kills must be >= 0")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        if self.lease_ttl <= 0 or self.promotion_delay <= 0:
-            raise ValueError("lease_ttl and promotion_delay must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.slo_max_latency_s is not None and self.slo_max_latency_s <= 0:
-            raise ValueError("slo_max_latency_s must be positive")
-        if self.slo_max_usd_per_1k is not None and self.slo_max_usd_per_1k <= 0:
-            raise ValueError("slo_max_usd_per_1k must be positive")
 
     def control(self) -> ControlConfig:
         """Derive the control-plane knob set from the scenario knobs."""

@@ -1,9 +1,9 @@
 """``repro.control`` — the resident-service control plane.
 
 Leader lease + standby promotion (:mod:`repro.control.lease`,
-:mod:`repro.control.plane`), ingress admission control
-(:mod:`repro.control.admission`), and the scripted service scenario
-behind ``sage serve`` (:mod:`repro.control.scenario`).
+:mod:`repro.control.plane`) and ingress admission control
+(:mod:`repro.control.admission`); ``sage serve`` drives them through
+:mod:`repro.scenarios.serve`.
 """
 
 from repro.control.admission import AdmissionGate
@@ -14,7 +14,6 @@ from repro.control.plane import (
     FailoverEvent,
     Replica,
 )
-from repro.control.scenario import ServeResult, run_serve
 
 __all__ = [
     "APPLY_KEYS",
@@ -23,6 +22,4 @@ __all__ = [
     "FailoverEvent",
     "LeaderLease",
     "Replica",
-    "ServeResult",
-    "run_serve",
 ]

@@ -17,7 +17,6 @@ from repro.core.dissemination import (
     plan_dissemination,
 )
 from repro.core.engine import SageEngine
-from repro.core.api import SageSession
 from repro.core.paths import (
     MultiPathSelector,
     PathAllocation,
@@ -38,7 +37,6 @@ __all__ = [
     "DecisionConfig",
     "ManagedTransfer",
     "SageEngine",
-    "SageSession",
     "TransferTimeModel",
     "TradeoffAnalyzer",
     "TransferOption",

@@ -13,7 +13,6 @@ consults.
 
 from repro.faults.injector import AppliedFault, FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, chaos_scenario
-from repro.faults.scenario import ChaosResult, run_chaos
 
 __all__ = [
     "FaultKind",
@@ -22,6 +21,4 @@ __all__ = [
     "FaultInjector",
     "AppliedFault",
     "chaos_scenario",
-    "ChaosResult",
-    "run_chaos",
 ]

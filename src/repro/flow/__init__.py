@@ -1,7 +1,6 @@
 """End-to-end backpressure, load shedding, and checkpoint/restore.
 
-PR 2 made the system survive *failures*; this package makes it survive
-*overload*. It provides:
+This package makes the system survive *overload*. It provides:
 
 * bounded ingest/shipping buffers with pluggable overload policies
   (:mod:`repro.flow.policy` — ``block`` / ``shed`` / ``degrade``) and
@@ -12,10 +11,9 @@ PR 2 made the system survive *failures*; this package makes it survive
 * durable checkpoint/restore of streaming state
   (:mod:`repro.flow.checkpoint`), which — combined with upstream batch
   retention and ``(origin, seq)`` dedup — upgrades at-least-once
-  delivery into exactly-once window emission across aggregator restarts;
-* the scripted overload-recovery scenario behind ``sage overload``
-  (:mod:`repro.flow.scenario`, imported lazily to avoid a circular
-  import with the streaming runtime).
+  delivery into exactly-once window emission across aggregator restarts.
+
+``sage overload`` scripts all of it through :mod:`repro.scenarios.overload`.
 """
 
 from repro.flow.breaker import CircuitBreaker
@@ -43,16 +41,4 @@ __all__ = [
     "CircuitBreaker",
     "CheckpointStore",
     "Checkpointer",
-    "OverloadResult",
-    "run_overload",
 ]
-
-
-def __getattr__(name):
-    # ``scenario`` imports the streaming runtime, which imports this
-    # package for FlowConfig — resolve the cycle by loading it lazily.
-    if name in ("OverloadResult", "run_overload"):
-        from repro.flow import scenario
-
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,12 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import ConfigBase
+from repro.config import POLICIES, ConfigBase
 
 if TYPE_CHECKING:
     from repro.streaming.records import RecordBatch
-
-POLICIES = ("block", "shed", "degrade")
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,6 @@ class FlowConfig(ConfigBase):
     policy: str = "block"
     #: Hard bound on each site's ingest buffer (records).
     max_backlog: int = 50_000
-    #: Max unacknowledged batches in flight per shipping backend
-    #: (the receiver-granted credit window). ``None`` = unlimited.
-    max_inflight: int | None = 16
-    #: Bound on batches parked behind the in-flight window / an open
-    #: breaker before the shipping layer itself starts shedding
-    #: (``None`` = unlimited; ``block`` should keep this generous).
-    max_pending: int | None = 256
     #: ``shed`` trimming mode: ``oldest`` (drop-oldest) or ``sample``
     #: (probabilistically refuse arrivals once full).
     shed_mode: str = "oldest"
@@ -64,10 +55,6 @@ class FlowConfig(ConfigBase):
     #: Hysteresis: coarse mode / source pause clears once the buffer
     #: falls below ``resume_ratio × max_backlog``.
     resume_ratio: float = 0.5
-    #: Consecutive delivery timeouts before a WAN circuit breaker opens.
-    breaker_threshold: int = 3
-    #: Seconds an open breaker waits before the half-open probe.
-    breaker_reset: float = 30.0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -83,10 +70,6 @@ class FlowConfig(ConfigBase):
             raise ValueError("degrade_factor must be >= 2")
         if not 0.0 < self.resume_ratio <= 1.0:
             raise ValueError("resume_ratio must be in (0, 1]")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_reset <= 0:
-            raise ValueError("breaker_reset must be positive")
 
 
 class OverloadPolicy:

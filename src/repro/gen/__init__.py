@@ -1,10 +1,10 @@
-"""repro.gen: seeded adversarial scenario generation + soak harness.
+"""repro.gen: seeded adversarial scenario generation.
 
 The generator turns one root seed into a full scenario — deployment
 layout, heterogeneous time-varying traffic, and a correlated fault
-program — and the soak runner executes it over simulated days with the
-SLO auditor checking invariants continuously. Everything renders into
-existing primitives (``ScheduleSource`` rate programs, ``FaultPlan``
+program — and :mod:`repro.scenarios.soak` executes it over simulated days
+with the SLO auditor checking invariants continuously. Everything renders
+into existing primitives (``ScheduleSource`` rate programs, ``FaultPlan``
 schedules), so generated scenarios replay bit-identically through the
 same machinery the scripted scenarios use.
 """
@@ -16,7 +16,6 @@ from repro.gen.scenario import (
     GeneratedScenario,
     ScenarioGenerator,
 )
-from repro.gen.soak import SoakResult, SoakRunner, run_soak
 from repro.gen.traffic import (
     FlashCrowd,
     RateSchedule,
@@ -31,11 +30,8 @@ __all__ = [
     "GeneratedScenario",
     "RateSchedule",
     "ScenarioGenerator",
-    "SoakResult",
-    "SoakRunner",
     "SourceProgram",
     "TrafficProgram",
     "regional_outage",
-    "run_soak",
     "slow_burn",
 ]

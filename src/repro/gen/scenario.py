@@ -1,6 +1,6 @@
 """The seeded scenario generator.
 
-One root seed expands — through :func:`~repro.runner.seeds.derive_seed`
+One root seed expands — through :func:`~repro.simulation.random.derive_seed`
 sub-streams, so every sampled axis is independent and process-stable —
 into a full scenario: deployment layout, per-region heterogeneous
 traffic programs, and a correlated adversity program rendered as an
@@ -33,7 +33,7 @@ from repro.gen.traffic import (
     render_rates,
     render_sizes,
 )
-from repro.runner.seeds import derive_seed
+from repro.simulation.random import derive_seed
 from repro.workloads.mixes import WORKLOAD_SHAPES
 
 #: Region universe the generator samples deployments from.

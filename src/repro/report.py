@@ -1,12 +1,11 @@
 """Typed result surfaces shared by scenarios, the runner, and the CLI.
 
-Every scripted scenario (``run_chaos``, ``run_overload``, future sweeps)
-returns the same :class:`ScenarioReport` envelope: the scenario name,
-the exact configuration it ran with, wall/virtual time, an optional
-metrics snapshot, and the scenario-specific payload under ``details``.
-Attribute access falls through to the payload, so
-``report.ingested`` / ``report.clean`` keep working wherever the old
-payload dataclasses (``ChaosResult``, ``OverloadResult``) were used.
+Every scenario (``run_chaos``, ``run_overload``, ``run_serve``,
+``run_soak``) returns the same :class:`ScenarioReport` envelope: the
+scenario name, the exact configuration it ran with, wall/virtual time, an
+optional metrics snapshot, and the scenario's own payload dataclass under
+``details``. Attribute access falls through to the payload
+(``report.ingested``, ``report.faults``, ``report.digest``).
 
 :meth:`ScenarioReport.canonical_dict` is the *deterministic* projection:
 everything derived from the seed and the configuration, nothing derived
@@ -78,15 +77,14 @@ class ScenarioReport:
     virtual_seconds: float
     #: Host seconds the run took (NOT part of the canonical projection).
     wall_seconds: float
-    #: Scenario payload (``ChaosResult``, ``OverloadResult``, ...).
+    #: Scenario payload (a :class:`~repro.scenarios.harness.ScenarioPayload`).
     details: Any = None
     #: Observer counter/gauge snapshot (NOT canonical; may be empty).
     metrics: dict[str, float] = field(default_factory=dict)
 
     def __getattr__(self, name: str) -> Any:
         # Only called for attributes not found on the report itself:
-        # fall through to the payload so legacy field access keeps
-        # working (report.ingested, report.clean, report.faults, ...).
+        # fall through to the payload (report.ingested, report.faults, ...).
         if name.startswith("__"):
             raise AttributeError(name)
         details = object.__getattribute__(self, "details")

@@ -5,8 +5,8 @@ job whose output is bit-identical to a serial run:
 
 * :mod:`repro.runner.seeds` — stable child-seed derivation (SHA-256 of
   root seed + shard key; process- and platform-independent);
-* :mod:`repro.runner.tasks` — :class:`SweepTask` shards and the scenario
-  registry the workers resolve them against;
+* :mod:`repro.runner.tasks` — :class:`SweepTask` shards and the worker
+  entry point that resolves them against :mod:`repro.scenarios`;
 * :mod:`repro.runner.cache` — content-addressed result cache keyed by
   (code fingerprint, scenario, canonical config, seed);
 * :mod:`repro.runner.pool` — :class:`SweepRunner`, the spawn-based pool;
@@ -18,12 +18,7 @@ from repro.runner.cache import ResultCache, code_fingerprint
 from repro.runner.pool import SweepRunner
 from repro.runner.report import ShardResult, SweepReport
 from repro.runner.seeds import derive_seed, shard_key
-from repro.runner.tasks import (
-    SweepTask,
-    execute_task,
-    register_scenario,
-    registered_scenarios,
-)
+from repro.runner.tasks import SweepTask, execute_task
 
 __all__ = [
     "ResultCache",
@@ -34,7 +29,5 @@ __all__ = [
     "code_fingerprint",
     "derive_seed",
     "execute_task",
-    "register_scenario",
-    "registered_scenarios",
     "shard_key",
 ]

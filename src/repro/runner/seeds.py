@@ -1,41 +1,5 @@
-"""Deterministic per-shard seed derivation.
+"""Per-shard seed derivation: the names live beside the RNG registry."""
 
-A sweep gets one root seed; every shard derives its own child seed as a
-stable hash of ``(root_seed, shard key)``. "Stable" is load-bearing:
-the derivation must not depend on the process (``hash()`` is salted per
-interpreter), the platform, or the dict ordering of the key material —
-otherwise ``--jobs 4`` and ``--jobs 1`` would simulate different
-universes. SHA-256 over a canonical JSON encoding gives all three
-properties, and the property tests pin them across real process
-boundaries.
-"""
+from repro.simulation.random import SEED_BITS, derive_seed, shard_key
 
-from __future__ import annotations
-
-import hashlib
-
-from repro.report import canonical_json
-
-#: Child seeds live in [0, 2**63): positive, and safe for any consumer
-#: that stores them in a signed 64-bit field.
-SEED_BITS = 63
-
-
-def shard_key(*parts) -> str:
-    """Canonical string form of a shard's identity.
-
-    Accepts any JSON-representable parts (strings, numbers, dicts,
-    dataclasses); dict key order does not matter.
-    """
-    return canonical_json(list(parts))
-
-
-def derive_seed(root_seed: int, *parts) -> int:
-    """Child seed for the shard identified by ``parts`` under ``root_seed``.
-
-    Deterministic across processes, platforms and Python versions;
-    different roots or different shard keys give independent seeds.
-    """
-    material = f"{int(root_seed)}\x1f{shard_key(*parts)}".encode()
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:8], "big") >> (64 - SEED_BITS)
+__all__ = ["SEED_BITS", "derive_seed", "shard_key"]

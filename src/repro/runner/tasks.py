@@ -2,15 +2,14 @@
 
 A :class:`SweepTask` is pure data — a shard name (its identity within
 the sweep, feeding seed derivation), a scenario reference, and a config
-dict *without* a seed. Scenario references are either names in the
-built-in registry (``"chaos"``, ``"overload"``) or dotted import paths
-``"pkg.module:callable"`` for user-defined experiments; either way the
-worker process resolves them by import, so tasks pickle as plain data
-and spawn-based pools see exactly what fork-based pools would.
+dict *without* a seed. Scenario references are either names in
+:data:`repro.scenarios.SCENARIOS` (``"chaos"``, ``"overload"``) or dotted
+import paths ``"pkg.module:callable"`` for user-defined experiments;
+either way the worker process resolves them by import, so tasks pickle as
+plain data and spawn-based pools see exactly what fork-based pools would.
 
-A registered scenario is ``(config_cls, run_fn)`` where ``run_fn(cfg,
-observer=None)`` returns a :class:`~repro.report.ScenarioReport`. A
-dotted-path callable instead has the signature ``fn(config: dict, seed:
+A registered scenario runs through :func:`repro.scenarios.run_experiment`.
+A dotted-path callable instead has the signature ``fn(config: dict, seed:
 int) -> ScenarioReport | dict``; a dict return is taken as an
 already-canonical result. Execution always normalises to the canonical
 dict — the only currency the cache and the byte-identity checks trade
@@ -23,8 +22,8 @@ import importlib
 import time
 from dataclasses import dataclass, field
 
-from repro.config import resolve_config
 from repro.report import ScenarioReport
+from repro.scenarios import run_experiment
 
 
 @dataclass(frozen=True)
@@ -46,67 +45,6 @@ class SweepTask:
             "scenario": self.scenario,
             "config": dict(self.config),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepTask":
-        return cls(
-            name=data["name"],
-            scenario=data["scenario"],
-            config=dict(data.get("config", {})),
-        )
-
-
-_REGISTRY: dict[str, tuple[type, object]] = {}
-
-
-def register_scenario(name: str, config_cls, run_fn) -> None:
-    """Register ``name`` as a sweepable scenario.
-
-    ``config_cls`` must provide ``from_dict`` and have a ``seed`` field;
-    ``run_fn(config, observer=None)`` must return a ``ScenarioReport``.
-    """
-    if ":" in name:
-        raise ValueError("registry names must not contain ':'")
-    _REGISTRY[name] = (config_cls, run_fn)
-
-
-def registered_scenarios() -> list[str]:
-    _ensure_builtin()
-    return sorted(_REGISTRY)
-
-
-def _ensure_builtin() -> None:
-    if "chaos" in _REGISTRY:
-        return
-    # Imported lazily: the registry must be importable from a spawn
-    # worker without dragging the whole scenario stack in at module
-    # import time.
-    from repro.config import (
-        ChaosConfig,
-        OverloadConfig,
-        ServeConfig,
-        SoakConfig,
-    )
-    from repro.control.scenario import run_serve
-    from repro.faults.scenario import run_chaos
-    from repro.flow.scenario import run_overload
-    from repro.gen.soak import run_soak
-
-    _REGISTRY.setdefault("chaos", (ChaosConfig, run_chaos))
-    _REGISTRY.setdefault("overload", (OverloadConfig, run_overload))
-    _REGISTRY.setdefault("soak", (SoakConfig, run_soak))
-    _REGISTRY.setdefault("serve", (ServeConfig, run_serve))
-
-
-def lookup_scenario(name: str) -> tuple[type, object]:
-    """``(config_cls, run_fn)`` registered under ``name``."""
-    _ensure_builtin()
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown scenario {name!r}; "
-            f"registered: {registered_scenarios()}"
-        )
-    return _REGISTRY[name]
 
 
 def _resolve_dotted(ref: str):
@@ -135,8 +73,7 @@ def execute_task(payload: dict) -> dict:
     if ":" in scenario:
         report = _resolve_dotted(scenario)(dict(config), seed)
     else:
-        config_cls, run_fn = lookup_scenario(scenario)
-        report = run_fn(resolve_config(config_cls, {**config, "seed": seed}))
+        report = run_experiment(scenario, config, seed=seed)
     wall = time.perf_counter() - wall0
     perf = None
     if isinstance(report, ScenarioReport):

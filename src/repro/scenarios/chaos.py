@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from repro.config import ChaosConfig, resolve_config
 from repro.faults.injector import AppliedFault
 from repro.faults.plan import FaultPlan, chaos_scenario
-from repro.harness import Scenario, ScenarioPayload, ScenarioRun, sites_of
 from repro.report import ScenarioReport
+from repro.scenarios.harness import Scenario, ScenarioPayload, ScenarioRun, sites_of
 from repro.simulation.units import format_bytes
 from repro.streaming.sources import PoissonSource
 

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cloud.deployment import CloudEnvironment
-from repro.config import ConfigBase, ControlConfig
+from repro.config import ControlConfig, ScenarioConfig
+from repro.control.plane import ControlPlane
 from repro.core.engine import SageEngine
+from repro.faults.injector import FaultInjector
 from repro.flow.policy import FlowConfig
 from repro.obs.audit import SLOAuditor
 from repro.report import ScenarioReport, metrics_snapshot
@@ -94,7 +96,7 @@ class Scenario:
 
     name: str
     #: The harness reads ``seed``, ``strict_slo`` and the ``slo_max_*`` bounds.
-    config: ConfigBase
+    config: ScenarioConfig
     deployment: dict[str, int]
     sites: list[SiteSpec]
     aggregation_region: str
@@ -134,10 +136,6 @@ class ScenarioRun:
     """One scenario: armed by the constructor, run by :meth:`execute`."""
 
     def __init__(self, scenario: Scenario, observer=None) -> None:
-        # Deferred: both packages import a scenario module that imports this one.
-        from repro.control.plane import ControlPlane
-        from repro.faults.injector import FaultInjector
-
         self._wall0 = time.perf_counter()
         self.scenario = s = scenario
         self.observer = observer
@@ -150,16 +148,17 @@ class ScenarioRun:
 
         flow, window = None, {}
         if s.policy is not None:
+            flow = FlowConfig(policy=s.policy, max_backlog=s.max_backlog)
+            # The shipping layer's credit window and per-link breaker.
             window = dict(
                 max_inflight=8,
                 # ``block`` must never shed in the shipping layer; the lossy
                 # policies bound the parked queue as well.
                 max_pending=None if s.policy == "block" else 64,
+                breaker=True,
                 breaker_threshold=3,
                 breaker_reset=20.0,
             )
-            flow = FlowConfig(policy=s.policy, max_backlog=s.max_backlog, **window)
-            window["breaker"] = True
         job = StreamJob(
             name=s.name,
             sites=s.sites,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from repro.config import ServeConfig, resolve_config
 from repro.faults.plan import FaultPlan
-from repro.harness import Scenario, ScenarioPayload, ScenarioRun, sites_of
 from repro.report import ScenarioReport
+from repro.scenarios.harness import Scenario, ScenarioPayload, ScenarioRun, sites_of
 from repro.simulation.units import format_bytes
 from repro.streaming.runtime import LatencyStats
 from repro.streaming.sources import BurstSource

@@ -13,13 +13,47 @@ two properties the experiments rely on:
 Streams are derived with :class:`numpy.random.SeedSequence` spawned from a
 stable hash of the stream name, which is the NumPy-recommended way to build
 independent generators.
+
+:func:`derive_seed` is the other half: a child *seed* for consumers that
+build whole sub-simulations (sweep shards, the scenario generator). It must
+not depend on the process (``hash()`` is salted per interpreter), the
+platform, or the dict ordering of the key material — otherwise ``--jobs 4``
+and ``--jobs 1`` would simulate different universes; SHA-256 over a
+canonical JSON encoding gives all three.
 """
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 
 import numpy as np
+
+from repro.report import canonical_json
+
+#: Child seeds live in [0, 2**63): positive, and safe for any consumer
+#: that stores them in a signed 64-bit field.
+SEED_BITS = 63
+
+
+def shard_key(*parts) -> str:
+    """Canonical string form of a shard's identity.
+
+    Accepts any JSON-representable parts (strings, numbers, dicts,
+    dataclasses); dict key order does not matter.
+    """
+    return canonical_json(list(parts))
+
+
+def derive_seed(root_seed: int, *parts) -> int:
+    """Child seed for the shard identified by ``parts`` under ``root_seed``.
+
+    Deterministic across processes, platforms and Python versions;
+    different roots or different shard keys give independent seeds.
+    """
+    material = f"{int(root_seed)}\x1f{shard_key(*parts)}".encode()
+    digest = hashlib.sha256(material).digest()
+    return int.from_bytes(digest[:8], "big") >> (64 - SEED_BITS)
 
 
 class RngRegistry:

@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 from repro.cloud.deployment import CloudEnvironment
 from repro.config import OverloadConfig, SoakConfig
 from repro.core.engine import SageEngine
-from repro.flow import run_overload
 from repro.flow.checkpoint import CheckpointStore
-from repro.gen import run_soak
 from repro.obs.lineage import BatchTrace
+from repro.scenarios import run_overload, run_soak
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.operators import PartialAggregate, builtin_aggregate

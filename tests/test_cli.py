@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -409,3 +410,57 @@ def test_cmd_sweep_generated_shards(tmp_path, capsys):
     warm = capsys.readouterr().out
     assert "7 hits / 0 misses (100% hit ratio), 0 simulated" in warm
     assert cold.strip().splitlines()[-1] == warm.strip().splitlines()[-1]
+
+
+# ----------------------------------------------------------------------
+# The scenario flags are the config fields
+# ----------------------------------------------------------------------
+#: Option strings per subcommand, recorded from ``--help`` before the
+#: flags were read off the config classes; ``-h`` omitted.
+OPTION_STRINGS = {
+    "chaos": "--duration --no-faults",
+    "overload": "--policy --duration --max-backlog --no-brownout --no-crash",
+    "audit": "--scenario --duration --policy --max-latency --max-usd-per-1k --jsonl",
+    "soak": "--hours --profile --failovers --check-interval --phase-hours "
+    "--no-strict --max-latency --max-usd-per-1k --jsonl --report-json --digest",
+    "serve": "--duration --kill-leader-every --max-kills --standbys --policy "
+    "--reconfigure-at --admission-rate --lease-ttl --retry-budget --no-strict "
+    "--max-latency --max-usd-per-1k --jsonl --report-json",
+    "stream": "--workload --duration --policy --max-backlog",
+    "perf": "--workload --duration --max-backlog --top",
+    "dashboard": "--workload --duration --max-backlog --refresh --once --top",
+    "sweep": "--jobs --cache-dir --duration --generated --jsonl --digest",
+}
+
+
+def _subparsers():
+    (action,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(OPTION_STRINGS))
+def test_subcommand_option_strings_are_frozen(command):
+    options = [
+        s for a in _subparsers()[command]._actions for s in a.option_strings
+    ]
+    assert options[2:] == OPTION_STRINGS[command].split()  # after -h, --help
+
+
+@pytest.mark.parametrize("command", ["chaos", "overload", "soak", "serve", "audit"])
+def test_scenario_flags_default_to_the_config_class(command):
+    from repro.config import OverloadConfig
+    from repro.scenarios import SCENARIOS
+
+    cls = SCENARIOS[command][0] if command != "audit" else OverloadConfig
+    parsed = vars(build_parser().parse_args([command]))
+    mirrored = {
+        f.name: f.default for f in dataclasses.fields(cls) if f.name in parsed
+    }
+    # Every flag but the output switches lands on a field (seed is global).
+    assert set(parsed) - set(mirrored) <= {
+        "command", "deploy", "learning", "trace", "metrics", "flight_record",
+        "scenario", "jsonl", "report_json", "digest",
+    }
+    assert {name: parsed[name] for name in mirrored} == mirrored

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from hashlib import sha256
 
 import pytest
 
@@ -22,12 +23,13 @@ from repro.config import (
     GridFtpConfig,
     OverloadConfig,
     ParallelStaticConfig,
+    ServeConfig,
     ShortestPathConfig,
+    SoakConfig,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.scenario import run_chaos
-from repro.flow.scenario import run_overload
 from repro.report import ScenarioReport, canonical_json
+from repro.scenarios import run_chaos, run_overload
 
 FAST_OVERLOAD = dict(duration=60.0, crash_at=40.0, burst_window=(20.0, 30.0))
 FAST_CHAOS = dict(duration=60.0)
@@ -52,6 +54,22 @@ def test_config_json_roundtrip(cls):
     cfg = cls()
     wire = json.loads(json.dumps(cfg.to_dict()))  # tuples become lists
     assert cls.from_dict(wire) == cfg
+
+
+@pytest.mark.parametrize(
+    ("cls", "digest"),
+    [
+        (ChaosConfig, "10751f215ebe52fb"),
+        (OverloadConfig, "0af6513391b7b311"),
+        (SoakConfig, "66429903c93e607e"),
+        (ServeConfig, "e3fb350e73c74bdd"),
+    ],
+)
+def test_scenario_config_defaults_keep_their_dict_form(cls, digest):
+    # Recorded before the seed/SLO block moved into ``ScenarioConfig``: the
+    # dict form (key set and values) is the sweep cache key.
+    wire = canonical_json(cls().to_dict())
+    assert sha256(wire.encode()).hexdigest().startswith(digest)
 
 
 def test_tuple_fields_restored_from_json_lists():

@@ -5,14 +5,13 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.config import ControlConfig, ServeConfig, SoakConfig
 from repro.control import AdmissionGate, ControlPlane, LeaderLease
-from repro.control.scenario import run_serve
 from repro.core.engine import SageEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.flow.policy import FlowConfig
-from repro.gen.soak import run_soak
 from repro.monitor.agent import MonitorConfig
 from repro.obs.audit import SLOAuditor
+from repro.scenarios import run_serve, run_soak
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime

@@ -11,7 +11,7 @@ from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow
 from repro.config import ChaosConfig
 from repro.core.engine import SageEngine
-from repro.faults import run_chaos
+from repro.scenarios import run_chaos
 from repro.simulation.units import GB, MB
 from repro.streaming import (
     GeoStreamRuntime,

@@ -82,8 +82,6 @@ def test_flow_config_defaults_valid():
         {"degrade_factor": 1},
         {"resume_ratio": 0.0},
         {"resume_ratio": 1.5},
-        {"breaker_threshold": 0},
-        {"breaker_reset": 0.0},
     ],
 )
 def test_flow_config_validation(kwargs):

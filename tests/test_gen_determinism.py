@@ -10,8 +10,9 @@ import subprocess
 import sys
 
 from repro.config import GenConfig, SoakConfig
-from repro.gen import GEN_PROFILES, ScenarioGenerator, run_soak
+from repro.gen import GEN_PROFILES, ScenarioGenerator
 from repro.report import canonical_json
+from repro.scenarios import run_soak
 
 
 def vm_ids(scenario):
@@ -77,8 +78,9 @@ def test_soak_digest_reproducible_in_process():
 _CHILD = """
 import json, sys
 from repro.config import SoakConfig
-from repro.gen import ScenarioGenerator, run_soak
+from repro.gen import ScenarioGenerator
 from repro.report import canonical_json
+from repro.scenarios import run_soak
 
 seed = int(sys.argv[1])
 gen = ScenarioGenerator(seed, profile="adversarial")

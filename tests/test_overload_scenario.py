@@ -10,7 +10,7 @@ step.
 import pytest
 
 from repro.config import OverloadConfig
-from repro.flow import run_overload
+from repro.scenarios import run_overload
 
 pytestmark = pytest.mark.overload
 

@@ -32,11 +32,9 @@ from repro.cloud.deployment import CloudEnvironment
 from repro.config import ChaosConfig, OverloadConfig, SoakConfig
 from repro.core.engine import SageEngine
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.scenario import run_chaos
 from repro.flow import FlowConfig
-from repro.flow.scenario import run_overload
-from repro.gen.soak import run_soak
 from repro.report import canonical_json
+from repro.scenarios import run_chaos, run_overload, run_soak
 from repro.streaming import (
     GeoStreamRuntime,
     PerRecordAdapter,

@@ -48,6 +48,9 @@ def test_known_vector_pinned():
     # A golden value: if this moves, every cached sweep result and every
     # recorded experiment seed silently changes meaning.
     assert derive_seed(2013, "overload-block") == 7789164181496474646
+    assert derive_seed(2013, "chaos-inject") == 3086190878288531820
+    assert derive_seed(2013, "overload-shed") == 6663205192737219134
+    assert derive_seed(2013, "soak-gen-000") == 7869196251137331181
 
 
 def test_seeds_stable_across_process_boundary():

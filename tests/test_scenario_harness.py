@@ -20,8 +20,8 @@ import pytest
 
 from repro.api import run_experiment
 from repro.config import SoakConfig
-from repro.gen import SoakRunner
 from repro.report import canonical_json
+from repro.scenarios import SoakRunner
 
 GOLDEN = Path(__file__).parent / "golden" / "scenarios.json"
 SEED = 7

@@ -5,10 +5,9 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.config import ChaosConfig, OverloadConfig
 from repro.core.engine import SageEngine
-from repro.faults.scenario import run_chaos
-from repro.flow.scenario import run_overload
 from repro.obs import AuditReport, Observer, SLOAuditor, Violation
 from repro.obs.audit import AUDIT_KINDS
+from repro.scenarios import run_chaos, run_overload
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime, WindowResult

@@ -10,7 +10,8 @@ from repro.core.engine import SageEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.flow.policy import FlowConfig
-from repro.gen import SoakRunner, regional_outage, run_soak
+from repro.gen import regional_outage
+from repro.scenarios import SoakRunner, run_soak
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime
