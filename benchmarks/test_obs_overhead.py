@@ -8,8 +8,8 @@ scaled-down E9a run:
   handles, so the run must not be slower than the fully instrumented
   run by more than 2% (CI gates on this bound; the disabled run does
   strictly less work, so min-of-rounds makes it reliable).
-* **on is bounded** — enabling metrics + tracing + stage profiling +
-  the flight recorder must cost well under 50% wall time even on this
+* **on is bounded** — enabling metrics + stage profiling + the event
+  log must cost well under 50% wall time even on this
   workload, which is small enough that the fixed instrumentation cost
   is maximally visible.
 
@@ -84,7 +84,7 @@ def run_overhead():
         obs = Observer()
         t, _ = timed_run(obs)
         on_times.append(t)
-        spans = len(obs.tracer.spans)
+        spans = len(obs.log.spans)
         series = len(obs.registry.snapshot())
         stages = len(obs.profiler.stages())
     return min(off_times), min(on_times), spans, series, stages

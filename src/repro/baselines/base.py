@@ -44,20 +44,15 @@ def run_transfer_to_completion(
         flag["done_at"] = engine.sim.now
 
     t0 = engine.sim.now
-    obs = engine.observer
-    span = (
-        obs.start_span("baseline.transfer", label=label)
-        if obs.enabled
-        else None
-    )
     start(_done)
     deadline = t0 + timeout
     while flag["done_at"] is None and engine.sim.now < deadline:
         engine.run_until(min(engine.sim.now + step, deadline))
-    if flag["done_at"] is None:
+    done_at = flag["done_at"]
+    if done_at is None:
         raise TimeoutError("baseline transfer did not complete before timeout")
-    elapsed = flag["done_at"] - t0
-    if span is not None:
-        span.finish(seconds=elapsed)
-        span.end = flag["done_at"]  # trim the post-completion drain slack
+    elapsed = done_at - t0
+    engine.observer.record_span(
+        "baseline.transfer", t0, done_at, label=label, seconds=elapsed
+    )
     return elapsed

@@ -105,7 +105,7 @@ def _force_observer(args) -> Observer:
     and scenario commands always fly with the black box armed.
 
     Even without ``--trace``/``--metrics``/``--flight-record`` the run
-    keeps a flight-recorder ring, so a failing (or crashing) scenario
+    keeps the event log's ring, so a failing (or crashing) scenario
     can dump what broke. The instance is cached on ``args`` — the
     post-mortem dump in :func:`main` must read the very observer the
     engine recorded into; a fresh one would be empty.
@@ -118,10 +118,10 @@ def _force_observer(args) -> Observer:
 def _dump_flight(args, rc) -> None:
     """Dump the engine-bound flight ring after a failed/crashed command."""
     obs = getattr(args, "_observer", None)
-    if obs is None or not obs.enabled or not len(obs.recorder):
+    if obs is None or not obs.log.ring:
         return
     path = getattr(args, "flight_record", None) or f"flight-{args.command}.jsonl"
-    count = obs.recorder.dump(path)
+    count = obs.export(flight_path=path)["flight"]
     print(
         f"flight: command failed ({rc}); "
         f"dumped last {count} events -> {path}",

@@ -91,8 +91,9 @@ class ManagedTransfer:
         self.on_complete = on_complete
         self.sessions: list[TransferSession] = []
         self.replans = 0
-        #: Observability span covering plan → completion (set by the DM).
-        self.span = None
+        #: How the node count was chosen: ``"fixed-nodes"``, ``"budget"``,
+        #: ``"deadline"`` or ``"knee"`` (set by the DM).
+        self.strategy: str | None = None
         self.started_at: float | None = None
         self.completed_at: float | None = None
         self.bytes_confirmed = 0.0
@@ -427,24 +428,16 @@ class DecisionManager:
             raise ValueError("size must be positive")
         mt = ManagedTransfer(src_region, dst_region, size, on_complete)
         mt.started_at = self.env.sim.now
+        mt.strategy = (
+            "fixed-nodes" if n_nodes is not None
+            else "budget" if budget_usd is not None
+            else "deadline" if deadline_s is not None
+            else "knee"
+        )
         obs = self.observer
         self._m_transfers.inc()
         if obs.enabled:
-            strategy = (
-                "fixed-nodes" if n_nodes is not None
-                else "budget" if budget_usd is not None
-                else "deadline" if deadline_s is not None
-                else "knee"
-            )
-            obs.counter("decision_strategy_total", strategy=strategy).inc()
-            mt.span = obs.start_span(
-                "transfer.managed",
-                transfer=mt.transfer_id,
-                src=src_region,
-                dst=dst_region,
-                bytes=size,
-                strategy=strategy,
-            )
+            obs.counter("decision_strategy_total", strategy=mt.strategy).inc()
         thr = self.monitor.estimated_throughput(src_region, dst_region)
         if thr != thr or thr <= 0:
             # Unmonitored link: plan conservatively with one node.
@@ -652,17 +645,19 @@ class DecisionManager:
             self.env.sim.schedule(cfg.replan_interval, self._check, run)
 
     def _observe_outcome(self, mt: ManagedTransfer) -> None:
-        """Record predicted-vs-achieved pairs and close the span."""
+        """Record predicted-vs-achieved pairs and the transfer's span."""
         elapsed = mt.elapsed
         if elapsed and mt.prediction is not None:
             self._m_predicted.observe(mt.prediction)
             self._m_achieved.observe(elapsed)
             if mt.prediction > 0:
                 self._m_accuracy.observe(elapsed / mt.prediction)
-        if mt.span is not None:
-            mt.span.finish(
-                replans=mt.replans,
-                predicted_seconds=mt.prediction,
+        if self.observer.enabled:
+            self.observer.record_span(
+                "transfer.managed", mt.started_at, mt.completed_at,
+                transfer=mt.transfer_id, src=mt.src_region,
+                dst=mt.dst_region, bytes=mt.size, strategy=mt.strategy,
+                replans=mt.replans, predicted_seconds=mt.prediction,
                 achieved_seconds=elapsed,
             )
 

@@ -70,10 +70,10 @@ class SageEngine:
         #: Fault-event listeners: ``cb(kind, target)`` — fed by the fault
         #: injector, the failure detector, and the flow-stall detector.
         self._fault_listeners: list[FaultListener] = []
-        #: Flight recorder (``None`` while disabled): every fault-bus
-        #: message lands in the ring so a post-mortem dump shows what
-        #: broke right before the run went wrong.
-        self._flight = self.observer.recorder if self.observer.enabled else None
+        #: Event log (``None`` while disabled): every fault-bus message
+        #: lands in its ring so a post-mortem dump shows what broke right
+        #: before the run went wrong.
+        self._flight = self.observer.log if self.observer.enabled else None
         #: The active fault injector, if a chaos scenario is armed.
         self.faults = None
         mcfg = self.monitor.config

@@ -1,9 +1,9 @@
-"""Unified observability: metrics + tracing + profiling + flight record.
+"""Unified observability: metrics + event log + profiling.
 
 The paper's monitoring service drives *decisions*; this layer is the
 introspection companion — it records what the engine, the streaming
 runtime, and the monitor actually did, in a form that can be exported
-(JSONL trace, Prometheus text, flight-recorder dump), profiled (per-stage
+(JSONL trace and flight dump, Prometheus text), profiled (per-stage
 wall-clock attribution), and folded into reports.
 
 Usage::
@@ -11,9 +11,10 @@ Usage::
     obs = Observer()                      # enabled
     engine = fresh_engine(seed=1, observer=obs)
     ... run ...
-    obs.export(trace_path="run.jsonl", metrics_path="run.prom")
+    obs.export(trace_path="run.jsonl", metrics_path="run.prom",
+               flight_path="flight.jsonl")  # every span / last N entries
     print(render_dashboard(obs))          # hottest stages + throughput
-    obs.recorder.dump("flight.jsonl")     # last N events, post-mortem
+    read_jsonl("run.jsonl")               # entry dicts back
 
 Every instrumented component takes its handles from the observer at
 construction time — metric handles (:meth:`Observer.counter`, ...) and
@@ -25,11 +26,13 @@ allocates nothing.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.obs.audit import AuditReport, SLOAuditor, Violation
 from repro.obs.ledger import CostLedger, CostSummary
 from repro.obs.lineage import BatchTrace, SiteLeg, WindowLineage, trace_id
+from repro.obs.log import NULL_LOG, EventLog, NullEventLog, dump, read_jsonl
 from repro.obs.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
@@ -50,38 +53,24 @@ from repro.obs.profile import (
     StageProfiler,
     StageTimer,
 )
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    FlightRecorder,
-    NullFlightRecorder,
-    read_flight_jsonl,
-)
-from repro.obs.tracing import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullSpan,
-    NullTracer,
-    Span,
-    Tracer,
-)
 
 
 class Observer:
-    """Facade bundling a metrics registry, tracer, profiler, recorder."""
+    """Facade bundling a metrics registry, event log and stage profiler."""
 
     enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock)
+        self.log = EventLog(clock)
         self.profiler = StageProfiler(clock)
-        self.recorder = FlightRecorder(clock=clock)
+        #: The log's own method: a span is one entry, written by one call.
+        self.record_span = self.log.record_span
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point span/flight timestamps at a clock (normally ``sim.now``)."""
-        self.tracer.bind_clock(clock)
+        """Point log/profiler timestamps at a clock (normally ``sim.now``)."""
+        self.log.bind_clock(clock)
         self.profiler.bind_clock(clock)
-        self.recorder.bind_clock(clock)
 
     # Metric handles ---------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -98,20 +87,6 @@ class Observer:
         """The (cached) wall-clock stage timer for ``name``."""
         return self.profiler.timer(name)
 
-    # Spans ------------------------------------------------------------
-    def span(self, name: str, **attrs: Any) -> Span:
-        return self.tracer.span(name, **attrs)
-
-    def start_span(self, name: str, parent=None, **attrs: Any) -> Span:
-        return self.tracer.start_span(name, parent=parent, **attrs)
-
-    def record_span(self, name, start, end, **attrs: Any) -> Span:
-        span = self.tracer.record_span(name, start, end, **attrs)
-        # Retro-recorded spans are milestones (window closes, emissions):
-        # exactly what a post-mortem flight dump should contain.
-        self.recorder.record("span", name=name, start=start, end=end, **attrs)
-        return span
-
     # Export -----------------------------------------------------------
     def export(
         self,
@@ -119,17 +94,22 @@ class Observer:
         metrics_path: str | None = None,
         flight_path: str | None = None,
     ) -> dict[str, int]:
-        """Write requested dumps; returns counts per artifact kind."""
-        from repro.obs.exporters import export_prometheus, export_trace_jsonl
+        """Write requested dumps; returns counts per artifact kind.
+
+        The trace is every span, stable-sorted by start; the flight dump
+        is the ring as it stands.
+        """
+        from repro.obs.exporters import export_prometheus
 
         written = {"spans": 0, "series": 0, "flight": 0}
         if trace_path:
-            written["spans"] = export_trace_jsonl(self.tracer, trace_path)
+            spans = sorted(self.log.spans, key=itemgetter("start"))
+            written["spans"] = dump(trace_path, spans)
         if metrics_path:
             export_prometheus(self.registry, metrics_path)
             written["series"] = len(self.registry.snapshot())
         if flight_path:
-            written["flight"] = self.recorder.dump(flight_path)
+            written["flight"] = dump(flight_path, self.log.ring)
         return written
 
     def summary(self) -> str:
@@ -137,7 +117,7 @@ class Observer:
         from repro.obs.exporters import summary_table, trace_summary
 
         return summary_table(self.registry) + "\n\n" + trace_summary(
-            self.tracer
+            self.log.spans
         )
 
 
@@ -147,9 +127,8 @@ class NullObserver:
     __slots__ = ()
     enabled = False
     registry = NULL_REGISTRY
-    tracer = NULL_TRACER
+    log = NULL_LOG
     profiler = NULL_PROFILER
-    recorder = NULL_RECORDER
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         pass
@@ -166,14 +145,10 @@ class NullObserver:
     def stage(self, name: str) -> NullStageTimer:
         return NULL_STAGE_TIMER
 
-    def span(self, name: str, **attrs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def start_span(self, name: str, parent=None, **attrs: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def record_span(self, name, start, end, **attrs: Any) -> NullSpan:
-        return NULL_SPAN
+    def record_span(
+        self, name: str, start: float, end: float, **attrs: Any
+    ) -> None:
+        pass
 
     def export(
         self, trace_path=None, metrics_path=None, flight_path=None
@@ -205,24 +180,19 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Tracer",
-    "NullTracer",
-    "Span",
-    "NullSpan",
+    "EventLog",
+    "NullEventLog",
+    "dump",
+    "read_jsonl",
     "StageProfiler",
     "NullStageProfiler",
     "StageTimer",
     "NullStageTimer",
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "read_flight_jsonl",
-    "NULL_SPAN",
-    "NULL_TRACER",
+    "NULL_LOG",
     "NULL_REGISTRY",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_PROFILER",
     "NULL_STAGE_TIMER",
-    "NULL_RECORDER",
 ]

@@ -15,13 +15,13 @@ and evaluates, every ``check_interval`` seconds of simulated time:
 
 At :meth:`finish` time — once the run has drained to quiescence — it
 additionally checks the **loss identity** (every missing record must be
-explained by a shed / late / abandoned counter) and the **cost SLO**
-(attributed streaming $ per 1k records from the engine's
+explained by a counter in the runtime's ``loss_terms()``) and the **cost
+SLO** (attributed streaming $ per 1k records from the engine's
 :class:`~repro.obs.ledger.CostLedger`).
 
 Every violation becomes a structured :class:`Violation`, a fault-bus
-event (``audit.<kind>`` — which also lands in the flight-recorder ring
-when observability is on), and an ``audit_violations_total{kind=}``
+event (``audit.<kind>`` — which also lands in the event log's ring when
+observability is on), and an ``audit_violations_total{kind=}``
 counter increment. All inputs are virtual-time and deterministic, so
 the resulting :class:`AuditReport` is safe in canonical scenario output.
 """
@@ -181,8 +181,8 @@ class SLOAuditor:
         )
         self.violations.append(violation)
         # Fault-bus broadcast: reaches subscribed components and the
-        # flight-recorder ring, so a post-mortem dump shows the breach
-        # in sequence with the faults around it.
+        # event log's ring, so a post-mortem dump shows the breach in
+        # sequence with the faults around it.
         self.engine.emit_fault(f"audit.{kind}", target)
         if self._obs_on:
             self._obs.counter("audit_violations_total", kind=kind).inc()
@@ -307,30 +307,14 @@ class SLOAuditor:
         self._failover_cursor = len(failovers)
 
     # ------------------------------------------------------------------
-    def _loss_terms(self) -> tuple[int, int]:
-        """(ingested, explained) from the runtime's public counters."""
-        runtime = self.runtime
-        sites = list(runtime.sites.values())
-        shed = runtime.records_shed()
-        late_dropped = sum(site.aggregator.late_dropped for site in sites)
-        late_partial = getattr(runtime.aggregator, "late_partial_records", 0)
-        abandoned = sum(
-            getattr(site.shipping, "records_abandoned", 0) for site in sites
-        )
-        admission = getattr(runtime, "records_admission_rejected", None)
-        admission_rejected = admission() if admission is not None else 0
-        return runtime.records_ingested(), (
-            shed + late_dropped + late_partial + abandoned
-            + admission_rejected
-        )
-
     def _check_loss_bound(self) -> None:
         """Mid-run loss invariant: ``counted + explained <= ingested``.
 
         ``counted`` uses the incrementally accumulated record count of
         scanned (durable) results, so the check is O(1) per tick.
         """
-        ingested, explained = self._loss_terms()
+        ingested = self.runtime.records_ingested()
+        explained = sum(self.runtime.loss_terms().values())
         counted = self._counted_records
         if counted + explained > ingested:
             self._violate(
@@ -347,23 +331,9 @@ class SLOAuditor:
 
     def _check_loss_identity(self) -> None:
         runtime = self.runtime
-        ingested = runtime.records_ingested()
-        counted = runtime.records_in_results()
-        lost = max(0, ingested - counted)
-        sites = list(runtime.sites.values())
-        shed = runtime.records_shed()
-        late_dropped = sum(site.aggregator.late_dropped for site in sites)
-        late_partial = getattr(
-            runtime.aggregator, "late_partial_records", 0
-        )
-        abandoned = sum(
-            getattr(site.shipping, "records_abandoned", 0) for site in sites
-        )
-        admission_fn = getattr(runtime, "records_admission_rejected", None)
-        admission = admission_fn() if admission_fn is not None else 0
-        explained = (
-            shed + late_dropped + late_partial + abandoned + admission
-        )
+        lost = max(0, runtime.records_ingested() - runtime.records_in_results())
+        terms = runtime.loss_terms()
+        explained = sum(terms.values())
         if lost != explained:
             self._violate(
                 "loss_identity",
@@ -372,9 +342,11 @@ class SLOAuditor:
                 limit=float(explained),
                 detail=(
                     f"lost {lost} != explained {explained} "
-                    f"(shed {shed} + late_dropped {late_dropped} + "
-                    f"late_partial {late_partial} + abandoned {abandoned} + "
-                    f"admission_rejected {admission})"
+                    f"(shed {terms['shed']} + "
+                    f"late_dropped {terms['late_dropped']} + "
+                    f"late_partial {terms['late_partial_records']} + "
+                    f"abandoned {terms['abandoned_records']} + "
+                    f"admission_rejected {terms['admission_rejected']})"
                 ),
             )
 

@@ -1,47 +1,22 @@
-"""Exporters: JSONL traces, Prometheus text exposition, summary tables.
+"""Exporters: Prometheus text exposition and summary tables.
 
-Three audiences, three formats:
+Two audiences, two formats (machines replaying a run read the event
+log's JSONL, :func:`repro.obs.log.dump`):
 
-* machines replaying a run — one JSON object per finished span
-  (``export_trace_jsonl`` / ``read_trace_jsonl`` round-trip);
 * scrapers and dashboards — the Prometheus text exposition format
   (counters and gauges verbatim, histograms as quantile summaries);
-* humans at a terminal — an aligned table over the registry snapshot,
-  rendered with the same helper the experiment harness uses.
+* humans at a terminal — aligned tables over the registry snapshot and
+  the recorded spans, rendered with the same helper the experiment
+  harness uses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Iterable
 
 from repro.analysis.tables import render_table
 from repro.obs.metrics import MetricSnapshot
-
-
-# ----------------------------------------------------------------------
-# Traces
-# ----------------------------------------------------------------------
-def export_trace_jsonl(tracer, path: str) -> int:
-    """Write every finished span as one JSON line. Returns span count."""
-    spans = sorted(tracer.spans, key=lambda s: (s.start, s.span_id))
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span.to_dict(), sort_keys=True))
-            fh.write("\n")
-    return len(spans)
-
-
-def read_trace_jsonl(path: str) -> list[dict[str, Any]]:
-    """Parse a trace dump back into span dicts (strict: no blank junk)."""
-    out: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +124,11 @@ def summary_table(registry, title: str = "Run metrics") -> str:
     )
 
 
-def trace_summary(tracer, limit: int = 12) -> str:
+def trace_summary(spans: Iterable[dict[str, Any]], limit: int = 12) -> str:
     """Per-span-name duration roll-up of a trace (top ``limit`` names)."""
     groups: dict[str, list[float]] = {}
-    for span in tracer.spans:
-        if span.end is not None:
-            groups.setdefault(span.name, []).append(span.end - span.start)
+    for span in spans:
+        groups.setdefault(span["name"], []).append(span["end"] - span["start"])
     rows: list[list[object]] = []
     ranked: Iterable[str] = sorted(
         groups, key=lambda n: -sum(groups[n])

@@ -68,9 +68,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def merge_from(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> MetricSnapshot:
         return MetricSnapshot(
             self.kind, self.name, self.labels, value=self.value
@@ -98,13 +95,6 @@ class Gauge:
             self.low = value
         if value > self.high:
             self.high = value
-
-    def merge_from(self, other: "Gauge") -> None:
-        if other.updates:
-            self.value = other.value
-            self.updates += other.updates
-            self.low = min(self.low, other.low)
-            self.high = max(self.high, other.high)
 
     def snapshot(self) -> MetricSnapshot:
         has = self.updates > 0
@@ -138,9 +128,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         self.values.append(value)
-
-    def merge_from(self, other: "Histogram") -> None:
-        self.values.extend(other.values)
 
     @property
     def count(self) -> int:
@@ -189,7 +176,7 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
-    """Creates, deduplicates, snapshots, and merges metric series."""
+    """Creates, deduplicates and snapshots metric series."""
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, LabelPairs], Any] = {}
@@ -228,20 +215,6 @@ class MetricsRegistry:
             out[snap.series_name()] = snap
         return out
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters add, histograms pool,
-        gauges take the other's latest value and widen the envelope)."""
-        for key, metric in other._metrics.items():
-            mine = self._metrics.get(key)
-            if mine is None:
-                mine = self._metrics[key] = type(metric)(metric.name, key[1])
-            elif mine.kind != metric.kind:
-                raise ValueError(
-                    f"cannot merge {metric.kind} {metric.name!r} into "
-                    f"{mine.kind}"
-                )
-            mine.merge_from(metric)
-
 
 # ----------------------------------------------------------------------
 # Disabled path: shared, stateless no-op handles.
@@ -254,9 +227,6 @@ class NullCounter:
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def merge_from(self, other) -> None:
         pass
 
     def snapshot(self) -> MetricSnapshot:
@@ -276,9 +246,6 @@ class NullGauge:
     def set(self, value: float) -> None:
         pass
 
-    def merge_from(self, other) -> None:
-        pass
-
     def snapshot(self) -> MetricSnapshot:
         return MetricSnapshot(self.kind, self.name, self.labels)
 
@@ -294,9 +261,6 @@ class NullHistogram:
     values: list[float] = []
 
     def observe(self, value: float) -> None:
-        pass
-
-    def merge_from(self, other) -> None:
         pass
 
     def percentile(self, q: float) -> float:
@@ -333,9 +297,6 @@ class NullRegistry:
 
     def snapshot(self) -> dict[str, MetricSnapshot]:
         return {}
-
-    def merge(self, other) -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

@@ -305,14 +305,10 @@ class ScenarioRun:
             sources=len(sources),
             shed_site=shed_site,
             shed_shipping=shed_shipping,
-            shed=shed_site + shed_shipping,
-            late_dropped=sum(site.aggregator.late_dropped for site in sites),
-            late_partial_records=agg.late_partial_records,
-            admission_rejected=runtime.records_admission_rejected(),
+            **runtime.loss_terms(),
             retries=sum(b.retries for b in backends),
             retry_budget_exhausted=sum(b.retry_budget_exhausted for b in backends),
             abandoned=sum(b.abandoned for b in backends),
-            abandoned_records=sum(b.records_abandoned for b in backends),
             duplicates_delivered=sum(b.duplicates_delivered for b in backends),
             duplicates_dropped=agg.duplicates_dropped,
             breaker_opens=sum(b.opens for b in breakers),

@@ -59,7 +59,7 @@ class Simulator:
         self._owner_timer = (
             observer.profiler.owner_timer if observer.enabled else None
         )
-        self._flight = observer.recorder if observer.enabled else None
+        self._flight = observer.log if observer.enabled else None
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -1123,6 +1123,24 @@ class GeoStreamRuntime:
             site.records_admission_rejected for site in self.sites.values()
         )
 
+    def loss_terms(self) -> dict[str, int]:
+        """The counters that explain records ingested but never counted.
+
+        At quiescence ``ingested - counted == sum(loss_terms().values())``:
+        the loss identity the auditor checks and every scenario payload
+        reports. A shipping backend without ``records_abandoned`` counts 0.
+        """
+        sites = self.sites.values()
+        return {
+            "shed": self.records_shed(),
+            "late_dropped": sum(site.aggregator.late_dropped for site in sites),
+            "late_partial_records": self.aggregator.late_partial_records,
+            "abandoned_records": sum(
+                getattr(site.shipping, "records_abandoned", 0) for site in sites
+            ),
+            "admission_rejected": self.records_admission_rejected(),
+        }
+
     def records_in_results(self) -> int:
         """Raw records accounted for by emitted window results."""
         return sum(r.record_count for r in self.results)

@@ -103,7 +103,7 @@ class _ShipInstruments:
     def wrap(
         self, batch: Batch, on_delivered: DeliveryCallback
     ) -> DeliveryCallback:
-        """Count the batch; return a delivery callback closing its span."""
+        """Count the batch; return a delivery callback recording its span."""
         sim = self._sim
         trace = batch.trace
         hop = (
@@ -120,22 +120,21 @@ class _ShipInstruments:
                 on_delivered(b)
 
             return _arrived
-        self._m_bytes.inc(batch.size_bytes)
+        size, records = batch.size_bytes, batch.count
+        self._m_bytes.inc(size)
         self._m_batches.inc()
-        span = self._obs.start_span(
-            "ship.batch",
-            backend=self._backend,
-            link=self._link,
-            bytes=batch.size_bytes,
-            records=batch.count,
-        )
+        sent_at = sim.now
 
         def _delivered(b: Batch) -> None:
+            now = sim.now
             if hop is not None:
-                hop.arrived_at = sim.now
-            span.finish()
-            if span.duration > 0:
-                span.attrs["bps"] = batch.size_bytes / span.duration
+                hop.arrived_at = now
+            duration = now - sent_at
+            bps = {"bps": size / duration} if duration > 0 else {}
+            self._obs.record_span(
+                "ship.batch", sent_at, now, backend=self._backend,
+                link=self._link, bytes=size, records=records, **bps,
+            )
             on_delivered(b)
 
         return _delivered

@@ -151,10 +151,8 @@ def test_cmd_transfer_trace_writes_valid_jsonl(tmp_path, capsys):
     assert lines
     spans = [json.loads(line) for line in lines]
     for span in spans:
-        assert {"span_id", "parent_id", "name", "start", "end", "attrs"} <= (
-            span.keys()
-        )
-        assert span["end"] >= span["start"]
+        assert span.keys() == {"t", "kind", "name", "start", "end", "attrs"}
+        assert span["kind"] == "span" and span["end"] >= span["start"]
     assert any(s["name"] == "transfer.managed" for s in spans)
 
 
@@ -245,15 +243,17 @@ def test_cmd_dashboard_once_prints_single_frame(capsys):
 
 
 def test_cmd_chaos_flight_record_dumps_recent_events(tmp_path, capsys):
-    from repro.obs import read_flight_jsonl
+    from repro.obs import read_jsonl
 
-    flight = tmp_path / "chaos.jsonl"
-    assert (
-        main(["--seed", "5", "--flight-record", str(flight), "chaos"]) == 0
-    )
+    flight, trace = tmp_path / "chaos.jsonl", tmp_path / "trace.jsonl"
+    assert main(["--seed", "5", "--flight-record", str(flight),
+                 "--trace", str(trace), "chaos"]) == 0
     out = capsys.readouterr().out
-    assert f"-> {flight}" in out
-    entries = read_flight_jsonl(str(flight))
+    assert f"-> {flight}" in out and f"-> {trace}" in out
+    # One writer, one reader: both files are the same entry shape.
+    spans = read_jsonl(str(trace))
+    assert spans and {s["kind"] for s in spans} == {"span"}
+    entries = read_jsonl(str(flight))
     # The acceptance bar: a chaos run's dump replays >= 1000 events.
     assert len(entries) >= 1000
     kinds = {e["kind"] for e in entries}
@@ -268,12 +268,12 @@ def test_cmd_chaos_flight_record_dumps_recent_events(tmp_path, capsys):
 
 def test_failing_command_auto_dumps_flight_ring(tmp_path, capsys, monkeypatch):
     from repro import cli
-    from repro.obs import read_flight_jsonl
+    from repro.obs import read_jsonl
 
     def failing_chaos(args):
         obs = cli._force_observer(args)
         for i in range(5):
-            obs.recorder.record("event", seq=i)
+            obs.log.record("event", seq=i)
         return 1
 
     monkeypatch.setitem(cli._COMMANDS, "chaos", failing_chaos)
@@ -281,18 +281,18 @@ def test_failing_command_auto_dumps_flight_ring(tmp_path, capsys, monkeypatch):
     assert main(["--seed", "5", "chaos"]) == 1
     err = capsys.readouterr().err
     assert "dumped last 5 events" in err
-    entries = read_flight_jsonl(str(tmp_path / "flight-chaos.jsonl"))
+    entries = read_jsonl(str(tmp_path / "flight-chaos.jsonl"))
     assert [e["seq"] for e in entries] == list(range(5))
 
 def test_exception_in_command_still_dumps_flight_ring(
     tmp_path, capsys, monkeypatch
 ):
     from repro import cli
-    from repro.obs import read_flight_jsonl
+    from repro.obs import read_jsonl
 
     def crashing_chaos(args):
         obs = cli._force_observer(args)
-        obs.recorder.record("event", seq=0)
+        obs.log.record("event", seq=0)
         raise RuntimeError("boom mid-scenario")
 
     monkeypatch.setitem(cli._COMMANDS, "chaos", crashing_chaos)
@@ -301,7 +301,7 @@ def test_exception_in_command_still_dumps_flight_ring(
         main(["--seed", "5", "chaos"])
     err = capsys.readouterr().err
     assert "dumped last 1 events" in err
-    entries = read_flight_jsonl(str(tmp_path / "flight-chaos.jsonl"))
+    entries = read_jsonl(str(tmp_path / "flight-chaos.jsonl"))
     assert entries[0]["seq"] == 0
 
 

@@ -14,14 +14,15 @@ import pytest
 
 from repro.api import run_experiment
 from repro.cloud.deployment import CloudEnvironment
+from repro.baselines import run_transfer_to_completion
 from repro.core.engine import SageEngine
-from repro.obs import Observer
-from repro.obs.exporters import read_trace_jsonl
+from repro.obs import NULL_LOG, BatchTrace, Observer, read_jsonl
 from repro.streaming import operators
 from repro.streaming.dataflow import SiteSpec, StreamJob
+from repro.streaming.events import Batch, Record
 from repro.streaming.operators import builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime
-from repro.streaming.shipping import SageShipping
+from repro.streaming.shipping import DirectShipping, SageShipping
 from repro.streaming.sources import PoissonSource
 from repro.streaming.windows import TumblingWindows
 from repro.workloads.sensors import sensor_fusion_job
@@ -55,6 +56,10 @@ def make_job(rate=200.0, sites=("NEU", "WEU")):
     )
 
 
+def spans(obs, name):
+    return [s for s in obs.log.spans if s["name"] == name]
+
+
 @pytest.fixture(scope="module")
 def run():
     obs = Observer()
@@ -69,9 +74,9 @@ def run():
 def test_window_spans_reconstruct_latency_stats(run):
     obs, _engine, runtime = run
     stats = runtime.latency_stats()
-    spans = obs.tracer.find("window.global_emit")
-    assert len(spans) == len(runtime.results) == stats.count > 0
-    latencies = np.array([s.end - s.start for s in spans])
+    emits = spans(obs, "window.global_emit")
+    assert len(emits) == len(runtime.results) == stats.count > 0
+    latencies = np.array([s["end"] - s["start"] for s in emits])
     assert float(np.percentile(latencies, 50)) == pytest.approx(stats.p50)
     assert float(np.percentile(latencies, 95)) == pytest.approx(stats.p95)
     assert float(np.percentile(latencies, 99)) == pytest.approx(stats.p99)
@@ -91,8 +96,7 @@ def test_site_and_ship_instrumentation(run):
         processed = snap[f'stream_records_processed_total{{site="{site}"}}']
         assert ingested.value == runtime.sites[site].records_ingested
         assert processed.value == runtime.sites[site].records_processed
-    ship_spans = obs.tracer.find("ship.batch")
-    assert ship_spans and all(s.finished for s in ship_spans)
+    assert spans(obs, "ship.batch")
     shipped = sum(
         v.value
         for k, v in snap.items()
@@ -100,7 +104,38 @@ def test_site_and_ship_instrumentation(run):
     )
     assert shipped == pytest.approx(runtime.wan_bytes())
     # Site-side window-close spans were recorded too.
-    assert obs.tracer.find("window.site_close")
+    assert spans(obs, "window.site_close")
+
+
+def test_ship_batch_span_is_the_hops_transit():
+    obs = Observer()
+    engine = make_engine(obs, seed=17)
+    batch = Batch([Record(0.0, "k", 1.0, size_bytes=1e6)], "NEU",
+                  created_at=engine.sim.now, seq=0)
+    batch.trace = BatchTrace.stamp("NEU", 0, engine.sim.now)
+    src, dst = engine.deployment.vms("NEU")[0], engine.deployment.vms("NUS")[0]
+    DirectShipping(engine, src, dst).ship(batch, lambda b: None)
+    engine.run_until(engine.sim.now + 60.0)
+    (span,) = spans(obs, "ship.batch")
+    (hop,) = batch.trace.hops
+    assert span["start"] == hop.sent_at
+    assert span["end"] - span["start"] == hop.transit_s > 0
+    assert span["attrs"]["bps"] == 1e6 / hop.transit_s
+    assert any(entry is span for entry in obs.log.ring)
+
+
+def test_baseline_span_ends_at_completion_not_at_the_poll():
+    obs = Observer()
+    engine = make_engine(obs)
+    t0 = engine.sim.now
+    elapsed = run_transfer_to_completion(
+        engine, lambda done: engine.sim.schedule(7.0, done), step=5.0,
+        label="unit",
+    )
+    (span,) = spans(obs, "baseline.transfer")
+    assert (span["start"], span["end"]) == (t0, t0 + 7.0)
+    assert span["t"] == t0 + 10.0  # written after the polling step
+    assert span["attrs"] == {"label": "unit", "seconds": elapsed}
 
 
 def test_monitor_and_sim_metrics(run):
@@ -130,10 +165,10 @@ def test_decision_predicted_vs_achieved_pairing():
     assert ratio.count == 1 and ratio.values[0] > 0
     strategy = snap['decision_strategy_total{strategy="fixed-nodes"}']
     assert strategy.value == 1
-    (span,) = obs.tracer.find("transfer.managed")
-    assert span.finished
-    assert span.duration == pytest.approx(mt.elapsed)
-    assert span.attrs["achieved_seconds"] == pytest.approx(mt.elapsed)
+    (span,) = spans(obs, "transfer.managed")
+    assert (span["start"], span["end"]) == (mt.started_at, mt.completed_at)
+    assert span["attrs"]["achieved_seconds"] == mt.elapsed
+    assert span["attrs"]["strategy"] == mt.strategy == "fixed-nodes"
     assert snap["decision_plans_total"].value >= 1
 
 
@@ -141,9 +176,12 @@ def test_disabled_observer_records_nothing():
     env = CloudEnvironment(seed=13, variability_sigma=0.0, glitches=False)
     engine = SageEngine(env, deployment_spec={"NEU": 2, "NUS": 2})
     engine.start(learning_phase=60.0)
+    job = make_job(sites=("NEU",))
+    GeoStreamRuntime(engine, job, SageShipping.factory()).run_for(30.0)
     assert not engine.observer.enabled
     assert engine.observer.registry.snapshot() == {}
-    assert len(engine.observer.tracer) == 0
+    assert engine.observer.log is NULL_LOG
+    assert not NULL_LOG.ring and not NULL_LOG.spans
 
 
 def test_export_round_trip_from_run(run, tmp_path):
@@ -151,9 +189,9 @@ def test_export_round_trip_from_run(run, tmp_path):
     trace = tmp_path / "run.jsonl"
     prom = tmp_path / "run.prom"
     written = obs.export(trace_path=str(trace), metrics_path=str(prom))
-    assert written["spans"] == len(obs.tracer.spans)
+    assert written["spans"] == len(obs.log.spans)
     assert written["series"] == len(obs.registry.snapshot())
-    back = read_trace_jsonl(str(trace))
+    back = read_jsonl(str(trace))
     assert len(back) == written["spans"]
     assert "# TYPE" in prom.read_text()
 

@@ -75,7 +75,7 @@ def test_kind_conflict_raises():
 
 
 # ----------------------------------------------------------------------
-# Snapshot / merge
+# Snapshot
 # ----------------------------------------------------------------------
 def test_snapshot_keys_render_labels():
     reg = MetricsRegistry()
@@ -84,38 +84,6 @@ def test_snapshot_keys_render_labels():
     snap = reg.snapshot()
     assert snap['a_total{link="NEU->NUS"}'].value == 4
     assert snap["plain"].value == 1
-
-
-def test_registry_merge():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.counter("n").inc(1)
-    b.counter("n").inc(2)
-    b.counter("only_b").inc(5)
-    a.gauge("g").set(1.0)
-    b.gauge("g").set(9.0)
-    for v in (1.0, 2.0):
-        a.histogram("h").observe(v)
-    for v in (3.0, 4.0):
-        b.histogram("h").observe(v)
-
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap["n"].value == 3
-    assert snap["only_b"].value == 5
-    assert snap["g"].value == 9.0
-    assert snap["g"].max == 9.0
-    assert snap["h"].count == 4
-    assert snap["h"].sum == pytest.approx(10.0)
-
-
-def test_merge_kind_conflict_raises():
-    a = MetricsRegistry()
-    b = MetricsRegistry()
-    a.counter("x")
-    b.gauge("x")
-    with pytest.raises(ValueError):
-        a.merge(b)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Null/real API parity, enforced by reflection.
 
 Every observability primitive ships a disabled twin (``NullCounter``,
-``NullTracer``, ...). Components grab handles once and drive them from
+``NullEventLog``, ...). Components grab handles once and drive them from
 hot paths, so a Null twin missing one attribute is a latent
 ``AttributeError`` that only fires when observability is toggled off —
 the exact configuration the test suite exercises least. This test walks
@@ -23,17 +23,14 @@ import inspect
 import pytest
 
 from repro.obs import (
+    NULL_LOG,
     NULL_OBSERVER,
     NULL_PROFILER,
-    NULL_RECORDER,
-    NULL_SPAN,
     NULL_STAGE_TIMER,
-    NULL_TRACER,
-    FlightRecorder,
+    EventLog,
     MetricsRegistry,
     Observer,
     StageProfiler,
-    Tracer,
 )
 from repro.obs.metrics import (
     NULL_COUNTER,
@@ -58,11 +55,6 @@ def public_surface(obj) -> set[str]:
     }
 
 
-def _real_tracer_span():
-    tracer = Tracer()
-    return tracer.start_span("s", hint=1)
-
-
 def _real_stage_timer():
     return StageProfiler().timer("stage")
 
@@ -73,11 +65,9 @@ PAIRS = [
     ("counter", Counter("c"), NULL_COUNTER),
     ("gauge", Gauge("g"), NULL_GAUGE),
     ("histogram", Histogram("h"), NULL_HISTOGRAM),
-    ("tracer", Tracer(), NULL_TRACER),
-    ("span", _real_tracer_span(), NULL_SPAN),
+    ("log", EventLog(), NULL_LOG),
     ("profiler", StageProfiler(), NULL_PROFILER),
     ("stage_timer", _real_stage_timer(), NULL_STAGE_TIMER),
-    ("recorder", FlightRecorder(), NULL_RECORDER),
 ]
 
 
@@ -134,13 +124,12 @@ def test_null_handles_accept_real_call_shapes(tmp_path):
         pass
     with obs.profiler.owner_timer(public_surface):
         pass
-    with obs.span("unit", site="NEU"):
-        pass
-    detached = obs.start_span("detached")
-    detached.set(k=1).finish(ok=True)
     obs.record_span("window", 0.0, 10.0, site="NEU")
-    obs.recorder.record("event", fn="cb")
-    assert obs.recorder.dump(str(tmp_path / "flight.jsonl")) == 0
+    obs.log.record("event", fn="cb")
+    assert not obs.log.ring and not obs.log.spans
+    flight = tmp_path / "flight.jsonl"
+    assert obs.export(flight_path=str(flight))["flight"] == 0
+    assert not flight.exists()
     assert obs.profiler.snapshot(wall_seconds=1.0)["stages"] == {}
     assert len(obs.registry) == 0
     assert obs.export() == {"spans": 0, "series": 0, "flight": 0}

@@ -1,4 +1,4 @@
-"""Stage profiler, flight recorder, dashboard rendering."""
+"""Stage profiler, the event log's ring, dashboard rendering."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from repro.obs import FlightRecorder, Observer, StageProfiler, read_flight_jsonl
+from repro.obs import EventLog, Observer, StageProfiler, dump, read_jsonl
+from repro.obs import log as log_module
 from repro.obs.dashboard import render_dashboard
 from repro.obs.profile import NULL_PROFILER, NULL_STAGE_TIMER
 
@@ -154,52 +155,38 @@ def test_owner_timer_drops_the_repro_prefix_and_caches_per_code_object():
 
 
 # ----------------------------------------------------------------------
-# FlightRecorder
+# The event log's ring
 # ----------------------------------------------------------------------
-def test_ring_keeps_only_the_last_capacity_entries():
-    rec = FlightRecorder(capacity=3)
+def test_ring_keeps_only_the_last_capacity_entries(monkeypatch):
+    monkeypatch.setattr(log_module, "RING_CAPACITY", 3)
+    log = EventLog()
     for i in range(10):
-        rec.record("event", seq=i)
-    assert len(rec) == 3
-    assert rec.recorded == 10  # total ever recorded survives eviction
-    assert [e["seq"] for e in rec.events] == [7, 8, 9]
+        log.record("event", seq=i)
+    assert [e["seq"] for e in log.ring] == [7, 8, 9]
 
 
 def test_entries_are_stamped_with_the_bound_clock():
     now = {"t": 5.0}
-    rec = FlightRecorder(clock=lambda: now["t"])
-    rec.record("a")
+    log = EventLog(clock=lambda: now["t"])
+    log.record("a")
     now["t"] = 7.5
-    rec.record("b")
-    assert [e["t"] for e in rec.events] == [5.0, 7.5]
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
+    log.record("b")
+    assert [e["t"] for e in log.ring] == [5.0, 7.5]
 
 
 def test_dump_round_trips_and_stringifies_unserialisable(tmp_path):
-    rec = FlightRecorder(capacity=8)
-    rec.record("fault", fault="vm_crash", target=("NEU", 0))
-    rec.record("event", payload=object())  # no JSON encoder
+    log = EventLog()
+    log.record("fault", fault="vm_crash", target=("NEU", 0))
+    log.record("event", payload=object())  # no JSON encoder
     path = tmp_path / "flight.jsonl"
-    assert rec.dump(str(path)) == 2
-    entries = read_flight_jsonl(str(path))
+    assert dump(str(path), log.ring) == 2
+    entries = read_jsonl(str(path))
     assert [e["kind"] for e in entries] == ["fault", "event"]
     assert entries[0]["fault"] == "vm_crash"
     assert isinstance(entries[1]["payload"], str)  # stringified, not lost
     # Every line is independently valid JSON (post-mortem greppability).
     for line in path.read_text().splitlines():
         json.loads(line)
-
-
-def test_clear_empties_ring_but_not_total():
-    rec = FlightRecorder(capacity=4)
-    rec.record("x")
-    rec.clear()
-    assert len(rec) == 0
-    assert rec.recorded == 1
 
 
 # ----------------------------------------------------------------------

@@ -19,20 +19,9 @@ from repro.streaming.windows import TumblingWindows, Window
 # ----------------------------------------------------------------------
 # Stub runtime: drives each check in isolation
 # ----------------------------------------------------------------------
-class _StubAggregator:
-    late_dropped = 0
-    late_partial_records = 0
-
-
-class _StubShipping:
-    records_abandoned = 0
-
-
 class _StubSite:
     def __init__(self, watermark=0.0):
         self.watermark = watermark
-        self.aggregator = _StubAggregator()
-        self.shipping = _StubShipping()
         self.records_shed = 0
 
 
@@ -40,7 +29,6 @@ class _StubRuntime:
     def __init__(self):
         self.sites = {"NEU": _StubSite()}
         self.results = []
-        self.aggregator = _StubAggregator()
         self._ingested = 0
 
     def records_ingested(self):
@@ -49,8 +37,14 @@ class _StubRuntime:
     def records_in_results(self):
         return sum(r.record_count for r in self.results)
 
-    def records_shed(self):
-        return sum(s.records_shed for s in self.sites.values())
+    def loss_terms(self):
+        return {
+            "shed": sum(s.records_shed for s in self.sites.values()),
+            "late_dropped": 0,
+            "late_partial_records": 0,
+            "abandoned_records": 0,
+            "admission_rejected": 0,
+        }
 
 
 def result(start=0.0, end=10.0, key="k", emitted_at=15.0, count=3):
@@ -142,7 +136,10 @@ def test_loss_identity_violation_on_unexplained_loss(engine):
     report = auditor.finish(quiescent=True)
     kinds = [v.kind for v in report.violations]
     assert kinds == ["loss_identity"]
-    assert "lost 50 != explained 10" in report.violations[0].detail
+    assert report.violations[0].detail == (
+        "lost 50 != explained 10 (shed 10 + late_dropped 0 + late_partial 0"
+        " + abandoned 0 + admission_rejected 0)"
+    )
     # The identity holds once the loss is fully accounted.
     runtime.sites["NEU"].records_shed = 50
     assert SLOAuditor(engine, runtime).finish(quiescent=True).clean
@@ -174,10 +171,9 @@ def test_violations_reach_counter_and_flight_ring(engine):
     obs = engine.observer
     counter = obs.counter("audit_violations_total", kind="duplicate_window")
     assert counter.value == 1
-    # emit_fault routes audit events into the flight-recorder ring.
+    # emit_fault routes audit events into the event log's ring.
     events = [
-        e for e in obs.recorder.events
-        if e.get("fault", "").startswith("audit.")
+        e for e in obs.log.ring if e.get("fault", "").startswith("audit.")
     ]
     assert events
     assert events[0]["fault"] == "audit.duplicate_window"
