@@ -64,10 +64,7 @@ class StaticShortestPath:
         self.max_hops = cfg.max_hops
 
     def choose_path(self, engine: SageEngine, src: str, dst: str) -> list[str]:
-        thr = {
-            pair: engine.monitor.link_map.throughput(*pair)
-            for pair in engine.monitor.link_map.pairs()
-        }
+        thr = engine.monitor.link_map.means()
         path = widest_path(thr, src, dst, max_hops=self.max_hops)
         return path or [src, dst]
 

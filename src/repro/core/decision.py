@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-from repro.config import ConfigBase
 from typing import Callable
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.vm import VM
+from repro.config import ConfigBase
 from repro.core.cost import CostModel
 from repro.core.paths import MultiPathSelector, TransferSchema
 from repro.core.time_model import TransferTimeModel
@@ -210,13 +209,8 @@ class DecisionManager:
     # Planning
     # ------------------------------------------------------------------
     def link_throughputs(self) -> dict[tuple[str, str], float]:
-        """Current link estimates as a plain dict for the path solver."""
-        out: dict[tuple[str, str], float] = {}
-        for src, dst in self.monitor.link_map.pairs():
-            est = self.monitor.link_map.estimate(src, dst)
-            if est.known:
-                out[(src, dst)] = est.mean
-        return out
+        """Current known link means as a fresh dict for the path solver."""
+        return self.monitor.link_map.means()
 
     def choose_option(
         self,
@@ -572,9 +566,6 @@ class DecisionManager:
         for route in plan.routes:
             for vm in route.path:
                 self._busy_vms.discard(vm.vm_id)
-
-    # Backwards-compatible internal aliases.
-    _release_plan = release_plan
 
     def _prune_runs(self) -> None:
         self._runs = [r for r in self._runs if not r.finished()]

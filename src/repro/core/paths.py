@@ -140,6 +140,14 @@ class MultiPathSelector:
     *optimistic* prior: staying on the direct path until a link is proven
     saturated is cheaper than speculatively paying relay VMs and double
     egress for capacity that may not be needed.
+
+    :meth:`_best_path` is a pure function of the graph it searches, and
+    within one call of :meth:`select` that graph is the throughput
+    snapshot minus the links removed so far. Its results are therefore
+    memoised per ``(snapshot, max_hops)`` and, inside that, per ``(src,
+    dst, removed links)``; only the latest snapshot is kept. Repeated plans
+    at one instant (the decision manager's budget probes) reuse the chain
+    instead of re-running the same widest-path searches.
     """
 
     def __init__(
@@ -155,6 +163,8 @@ class MultiPathSelector:
         self.gain = gain
         self.max_hops = max_hops
         self.default_parallelism = default_parallelism
+        self._snapshot: tuple | None = None
+        self._memo: dict[tuple, list[str] | None] = {}
 
     def _marginal(
         self,
@@ -199,6 +209,20 @@ class MultiPathSelector:
 
         return max(candidates, key=per_vm)
 
+    def _memo_best_path(
+        self,
+        graph: dict[tuple[str, str], float],
+        src: str,
+        dst: str,
+        removed: frozenset[tuple[str, str]],
+    ) -> list[str] | None:
+        """:meth:`_best_path` of ``graph``, which must be the current
+        snapshot minus ``removed``."""
+        key = (src, dst, removed)
+        if key not in self._memo:
+            self._memo[key] = self._best_path(graph, src, dst)
+        return self._memo[key]
+
     def select(
         self,
         throughputs: LinkThroughputs,
@@ -215,10 +239,15 @@ class MultiPathSelector:
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         graph = dict(throughputs)
+        snapshot = (tuple(graph.items()), self.max_hops)
+        if snapshot != self._snapshot:
+            self._snapshot = snapshot
+            self._memo = {}
+        removed: frozenset[tuple[str, str]] = frozenset()
         allocations: list[PathAllocation] = []
         nodes_used = 0
 
-        path = self._best_path(graph, src, dst)
+        path = self._memo_best_path(graph, src, dst, removed)
         if path is None:
             # Nothing monitored yet: fall back to the direct link.
             path = [src, dst]
@@ -238,9 +267,11 @@ class MultiPathSelector:
             nodes_used += cost
 
             # Next-best alternative: remove this path's links and re-solve.
-            for hop in zip(path[:-1], path[1:]):
+            hops = list(zip(path[:-1], path[1:]))
+            for hop in hops:
                 graph.pop(hop, None)
-            next_path = self._best_path(graph, src, dst)
+            removed = removed.union(hops)
+            next_path = self._memo_best_path(graph, src, dst, removed)
             next_width = (
                 path_bottleneck(throughputs, next_path)
                 if next_path is not None

@@ -59,6 +59,18 @@ class LinkPerformanceMap:
         e = self.estimate(src, dst)
         return e.mean if e.known else default
 
+    def means(self) -> dict[tuple[str, str], float]:
+        """Every known link mean, in sorted pair order — the path solvers'
+        input. Known is :attr:`LinkEstimate.known`'s filter (sampled, mean
+        not NaN); no estimate object or std is built per pair."""
+        out: dict[tuple[str, str], float] = {}
+        for pair in sorted(self._estimators):
+            est = self._estimators[pair]
+            mean = est.mean
+            if est.samples_seen > 0 and mean == mean:
+                out[pair] = mean
+        return out
+
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._estimators)
 

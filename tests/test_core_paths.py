@@ -215,3 +215,87 @@ def test_property_selector_budget_and_structure(graph, budget, gain):
     # No duplicate paths in one schema.
     paths = [tuple(a.path) for a in schema.allocations]
     assert len(set(paths)) == len(paths)
+
+
+# ----------------------------------------------------------------------
+# Memoised path searches
+# ----------------------------------------------------------------------
+REGIONS = ["A", "B", "C", "D"]
+LINKS = st.tuples(st.sampled_from(REGIONS), st.sampled_from(REGIONS)).filter(
+    lambda p: p[0] != p[1]
+)
+LIVE_VALUES = st.floats(min_value=0.5, max_value=50.0)
+DEAD_VALUES = st.sampled_from([0.0, float("nan")])
+LINK_VALUES = LIVE_VALUES | DEAD_VALUES
+# Mostly live links, so relay paths (and thus max_hops) matter, plus a few
+# zero / NaN links the searches must skip.
+GRAPHS = st.builds(
+    lambda live, dead: {**live, **dead},
+    st.dictionaries(LINKS, LIVE_VALUES, max_size=12),
+    st.dictionaries(LINKS, DEAD_VALUES, max_size=3),
+)
+
+
+def allocations(schema: TransferSchema) -> list[tuple]:
+    return [(a.path, a.instances, a.base_throughput) for a in schema]
+
+
+class UnmemoisedSelector(MultiPathSelector):
+    """The reference: every path search runs, nothing is remembered."""
+
+    def _memo_best_path(self, graph, src, dst, removed):
+        return self._best_path(graph, src, dst)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_memoised_select_matches_a_fresh_selector(data):
+    """One long-lived selector plans exactly what a fresh one would.
+
+    The sequence repeats snapshots (as a copy, so the memo is found by
+    equality), changes one link at a time, redraws the whole map, and
+    varies the endpoints, the budget, the capacities and ``max_hops``
+    under a fixed snapshot — every input the memo key must or must not
+    cover. The fresh selector searches without a memo, so a key that
+    misses the links removed within one call fails too.
+    """
+    selector = MultiPathSelector(gain=0.5)
+    graph = data.draw(GRAPHS)
+    src, dst = data.draw(LINKS)
+    for _ in range(data.draw(st.integers(min_value=2, max_value=10))):
+        change = data.draw(
+            st.sampled_from(["repeat", "repeat", "tweak", "redraw"])
+        )
+        if change == "tweak":
+            graph = dict(graph)
+            graph[data.draw(LINKS)] = data.draw(LINK_VALUES)
+        elif change == "redraw":
+            graph = data.draw(GRAPHS)
+        if data.draw(st.integers(min_value=0, max_value=3)) == 0:
+            src, dst = data.draw(LINKS)
+        budget = data.draw(st.integers(min_value=1, max_value=12))
+        capacities = data.draw(
+            st.none()
+            | st.dictionaries(LINKS, st.floats(min_value=0.5, max_value=200.0),
+                              max_size=6)
+        )
+        selector.max_hops = data.draw(st.sampled_from([1, 2, 3]))
+        fresh = UnmemoisedSelector(gain=0.5, max_hops=selector.max_hops)
+        got = selector.select(dict(graph), src, dst, budget, capacities)
+        want = fresh.select(dict(graph), src, dst, budget, capacities)
+        assert allocations(got) == allocations(want)
+
+
+def test_memo_keeps_only_the_latest_snapshot():
+    selector = MultiPathSelector(gain=0.5)
+    selector.select(SIMPLE, "A", "B", node_budget=12)
+    entries = len(selector._memo)
+    assert entries >= 2  # the first path and at least one alternative
+    selector.select(dict(SIMPLE), "A", "B", node_budget=3)
+    assert len(selector._memo) == entries  # same snapshot: all hits
+    changed = dict(SIMPLE)
+    changed[("A", "B")] = 6.0
+    selector.select(changed, "A", "B", node_budget=12)
+    fresh = MultiPathSelector(gain=0.5)
+    fresh.select(changed, "A", "B", node_budget=12)
+    assert selector._memo == fresh._memo  # the old snapshot was dropped

@@ -50,6 +50,33 @@ def test_linkmap_matrix_marks_unknown():
     assert "2.0" in flat
 
 
+@pytest.mark.parametrize("strategy", ["Monitor", "LSI", "EWMA", "WSI"])
+def test_linkmap_means_is_the_known_estimate_filter(strategy):
+    nan = float("nan")
+    feeds = {  # registered out of order; one link per case
+        ("C", "B"): [4.0],
+        ("A", "B"): [5.0, 7.0, 6.0],
+        ("B", "A"): [],  # unsampled
+        ("A", "C"): [nan],  # sampled, NaN mean
+        ("C", "A"): [3.0, nan],  # NaN after a real sample
+        ("B", "C"): [0.0],  # zero is known; the solvers drop it
+    }
+    lm = LinkPerformanceMap()
+    for (src, dst), samples in feeds.items():
+        lm.register(src, dst, make_estimator(strategy))
+        for t, value in enumerate(samples):
+            lm.observe(src, dst, float(t), value)
+    old = {
+        pair: lm.estimate(*pair).mean
+        for pair in lm.pairs()
+        if lm.estimate(*pair).known
+    }
+    means = lm.means()
+    assert means == old
+    assert list(means) == sorted(old)
+    assert set(means) == {("A", "B"), ("B", "C"), ("C", "B")}
+
+
 # ----------------------------------------------------------------------
 # Flow bookkeeping
 # ----------------------------------------------------------------------
