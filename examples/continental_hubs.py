@@ -15,7 +15,6 @@ from repro.analysis.tables import render_table
 from repro.simulation.units import KB, format_bytes
 from repro.streaming import (
     GeoStreamRuntime,
-    HierarchicalRuntime,
     PoissonSource,
     SageShipping,
     SiteSpec,
@@ -77,11 +76,11 @@ def main() -> None:
         ]
     )
 
-    hier = HierarchicalRuntime(
+    hier = GeoStreamRuntime(
         make_engine(),
         make_job(),
+        SageShipping.factory(n_nodes=1),
         hubs={region: "WEU" for region in EU_SITES},
-        site_shipping_factory=SageShipping.factory(n_nodes=1),
         hub_shipping_factory=SageShipping.factory(n_nodes=2),
         hub_hold=2.0,
     )
@@ -104,11 +103,12 @@ def main() -> None:
         )
     )
     hub = hier.hub_aggregators["WEU"]
+    edge_bytes = sum(site.shipping.bytes_shipped for site in hier.sites.values())
     print(
         f"\nWEU hub merged {hub.partials_in} site partials into "
         f"{hub.partials_out} backbone partials "
         f"({hub.reduction_ratio:.0%} reduction); edge traffic stayed "
-        f"intra-Europe ({format_bytes(hier.edge_bytes())})."
+        f"intra-Europe ({format_bytes(edge_bytes)})."
     )
 
 

@@ -30,7 +30,7 @@ from repro.streaming.operators import (
 )
 from repro.streaming.records import ChunkedBacklog, RecordBatch
 from repro.streaming.dataflow import SiteSpec, StreamJob
-from repro.streaming.hierarchy import HierarchicalRuntime, HubAggregator
+from repro.streaming.hierarchy import HubAggregator
 from repro.streaming.runtime import (
     GeoStreamRuntime,
     LatencyStats,
@@ -82,7 +82,6 @@ __all__ = [
     "SiteSpec",
     "StreamJob",
     "GeoStreamRuntime",
-    "HierarchicalRuntime",
     "HubAggregator",
     "WindowResult",
     "LatencyStats",

@@ -9,11 +9,10 @@ site state — and forwards one merged partial per window/key across the
 backbone. Transcontinental volume then scales with hubs, not with sites,
 at the price of one extra hold-and-merge stage of latency.
 
-:class:`HierarchicalRuntime` wraps the flat
-:class:`~repro.streaming.runtime.GeoStreamRuntime`: sites are grouped by
-an assignment of site-region → hub-region; each hub runs a
-:class:`HubAggregator` fed by its children's shipping backends and ships
-onward with its own backend.
+Hubs are a topology of :class:`~repro.streaming.runtime.GeoStreamRuntime`
+(its ``hubs=`` argument maps site region → hub region), not a runtime of
+their own: each hub runs a :class:`HubAggregator` fed by its children's
+shipping backends and ships onward with its own backend.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.streaming.batching import Batcher, HybridBatchPolicy
 from repro.streaming.dataflow import StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.operators import PartialAggregate
-from repro.streaming.runtime import GlobalAggregator, LatencyStats, SiteRuntime
 from repro.streaming.windows import Window
 from repro.simulation.units import KB
 
@@ -37,12 +35,10 @@ _RAW_PAYLOAD = (
 
 @dataclass
 class _HubSlot:
-    state: object = None
-    count: int = 0
-    sites: set | None = None
-    flush_scheduled: bool = False
-    #: Virtual time the hold timer fires (checkpointed for re-arming).
-    due: float = 0.0
+    """One (window, key)'s merged state, held until its hold timer fires."""
+
+    state: object
+    count: int
 
 
 class HubAggregator:
@@ -108,28 +104,17 @@ class HubAggregator:
             if not isinstance(value, PartialAggregate):
                 raise TypeError(_RAW_PAYLOAD)
             self.partials_in += 1
-            slot = self._slots.get((value.window, value.key))
+            slot_key = (value.window, value.key)
+            slot = self._slots.get(slot_key)
             if slot is None:
-                slot = self._slots[(value.window, value.key)] = _HubSlot(
-                    sites=set()
-                )
-            if slot.state is None:
-                slot.state = value.state
+                self._slots[slot_key] = _HubSlot(value.state, value.count)
+                self.engine.sim.schedule(self.hold, self._flush, slot_key)
             else:
                 slot.state = self.job.aggregate.merge(slot.state, value.state)
-            slot.count += value.count
-            slot.sites.add(batch.origin or "?")
-            if not slot.flush_scheduled:
-                slot.flush_scheduled = True
-                slot.due = self.engine.sim.now + self.hold
-                self.engine.sim.schedule(
-                    self.hold, self._flush, (value.window, value.key)
-                )
+                slot.count += value.count
 
     def _flush(self, slot_key: tuple[Window, str]) -> None:
-        slot = self._slots.pop(slot_key, None)
-        if slot is None or slot.state is None:  # pragma: no cover
-            return
+        slot = self._slots.pop(slot_key)
         window, key = slot_key
         merged = Record(
             event_time=window.end,
@@ -163,41 +148,10 @@ class HubAggregator:
     #: Set by the runtime: where forwarded batches land (global aggregator).
     on_delivered = staticmethod(lambda batch: None)
 
-    # -- checkpoint/restore --------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-serializable hub state: merged slots + batch dedup set."""
-        return {
-            "seen": sorted([o, s] for (o, s) in self._seen_batches),
-            "slots": [
-                [w.start, w.end, key, s.state, s.count,
-                 sorted(s.sites or ()), s.due]
-                for (w, key), s in sorted(
-                    self._slots.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
-            ],
-            "partials_in": self.partials_in,
-            "partials_out": self.partials_out,
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Rebuild hub state; hold timers re-arm with remaining wait."""
-        now = self.engine.sim.now
-        self._seen_batches = {(o, s) for o, s in payload["seen"]}
-        self.partials_in = payload["partials_in"]
-        self.partials_out = payload["partials_out"]
-        self._slots = {}
-        for start, end, key, state, count, sites, due in payload["slots"]:
-            slot_key = (Window(start, end), key)
-            self._slots[slot_key] = _HubSlot(
-                state=state,
-                count=count,
-                sites=set(sites),
-                flush_scheduled=True,
-                due=due,
-            )
-            self.engine.sim.schedule(
-                max(0.0, due - now), self._flush, slot_key
-            )
+    @property
+    def open_slots(self) -> int:
+        """(window, key) merges still waiting for their hold timer."""
+        return len(self._slots)
 
     @property
     def reduction_ratio(self) -> float:
@@ -205,100 +159,3 @@ class HubAggregator:
         if self.partials_in == 0:
             return 0.0
         return 1.0 - self.partials_out / self.partials_in
-
-
-class HierarchicalRuntime:
-    """Two-level aggregation: sites → hubs → global site.
-
-    ``hubs`` maps each producing site region to its hub region. Hubs need
-    at least one deployment VM. Sites whose region *is* a hub still route
-    through the hub object (a same-region ship is an intra-DC hop).
-    """
-
-    def __init__(
-        self,
-        engine: SageEngine,
-        job: StreamJob,
-        hubs: dict[str, str],
-        site_shipping_factory,
-        hub_shipping_factory,
-        per_vm_records_per_s: float = 5000.0,
-        hub_hold: float = 2.0,
-    ) -> None:
-        if job.ship_raw_records:
-            raise ValueError("hierarchical aggregation requires partials")
-        missing = [s.region for s in job.sites if s.region not in hubs]
-        if missing:
-            raise ValueError(f"sites without a hub assignment: {missing}")
-        self.engine = engine
-        self.job = job
-        agg_vms = engine.deployment.vms(job.aggregation_region)
-        if not agg_vms:
-            raise ValueError(
-                f"no VMs in aggregation region {job.aggregation_region}"
-            )
-        self.aggregator = GlobalAggregator(engine, job)
-        self.hub_aggregators: dict[str, HubAggregator] = {}
-        for hub_region in sorted(set(hubs.values())):
-            hub_vms = engine.deployment.vms(hub_region)
-            if not hub_vms:
-                raise ValueError(f"no VMs in hub region {hub_region}")
-            backend = hub_shipping_factory(engine, hub_vms, agg_vms[0])
-            hub = HubAggregator(
-                engine, job, hub_region, backend, hold=hub_hold
-            )
-            hub.on_delivered = self.aggregator.deliver
-            self.hub_aggregators[hub_region] = hub
-        self.sites: dict[str, SiteRuntime] = {}
-        for spec in job.sites:
-            hub = self.hub_aggregators[hubs[spec.region]]
-            src_vms = engine.deployment.vms(spec.region)
-            hub_vm = engine.deployment.vms(hub.hub_region)[0]
-            backend = site_shipping_factory(engine, src_vms, hub_vm)
-            self.sites[spec.region] = SiteRuntime(
-                engine,
-                job,
-                spec,
-                backend,
-                hub.deliver,
-                per_vm_records_per_s=per_vm_records_per_s,
-                flow=job.flow,
-            )
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        for site in self.sites.values():
-            site.start()
-
-    def stop(self) -> None:
-        for site in self.sites.values():
-            site.stop()
-        for hub in self.hub_aggregators.values():
-            hub.stop()
-
-    def run_for(self, duration: float) -> None:
-        self.start()
-        self.engine.run_until(self.engine.sim.now + duration)
-        self.stop()
-        self.engine.run_until(
-            self.engine.sim.now + self.job.finalize_grace + 30.0
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def results(self):
-        return self.aggregator.results
-
-    def latency_stats(self) -> LatencyStats:
-        return self.aggregator.latency_stats()
-
-    def backbone_bytes(self) -> float:
-        """Bytes the hubs shipped onward (the transcontinental volume)."""
-        return sum(h.shipping.bytes_shipped for h in self.hub_aggregators.values())
-
-    def edge_bytes(self) -> float:
-        """Bytes the sites shipped to their hubs."""
-        return sum(s.shipping.bytes_shipped for s in self.sites.values())
-
-    def records_ingested(self) -> int:
-        return sum(s.records_ingested for s in self.sites.values())
