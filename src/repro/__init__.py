@@ -6,7 +6,7 @@ The package layers, bottom-up:
 * :mod:`repro.cloud` — the simulated multi-datacenter cloud (regions,
   VMs, variable WAN links, blob storage, pricing);
 * :mod:`repro.monitor` — the Monitoring Agent and its estimators;
-* :mod:`repro.transfer` — the Transfer Agent (chunks, routes, sessions);
+* :mod:`repro.transfer` — the Transfer Agent (plans, routes, sessions);
 * :mod:`repro.core` — the Decision Manager: cost/time models, trade-off
   engine, multi-datacenter path selection;
 * :mod:`repro.streaming` — geo-distributed stream analysis on top of the
@@ -17,7 +17,7 @@ The package layers, bottom-up:
 * :mod:`repro.scenarios` — the one scenario harness, the chaos /
   overload / serve / soak scenarios built on it, and their registry;
 * :mod:`repro.baselines` — comparison systems (direct, static parallel,
-  shortest-path variants, blob staging, GridFTP-like);
+  static shortest path, blob staging, GridFTP-like);
 * :mod:`repro.workloads` — synthetic and application workloads (A-Brain);
 * :mod:`repro.analysis` — statistics and experiment-report helpers;
 * :mod:`repro.runner` — parallel sweep execution with result caching.
@@ -38,7 +38,6 @@ from repro.api import (
     ScenarioReport,
     ServeConfig,
     SoakConfig,
-    StreamReport,
     SweepReport,
     SweepRunner,
     SweepTask,
@@ -65,7 +64,6 @@ __all__ = [
     "ScenarioReport",
     "ServeConfig",
     "SoakConfig",
-    "StreamReport",
     "SweepReport",
     "SweepRunner",
     "SweepTask",

@@ -3,8 +3,6 @@
 from repro.analysis.stats import (
     StatSummary,
     confidence_interval95,
-    mean_absolute_percentage_error,
-    relative_error,
     summarize,
 )
 from repro.analysis.tables import format_row, render_table
@@ -14,8 +12,6 @@ from repro.analysis.introspection import LinkSLA, introspection_report, link_sla
 __all__ = [
     "StatSummary",
     "confidence_interval95",
-    "relative_error",
-    "mean_absolute_percentage_error",
     "summarize",
     "render_table",
     "format_row",

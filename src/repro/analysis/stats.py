@@ -47,23 +47,3 @@ def confidence_interval95(values) -> float:
     if arr.size < 2:
         return 0.0
     return float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size))
-
-
-def relative_error(estimate: float, truth: float) -> float:
-    """|estimate − truth| / truth."""
-    if truth == 0:
-        raise ValueError("relative error undefined for zero truth")
-    return abs(estimate - truth) / abs(truth)
-
-
-def mean_absolute_percentage_error(estimates, truths) -> float:
-    """MAPE over paired sequences (the estimator-accuracy metric)."""
-    est = np.asarray(list(estimates), dtype=float)
-    tru = np.asarray(list(truths), dtype=float)
-    if est.shape != tru.shape:
-        raise ValueError("estimates and truths must have the same length")
-    if est.size == 0:
-        raise ValueError("cannot compute MAPE of empty sequences")
-    if np.any(tru == 0):
-        raise ValueError("truth contains zeros")
-    return float(np.mean(np.abs(est - tru) / np.abs(tru)))

@@ -12,7 +12,7 @@ from ``repro`` itself):
   caching, returning a :class:`~repro.runner.SweepReport`;
 * the frozen config dataclasses (:class:`ChaosConfig`,
   :class:`OverloadConfig`, ...) and typed result surfaces
-  (:class:`ScenarioReport`, :class:`StreamReport`, :class:`SweepReport`).
+  (:class:`ScenarioReport`, :class:`SweepReport`).
 
 Deeper imports (``repro.cloud``, ``repro.streaming``, ...) remain
 available but are implementation surface; only this module's names are
@@ -49,7 +49,7 @@ from repro.config import (
 from repro.core.decision import DecisionConfig, ManagedTransfer
 from repro.core.engine import SageEngine
 from repro.monitor.agent import MonitorConfig
-from repro.report import ScenarioReport, StreamReport
+from repro.report import ScenarioReport
 from repro.runner import SweepReport, SweepRunner, SweepTask, derive_seed, execute_task
 from repro.scenarios import (
     register_scenario,
@@ -299,7 +299,6 @@ __all__ = [
     "ServeConfig",
     "ShortestPathConfig",
     "SoakConfig",
-    "StreamReport",
     "SweepReport",
     "SweepRunner",
     "SweepTask",

@@ -8,9 +8,8 @@ benchmark harness can sweep strategies over identical environments
 * :class:`EndPoint2EndPoint` — one node, one flow; the floor.
 * :class:`StaticParallel` — fixed helper set chosen once, equal shares,
   blind to the environment (the E5 comparator).
-* :class:`StaticShortestPath` / :class:`DynamicShortestPath` — widest-path
-  routing computed once vs. re-computed on fresh monitoring (the E7
-  comparators).
+* :class:`StaticShortestPath` — widest-path routing computed once from
+  the link map at launch (an E7 comparator).
 * :class:`BlobRelay` — stage through cloud object storage (the only
   out-of-the-box cloud offering; E6/E8 comparator).
 * :class:`GridFtpLike` — a Globus-Online-style managed transfer: well
@@ -20,7 +19,7 @@ benchmark harness can sweep strategies over identical environments
 from repro.baselines.base import BaselineResult, run_transfer_to_completion
 from repro.baselines.direct import EndPoint2EndPoint
 from repro.baselines.parallel_static import StaticParallel
-from repro.baselines.shortest_path import DynamicShortestPath, StaticShortestPath
+from repro.baselines.shortest_path import StaticShortestPath
 from repro.baselines.blob_relay import BlobRelay
 from repro.baselines.gridftp import GridFtpLike
 
@@ -30,7 +29,6 @@ __all__ = [
     "EndPoint2EndPoint",
     "StaticParallel",
     "StaticShortestPath",
-    "DynamicShortestPath",
     "BlobRelay",
     "GridFtpLike",
 ]

@@ -1,14 +1,9 @@
-"""Shortest-path (widest-path) multi-datacenter strategies.
+"""Shortest-path (widest-path) multi-datacenter strategy.
 
-Both variants route everything along the single best datacenter path, with
-parallel route instances up to the node budget. They differ in *when* the
-path is chosen:
-
-* **static** — once, from the link map at launch. As the cloud drifts the
-  choice goes stale; throughput decays over long transfers.
-* **dynamic** — re-chosen from the fresh link map every ``replan_interval``
-  (remaining bytes are re-planned). Tracks the environment, but still puts
-  all eggs in one path — no multi-path growth, no marginal-gain reasoning.
+Everything is routed along the single best datacenter path, with parallel
+route instances up to the node budget. The path is chosen once, from the
+link map at launch: as the cloud drifts the choice goes stale, and
+throughput decays over long transfers.
 """
 
 from __future__ import annotations
@@ -87,71 +82,4 @@ class StaticShortestPath:
             seconds=seconds,
             egress_usd=spent.egress_usd,
             vm_seconds_busy=plan.vm_count() * seconds,
-        )
-
-
-class DynamicShortestPath(StaticShortestPath):
-    """Widest path re-chosen on every monitoring refresh."""
-
-    label = "ShortestPath-dynamic"
-
-    def __init__(
-        self, config: ShortestPathConfig | dict | None = None
-    ) -> None:
-        cfg = resolve_config(ShortestPathConfig, config)
-        super().__init__(cfg)
-        self.replan_interval = cfg.replan_interval
-
-    def run(
-        self, engine: SageEngine, src_region: str, dst_region: str, size: float
-    ) -> BaselineResult:
-        before = engine.env.meter.snapshot()
-        state = {"session": None, "remaining": size, "vm_seconds": 0.0}
-
-        def _launch(done) -> None:
-            path = self.choose_path(engine, src_region, dst_region)
-            plan = materialise_path(
-                engine,
-                path,
-                instances_for_budget(path, self.n_nodes),
-                self.streams,
-            )
-            t_start = engine.sim.now
-
-            def _finished(session) -> None:
-                state["vm_seconds"] += plan.vm_count() * (engine.sim.now - t_start)
-                state["session"] = None
-                done()
-
-            state["session"] = engine.transfers.execute(
-                plan, state["remaining"], on_complete=_finished
-            )
-
-            def _replan() -> None:
-                session = state["session"]
-                if session is None or session.done:
-                    return
-                fresh = self.choose_path(engine, src_region, dst_region)
-                if fresh != path:
-                    remaining = session.cancel()
-                    state["vm_seconds"] += plan.vm_count() * (
-                        engine.sim.now - t_start
-                    )
-                    if remaining > 0:
-                        state["remaining"] = remaining
-                        _launch(done)
-                    else:
-                        done()
-                else:
-                    engine.sim.schedule(self.replan_interval, _replan)
-
-            engine.sim.schedule(self.replan_interval, _replan)
-
-        seconds = run_transfer_to_completion(engine, _launch)
-        spent = engine.env.meter.snapshot() - before
-        return BaselineResult(
-            label=self.label,
-            seconds=seconds,
-            egress_usd=spent.egress_usd,
-            vm_seconds_busy=state["vm_seconds"],
         )

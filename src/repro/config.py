@@ -444,13 +444,11 @@ class ParallelStaticConfig(ConfigBase):
 
 @dataclass(frozen=True)
 class ShortestPathConfig(ConfigBase):
-    """Knobs of the widest-path baselines (static and dynamic)."""
+    """Knobs of the widest-path baseline."""
 
     n_nodes: int = 10
     streams: int = 4
     max_hops: int = 3
-    #: Replan cadence of the dynamic variant (ignored by the static one).
-    replan_interval: float = 30.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -459,8 +457,6 @@ class ShortestPathConfig(ConfigBase):
             raise ValueError("streams must be >= 1")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-        if self.replan_interval <= 0:
-            raise ValueError("replan_interval must be positive")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from repro.monitor.estimators import (
 )
 from repro.monitor.history import MetricHistory, MetricPoint
 from repro.monitor.linkmap import LinkEstimate, LinkPerformanceMap
-from repro.monitor.profiler import Anomaly, HistoryProfiler, MetricProfile
 from repro.monitor.samplers import (
     ActiveProbeSampler,
     CpuSampler,
@@ -43,9 +42,6 @@ __all__ = [
     "make_estimator",
     "MetricHistory",
     "MetricPoint",
-    "HistoryProfiler",
-    "MetricProfile",
-    "Anomaly",
     "LinkPerformanceMap",
     "LinkEstimate",
     "Sampler",

@@ -65,35 +65,6 @@ class MetricHistory:
         vals = self.values(since)
         return float(vals.std()) if vals.size else float("nan")
 
-    def coefficient_of_variation(self, since: float | None = None) -> float:
-        """σ/µ — the headline variability number of the E1 experiments."""
-        vals = self.values(since)
-        if vals.size == 0 or vals.mean() == 0:
-            return float("nan")
-        return float(vals.std() / vals.mean())
-
     def percentile(self, q: float, since: float | None = None) -> float:
         vals = self.values(since)
         return float(np.percentile(vals, q)) if vals.size else float("nan")
-
-    def resample_hourly(self) -> list[tuple[float, float, float]]:
-        """Aggregate to (hour_start, mean, std) rows — the shape of the
-        weekly variability figures."""
-        if not self._points:
-            return []
-        rows: list[tuple[float, float, float]] = []
-        bucket: list[float] = []
-        hour = int(self._points[0].time // 3600)
-        for p in self._points:
-            h = int(p.time // 3600)
-            if h != hour:
-                if bucket:
-                    arr = np.array(bucket)
-                    rows.append((hour * 3600.0, float(arr.mean()), float(arr.std())))
-                bucket = []
-                hour = h
-            bucket.append(p.value)
-        if bucket:
-            arr = np.array(bucket)
-            rows.append((hour * 3600.0, float(arr.mean()), float(arr.std())))
-        return rows

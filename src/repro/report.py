@@ -127,41 +127,3 @@ class ScenarioReport:
         )
         body = getattr(self.details, "describe", None)
         return head + "\n\n" + body() if callable(body) else head
-
-
-@dataclass(frozen=True)
-class StreamReport:
-    """Typed summary of a :class:`~repro.streaming.runtime.GeoStreamRuntime` run."""
-
-    records_ingested: int
-    records_processed: int
-    results: int
-    records_shed: int
-    max_backlog: dict[str, int]
-    duplicates_dropped: int
-    late_partials: int
-    wan_bytes: float
-    policy: str | None = None
-
-    @classmethod
-    def from_runtime(cls, runtime) -> "StreamReport":
-        flow = getattr(runtime, "flow", None)
-        agg = runtime.aggregator
-        return cls(
-            records_ingested=sum(
-                s.records_ingested for s in runtime.sites.values()
-            ),
-            records_processed=sum(
-                s.records_processed for s in runtime.sites.values()
-            ),
-            results=len(runtime.results),
-            records_shed=sum(s.records_shed for s in runtime.sites.values()),
-            max_backlog={
-                region: site.max_backlog
-                for region, site in sorted(runtime.sites.items())
-            },
-            duplicates_dropped=agg.duplicates_dropped,
-            late_partials=agg.late_partials,
-            wan_bytes=runtime.wan_bytes(),
-            policy=flow.policy if flow is not None else None,
-        )

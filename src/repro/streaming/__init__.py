@@ -49,9 +49,8 @@ from repro.streaming.sources import (
     PoissonSource,
     SensorGridSource,
     StreamSource,
-    TraceSource,
 )
-from repro.streaming.windows import SlidingWindows, TumblingWindows, Window
+from repro.streaming.windows import TumblingWindows, Window
 
 __all__ = [
     "Record",
@@ -67,7 +66,6 @@ __all__ = [
     "builtin_aggregate",
     "Window",
     "TumblingWindows",
-    "SlidingWindows",
     "BatchPolicy",
     "SizeBatchPolicy",
     "TimeBatchPolicy",
@@ -78,7 +76,6 @@ __all__ = [
     "PoissonSource",
     "MmppSource",
     "SensorGridSource",
-    "TraceSource",
     "SiteSpec",
     "StreamJob",
     "GeoStreamRuntime",

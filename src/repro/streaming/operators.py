@@ -12,19 +12,24 @@ transforms one :class:`~repro.streaming.records.RecordBatch` at a time
 (vectorized where possible). A function written record by record —
 ``process(record) -> list[Record]`` — joins a chain through an explicit
 :class:`PerRecordAdapter`; the site runtime refuses a bare one.
+
+The window fold has one path: windows are tumbling and values float64,
+so every batch is held and each (window, key) group folded by the
+aggregate's ``fold_groups``, or else by its own ``add`` chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Protocol
 
 import numpy as np
 
 from repro.streaming.events import Record
 from repro.streaming.records import RecordBatch
-from repro.streaming.windows import TumblingWindows, Window
+from repro.streaming.windows import Window
 
 
 class Operator(Protocol):
@@ -150,7 +155,7 @@ class AggregateFn:
     #: (group ``g`` is ``values[starts[g]:starts[g] + lengths[g]]``, never
     #: empty) and returns the new states, each **bit-identical** to
     #: applying ``add`` left-to-right over its group. Aggregates without
-    #: one take the window fold's per-element ``add`` path.
+    #: one fold each group through its own ``add`` chain.
     fold_groups: (
         Callable[[list, np.ndarray, np.ndarray, np.ndarray], list] | None
     ) = None
@@ -277,7 +282,6 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=_var_add,
             merge=_var_merge,
             result=lambda s: s[2] / s[0] if s[0] else float("nan"),
-            fold_groups=_var_groups,
         )
     raise ValueError(f"unknown aggregate {name!r}")
 
@@ -291,13 +295,13 @@ def _var_add(s: tuple, v: float) -> tuple:
     return (n, mean, m2 + delta * (v - mean))
 
 
-def _var_groups(states, values, starts, lengths) -> list[tuple]:
-    # The scalar Welford chain itself, group by group: exact by
-    # construction, and left scalar until a benchmark workload folds var.
+def _add_chains(add, states, values, starts, lengths) -> list:
+    # The fold of an aggregate without ``fold_groups``: each group's own
+    # scalar ``add`` chain, left to right, so exact by construction.
     folded = []
     for state, lo, n in zip(states, starts.tolist(), lengths.tolist()):
         for v in values[lo:lo + n].tolist():
-            state = _var_add(state, v)
+            state = add(state, v)
         folded.append(state)
     return folded
 
@@ -342,12 +346,11 @@ class WindowedAggregator:
     and dropped — the global aggregator must never block on a straggler
     site's slow clock.
 
-    Batches the vectorized fold serves are counted and late-filtered at
-    ingest but only *held*; they are folded as one concatenation when a
-    window can close, the hold reaches :data:`HOLD_RECORDS`, or the fold
-    state is read. ``fold_groups`` folds each group left to right and
-    the sort is stable, so that equals folding batch by batch, bit for
-    bit.
+    Batches are counted and late-filtered at ingest but only *held*;
+    they are folded as one concatenation when a window can close, the
+    hold reaches :data:`HOLD_RECORDS`, or the fold state is read. Each
+    (window, key) group folds left to right and the sort is stable, so
+    that equals folding batch by batch, bit for bit.
     """
 
     def __init__(
@@ -408,11 +411,8 @@ class WindowedAggregator:
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
 
-        The fast path — tumbling windows, float64 values, and an
-        aggregate with a ``fold_groups`` — holds the batch for
-        :meth:`_flush`. Everything else (sliding windows, object
-        payloads, custom aggregates without one) takes a per-record loop
-        with semantics identical to :meth:`process`.
+        The batch is held for :meth:`_flush`, which folds it into the
+        slots :meth:`process` would, bit for bit.
         """
         n = len(batch)
         if not n:
@@ -430,20 +430,13 @@ class WindowedAggregator:
                 return RecordBatch.empty(batch.origin)
             batch = batch.where(keep)
             first = batch.t.min().item()
-        if (
-            self.aggregate.fold_groups is not None
-            and isinstance(self.windows, TumblingWindows)
-            and batch.value.dtype != object
-        ):
-            self._held.append(batch)
-            self._held_n += len(batch.t)
-            close = self.windows.assign(first)[0].end + self.allowed_lateness
-            if close < self._next_close:
-                self._next_close = close
-            if self._held_n >= HOLD_RECORDS:
-                self._flush()
-        else:
-            self._fold_slow(batch)
+        self._held.append(batch)
+        self._held_n += len(batch.t)
+        close = self.windows.assign(first)[0].end + self.allowed_lateness
+        if close < self._next_close:
+            self._next_close = close
+        if self._held_n >= HOLD_RECORDS:
+            self._flush()
         return RecordBatch.empty(batch.origin)
 
     def _flush(self) -> None:
@@ -455,7 +448,8 @@ class WindowedAggregator:
 
     def _fold_tumbling(self, batch: RecordBatch) -> None:
         """Group by (window, key) with one stable lexsort and fold every
-        contiguous group in one ``fold_groups`` call."""
+        contiguous group in one ``fold_groups`` call (or its ``add``
+        chains)."""
         starts = self.windows.assign_starts(batch.t)
         # Stable sort: within one (window, key) group, values keep their
         # arrival order, so sequential folds match interleaved
@@ -486,32 +480,15 @@ class WindowedAggregator:
                 window = Window(start, start + length)
                 last = start
             cells.append(open_slot((window, keys[k])))
-        states = self.aggregate.fold_groups(
+        fold = self.aggregate.fold_groups or partial(
+            _add_chains, self.aggregate.add
+        )
+        states = fold(
             [cell[0] for cell in cells], batch.value[order], group_starts, lengths
         )
         for cell, state, count in zip(cells, states, lengths.tolist()):
             cell[0] = state
             cell[1] += count
-
-    def _fold_slow(self, batch: RecordBatch) -> None:
-        # Exact replica of the per-record fold for shapes the vectorized
-        # path cannot serve bit-identically.
-        self._flush()
-        add = self.aggregate.add
-        assign = self.windows.assign
-        t = batch.t
-        key_idx = batch.key_idx
-        keys = batch.keys
-        values = batch.value
-        is_obj = values.dtype == object
-        open_slot = self._open
-        for i in range(len(batch)):
-            key = keys[key_idx[i]]
-            value = values[i] if is_obj else values[i].item()
-            for window in assign(t[i].item()):
-                held = open_slot((window, key))
-                held[0] = add(held[0], value)
-                held[1] += 1
 
     def advance_watermark(self, watermark: float) -> list[Record]:
         """Close all windows ending before the watermark; emit partials."""

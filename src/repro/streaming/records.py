@@ -24,9 +24,8 @@ Memory layout:
 * ``key_idx`` — int64 indices into ``keys``, a per-batch tuple of key
   strings (sources with a fixed key universe share one table across
   every batch they emit);
-* ``value`` — float64 for numeric streams; ``object`` dtype when a
-  source carries arbitrary payloads (``TraceSource``), in which case
-  consumers fall back to per-element folds;
+* ``value`` — float64, always: record values are numbers, and
+  ``from_records`` refuses anything else;
 * ``size``  — float64 record sizes in bytes.
 
 Slicing (``batch[a:b]``) returns array *views* — deferring a rejected
@@ -36,6 +35,7 @@ tail or splitting a backlog chunk never copies record data.
 from __future__ import annotations
 
 from collections import deque
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -78,9 +78,8 @@ class RecordBatch:
     ) -> "RecordBatch":
         """Columnarize a record list.
 
-        ``value`` stays a float64 column only when every value is a
-        plain float; any other payload switches the column to object
-        dtype so ``to_records`` round-trips values verbatim.
+        Values become the float64 ``value`` column: a number of any
+        other type is converted, and anything else raises ``TypeError``.
         """
         n = len(records)
         if n == 0:
@@ -97,15 +96,13 @@ class RecordBatch:
             n,
         )
         values = [r.value for r in records]
-        if all(type(v) is float for v in values):
-            value = np.asarray(values, dtype=np.float64)
-        else:
-            value = np.empty(n, dtype=object)
-            value[:] = values
+        for v in values:
+            if type(v) is not float and not isinstance(v, Real):
+                raise TypeError(f"record value {v!r} is not a number")
         return cls(
             t,
             key_idx,
-            value,
+            np.asarray(values, dtype=np.float64),
             size,
             tuple(table),
             records[0].origin if origin is None else origin,
@@ -132,11 +129,7 @@ class RecordBatch:
         return Record(
             event_time=self.t[i].item(),
             key=self.keys[self.key_idx[i]],
-            value=(
-                self.value[i]
-                if self.value.dtype == object
-                else self.value[i].item()
-            ),
+            value=self.value[i].item(),
             origin=self.origin,
             size_bytes=self.size[i].item(),
         )
@@ -169,18 +162,10 @@ class RecordBatch:
                     remap[j] = lookup.setdefault(key, len(lookup))
                 key_cols.append(remap[b.key_idx])
             keys = tuple(lookup)
-        if any(b.value.dtype == object for b in parts):
-            value = np.empty(sum(len(b) for b in parts), dtype=object)
-            at = 0
-            for b in parts:
-                value[at:at + len(b)] = b.value
-                at += len(b)
-        else:
-            value = np.concatenate([b.value for b in parts])
         return cls(
             np.concatenate([b.t for b in parts]),
             np.concatenate(key_cols),
-            value,
+            np.concatenate([b.value for b in parts]),
             np.concatenate([b.size for b in parts]),
             keys,
             next((b.origin for b in parts if b.origin), ""),
@@ -226,12 +211,11 @@ class RecordBatch:
     def iter_records(self) -> Iterator[Record]:
         t, key_idx, value, size = self.t, self.key_idx, self.value, self.size
         keys, origin = self.keys, self.origin
-        is_obj = value.dtype == object
         for i in range(len(t)):
             yield Record(
                 event_time=t[i].item(),
                 key=keys[key_idx[i]],
-                value=value[i] if is_obj else value[i].item(),
+                value=value[i].item(),
                 origin=origin,
                 size_bytes=size[i].item(),
             )

@@ -18,13 +18,12 @@ Every source hands its sink one columnar
 ``Record`` object per event. The order in which a source draws from its
 named RNG stream is part of its contract (pinned digests depend on it);
 ``tests/_source_oracle.py`` holds the per-record draw loops the
-Poisson-family and trace sources are compared against, column for column.
+Poisson-family sources are compared against, column for column.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -380,57 +379,6 @@ class SensorGridSource(StreamSource):
     @property
     def mean_rate(self) -> float:
         return self.n_sensors / self.report_interval
-
-
-class TraceSource(StreamSource):
-    """Replays a pre-recorded list of (event_time, key, value)."""
-
-    def __init__(
-        self,
-        name: str,
-        trace: Iterable[tuple[float, str, object]],
-        tick: float = 1.0,
-        record_bytes: float = 200.0,
-    ) -> None:
-        super().__init__(name, tick, record_bytes)
-        self.trace = sorted(trace, key=lambda e: e[0])
-        if not self.trace:
-            raise ValueError("trace is empty")
-        self._times = [row[0] for row in self.trace]
-        self._cursor = 0
-
-    def _emit_tick(self, t0: float, t1: float) -> RecordBatch:
-        start = self._cursor
-        self._cursor = bisect_left(self._times, t1, start)  # rows before t1
-        rows = self.trace[start:self._cursor]
-        if not rows:
-            return RecordBatch.empty(self.origin)
-        n = len(rows)
-        t = np.fromiter((row[0] for row in rows), np.float64, n)
-        table: dict[str, int] = {}
-        key_idx = np.fromiter(
-            (table.setdefault(row[1], len(table)) for row in rows),
-            np.int64,
-            n,
-        )
-        payloads = [row[2] for row in rows]
-        if all(type(v) is float for v in payloads):
-            value = np.asarray(payloads, dtype=np.float64)
-        else:
-            value = np.empty(n, dtype=object)
-            value[:] = payloads
-        return RecordBatch(
-            t,
-            key_idx,
-            value,
-            np.full(n, self.record_bytes, dtype=np.float64),
-            tuple(table),
-            self.origin,
-        )
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.trace)
 
 
 class ScheduleSource(_PoissonArrivals):

@@ -66,42 +66,3 @@ class TumblingWindows:
             ]
             return floordiv * length
         return floordiv * length
-
-
-class SlidingWindows:
-    """Overlapping windows: ``length`` long, sliding every ``slide``."""
-
-    def __init__(self, length: float, slide: float) -> None:
-        if length <= 0 or slide <= 0:
-            raise ValueError("length and slide must be positive")
-        if slide > length:
-            raise ValueError("slide must not exceed length (gaps would drop events)")
-        self.length = length
-        self.slide = slide
-
-    def assign(self, event_time: float) -> list[Window]:
-        """Every grid window containing the event, never none.
-
-        ``start + length`` can round down onto the event time itself, so
-        a grid window that holds the event on paper excludes it (half-open)
-        — such a window is not returned. When that leaves nothing (only
-        with ``length == slide``: the next grid start has rounded *above*
-        the event, which sits in the gap), the window is stepped on by
-        ``slide`` until it really contains the event: a record is always
-        folded somewhere.
-        """
-        windows: list[Window] = []
-        # Last window that starts at or before the event.
-        last_start = (event_time // self.slide) * self.slide
-        start = last_start
-        while start > event_time - self.length:
-            window = Window(start, start + self.length)
-            if window.contains(event_time):
-                windows.append(window)
-            start -= self.slide
-        if not windows:
-            start = last_start
-            while start + self.length <= event_time:
-                start += self.slide
-            windows.append(Window(start, start + self.length))
-        return sorted(windows)

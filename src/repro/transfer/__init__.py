@@ -1,7 +1,7 @@
 """Wide-area transfer primitives.
 
-The Transfer Agent moves data as chunks with metadata (hashing,
-deduplication, out-of-order reassembly, acknowledgements) over one or more
+The Transfer Agent moves data as fixed-size chunks, each carrying
+metadata and acknowledgement overhead on the wire, over one or more
 concurrent routes: direct source→destination, parallel through helper VMs
 of the source datacenter, or relayed through intermediate datacenters.
 Routes and their byte shares are described by a :class:`TransferPlan` —
@@ -9,16 +9,11 @@ produced either by hand or by the decision engine — and executed as a
 :class:`TransferSession` with live progress and cost accounting.
 """
 
-from repro.transfer.chunks import Chunk, ChunkRegistry, Reassembler, chunk_plan
 from repro.transfer.plan import RouteAssignment, TransferPlan
 from repro.transfer.service import TransferService
 from repro.transfer.session import TransferSession
 
 __all__ = [
-    "Chunk",
-    "ChunkRegistry",
-    "Reassembler",
-    "chunk_plan",
     "RouteAssignment",
     "TransferPlan",
     "TransferService",

@@ -33,7 +33,6 @@ class TransferService:
         self.monitor = monitor
         self.chunk_size = chunk_size
         self.ack_overhead = ack_overhead
-        self.sessions: list[TransferSession] = []
 
     def execute(
         self,
@@ -53,7 +52,6 @@ class TransferService:
             on_flow_complete=self._feed_monitor,
             ack_overhead=self.ack_overhead,
         )
-        self.sessions.append(session)
         return session.start()
 
     def direct(
@@ -112,10 +110,3 @@ class TransferService:
             self.monitor.note_utilization(
                 src_code, dst_code, agg, saturated=saturated
             )
-
-    # ------------------------------------------------------------------
-    def completed_sessions(self) -> list[TransferSession]:
-        return [s for s in self.sessions if s.done]
-
-    def active_sessions(self) -> list[TransferSession]:
-        return [s for s in self.sessions if not s.done and not s.cancelled]

@@ -10,15 +10,24 @@ decision engine's re-planning loop consume.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable
 
 from repro.cloud.network import FluidNetwork, Flow
 from repro.cloud.pricing import CostMeter
-from repro.transfer.chunks import chunk_count
 from repro.transfer.plan import RouteAssignment, TransferPlan
 
 #: Metadata bytes carried per chunk (sequence, digest, routing, ack).
 CHUNK_METADATA_BYTES = 256.0
+
+
+def chunk_count(total_size: float, chunk_size: float) -> int:
+    """Number of ``chunk_size`` chunks that carry ``total_size`` bytes."""
+    if total_size <= 0:
+        raise ValueError("total_size must be positive")
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    return int(math.ceil(total_size / chunk_size))
 
 
 class TransferSession:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-Row = tuple[float, str, object, float]
+Row = tuple[float, str, float, float]
 
 
 def _rows(rng, times, keys, key_idx, sizes, value_fn=None) -> list[Row]:
@@ -106,15 +106,3 @@ def burst_tick(rng, p: dict, state: dict, t0: float, t1: float) -> list[Row]:
     times = np.sort(rng.uniform(t0, t1, n))
     key_idx = rng.integers(0, len(p["keys"]), n)
     return _rows(rng, times, p["keys"], key_idx, [p["record_bytes"]] * n)
-
-
-def trace_tick(rng, p: dict, state: dict, t0: float, t1: float) -> list[Row]:
-    trace = state.setdefault("trace", sorted(p["trace"], key=lambda e: e[0]))
-    cursor = state.get("cursor", 0)
-    out: list[Row] = []
-    while cursor < len(trace) and trace[cursor][0] < t1:
-        t, key, value = trace[cursor]
-        out.append((t, key, value, p["record_bytes"]))
-        cursor += 1
-    state["cursor"] = cursor
-    return out

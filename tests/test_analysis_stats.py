@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    confidence_interval95,
-    mean_absolute_percentage_error,
-    relative_error,
-    summarize,
-)
+from repro.analysis.stats import confidence_interval95, summarize
 
 
 def test_summarize_basics():
@@ -37,20 +32,3 @@ def test_ci95_formula():
     expected = 1.96 * np.std(vals, ddof=1) / 10.0
     assert confidence_interval95(vals) == pytest.approx(expected)
     assert confidence_interval95([1.0]) == 0.0
-
-
-def test_relative_error():
-    assert relative_error(11.0, 10.0) == pytest.approx(0.1)
-    assert relative_error(9.0, 10.0) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        relative_error(1.0, 0.0)
-
-
-def test_mape():
-    assert mean_absolute_percentage_error([11, 9], [10, 10]) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        mean_absolute_percentage_error([1], [1, 2])
-    with pytest.raises(ValueError):
-        mean_absolute_percentage_error([], [])
-    with pytest.raises(ValueError):
-        mean_absolute_percentage_error([1.0], [0.0])

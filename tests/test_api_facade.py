@@ -11,7 +11,7 @@ import pytest
 import repro
 import repro.api as api
 from repro import SageSession
-from repro.report import ScenarioReport, StreamReport
+from repro.report import ScenarioReport
 from repro.simulation.units import MB
 
 
@@ -77,10 +77,6 @@ def test_sage_session_facade_runs_a_transfer():
     assert result.size == 16 * 1024 * 1024
     assert result.seconds > 0
     assert result.throughput > 0
-
-
-def test_stream_report_surface_exists():
-    assert hasattr(StreamReport, "from_runtime")
 
 
 def test_registry_names_are_the_scenario_subcommands():

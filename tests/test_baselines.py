@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     BlobRelay,
-    DynamicShortestPath,
     EndPoint2EndPoint,
     GridFtpLike,
     StaticParallel,
@@ -89,11 +88,7 @@ def test_blob_relay_two_passes_slower_than_direct_parallel():
 def test_shortest_path_strategies_run():
     e1 = make_engine(seed=15)
     static = StaticShortestPath(ShortestPathConfig(n_nodes=8)).run(e1, "NEU", "NUS", SIZE)
-    e2 = make_engine(seed=15)
-    dynamic = DynamicShortestPath(ShortestPathConfig(n_nodes=8)).run(e2, "NEU", "NUS", SIZE)
-    assert static.seconds > 0 and dynamic.seconds > 0
-    # Stable cloud: static and dynamic agree (no drift to chase).
-    assert dynamic.seconds == pytest.approx(static.seconds, rel=0.25)
+    assert static.seconds > 0
 
 
 def test_sage_strategy_beats_naive_on_unstable_cloud():

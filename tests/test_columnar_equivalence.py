@@ -14,6 +14,7 @@ mid-run aggregator crash restored from a checkpoint cut mid-batch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.streaming import (
@@ -79,10 +80,11 @@ def test_record_batch_round_trips_records():
     records = [
         Record(1.0, "a", 0.5, "NEU", 200.0),
         Record(1.5, "b", -2.0, "NEU", 100.0),
-        Record(2.0, "a", 7, "NEU", 50.0),  # non-float value: object dtype
+        Record(2.0, "a", 7, "NEU", 50.0),  # an int value becomes float64
     ]
     batch = RecordBatch.from_records(records)
     assert len(batch) == 3
+    assert batch.value.dtype == np.float64 and batch[2].value == 7.0
     assert batch.to_records() == records
     assert [r for r in batch.iter_records()] == records
     view = batch[1:]

@@ -13,7 +13,6 @@ from repro.baselines.direct import EndPoint2EndPoint
 from repro.baselines.gridftp import GridFtpLike
 from repro.baselines.parallel_static import StaticParallel
 from repro.baselines.shortest_path import (
-    DynamicShortestPath,
     StaticShortestPath,
 )
 from repro.config import (
@@ -124,7 +123,6 @@ BASELINE_FIELDS = [
     (EndPoint2EndPoint, "streams", 3),
     (StaticParallel, "n_nodes", 2),
     (StaticShortestPath, "max_hops", 2),
-    (DynamicShortestPath, "replan_interval", 5.0),
     (BlobRelay, "parallel_objects", 3),
     (GridFtpLike, "endpoints", 3),
 ]

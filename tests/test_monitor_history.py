@@ -39,31 +39,17 @@ def test_ring_buffer_caps_memory():
     assert h.values().min() == 900.0
 
 
-def test_cv_and_percentile():
+def test_percentile():
     h = MetricHistory()
     for i in range(1, 101):
         h.record(float(i), float(i))
     assert h.percentile(50) == pytest.approx(50.5)
-    assert 0 < h.coefficient_of_variation() < 1
 
 
 def test_empty_history_stats_are_nan():
     h = MetricHistory()
     assert np.isnan(h.mean())
-    assert np.isnan(h.coefficient_of_variation())
     assert h.last is None
-
-
-def test_resample_hourly():
-    h = MetricHistory(maxlen=10_000)
-    for i in range(7200):  # two hours of 1 Hz samples
-        h.record(float(i), 1.0 if i < 3600 else 3.0)
-    rows = h.resample_hourly()
-    assert len(rows) == 2
-    (t0, m0, s0), (t1, m1, s1) = rows
-    assert t0 == 0.0 and t1 == 3600.0
-    assert m0 == pytest.approx(1.0) and m1 == pytest.approx(3.0)
-    assert s0 == pytest.approx(0.0)
 
 
 def test_invalid_maxlen():

@@ -173,8 +173,8 @@ def test_column_blocks_cut_exactly_like_per_record_offers(
             for size, key, value in records:
                 event_time += 0.01
                 emitted.append(Record(event_time, key, value, "NEU", size))
-            # Each emission has its own key table (and an object-dtype
-            # value column whenever an int slipped in).
+            # Each emission has its own key table (and int values become
+            # float64, equal to the reference's ints).
             backlog.extend(RecordBatch.from_records(emitted))
         for chunk in backlog.pop_upto(budget):
             col_out += columnar.offer_many(chunk, now)

@@ -13,6 +13,7 @@ from repro.streaming import operators
 from repro.streaming.events import Record
 from repro.streaming.operators import (
     HOLD_RECORDS,
+    AggregateFn,
     FilterOperator,
     MapOperator,
     PartialAggregate,
@@ -20,7 +21,7 @@ from repro.streaming.operators import (
     builtin_aggregate,
 )
 from repro.streaming.records import RecordBatch
-from repro.streaming.windows import SlidingWindows, TumblingWindows, Window
+from repro.streaming.windows import TumblingWindows, Window
 
 
 def rec(t, key="k", value=1.0):
@@ -130,7 +131,7 @@ _EDGE_VALUES = {
 }
 
 
-@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean", "var"])
+@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_property_fold_groups_equals_the_add_chain_per_group(name, data):
@@ -308,19 +309,32 @@ def _open_state(agg):
     return slots, agg.records_seen, agg.late_dropped
 
 
-@pytest.mark.parametrize("windows", ["tumbling", "sliding"])
-@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean", "var"])
+#: An aggregate without ``fold_groups``: the window fold runs its ``add``
+#: chain group by group, as it does for ``var``.
+SUM_OF_SQUARES = AggregateFn(
+    "sumsq",
+    zero=lambda: 0.0,
+    add=lambda s, v: s + float(v) * float(v),
+    merge=lambda a, b: a + b,
+    result=lambda s: s,
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["count", "sum", "min", "max", "mean", "var", "sumsq"]
+)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_property_process_batch_equals_per_record_process(name, windows, data):
+def test_property_process_batch_equals_per_record_process(name, data):
     # A sequence of steps, each mirrored record by record on a reference
     # aggregator: batches with unordered event times and different key
-    # tables (with tumbling windows, float64 columns are held for every
-    # built-in, var included, and folded by fold_groups; object-dtype
-    # ones take the slow path into the same slots), the watermark
-    # advancing at arbitrary points (so parts of later batches are late), snapshot -> restore
-    # into a fresh aggregator mid-hold, reads of the fold state, and a
-    # hold bound small enough to be crossed mid-sequence.
+    # tables (held, then folded by fold_groups or, for var and sumsq, by
+    # each group's add chain), batches of integer values (columnarized
+    # as float64), a string value that from_records refuses, the
+    # watermark advancing at arbitrary points (so parts of later batches
+    # are late), snapshot -> restore into a fresh aggregator mid-hold,
+    # reads of the fold state, and a hold bound small enough to be
+    # crossed mid-sequence.
     finite = st.floats(-1e6, 1e6, allow_nan=False)
     # A narrow span and few keys make groups long enough for the
     # summation order inside one (window, key) fold to show.
@@ -330,7 +344,15 @@ def test_property_process_batch_equals_per_record_process(name, windows, data):
     steps = data.draw(
         st.lists(
             st.sampled_from(
-                ["batch", "batch", "object batch", "advance", "restore", "read"]
+                [
+                    "batch",
+                    "batch",
+                    "integer batch",
+                    "string value",
+                    "advance",
+                    "restore",
+                    "read",
+                ]
             ),
             min_size=1,
             max_size=8,
@@ -339,16 +361,14 @@ def test_property_process_batch_equals_per_record_process(name, windows, data):
     )
 
     def aggregator():
-        assigner = (
-            TumblingWindows(10.0) if windows == "tumbling" else SlidingWindows(10.0, 5.0)
-        )
+        aggregate = SUM_OF_SQUARES if name == "sumsq" else builtin_aggregate(name)
         return WindowedAggregator(
-            assigner, builtin_aggregate(name), allowed_lateness=lateness
+            TumblingWindows(10.0), aggregate, allowed_lateness=lateness
         )
 
-    def draw_records(object_payload):
+    def draw_records(integers):
         keys = data.draw(st.sampled_from([["a"], ["a", "b"], ["c", "b", "a"]]))
-        value = st.one_of(finite, st.integers(-1000, 1000)) if object_payload else finite
+        value = st.integers(-1000, 1000) if integers else finite
         return data.draw(
             st.lists(
                 st.builds(
@@ -380,8 +400,13 @@ def test_property_process_batch_equals_per_record_process(name, windows, data):
                 batched.restore(payload)
             elif step == "read":
                 assert _open_state(batched) == _open_state(reference)
+            elif step == "string value":
+                records = draw_records(False)
+                records[-1] = rec(records[-1].event_time, value="7.5")
+                with pytest.raises(TypeError, match="'7.5'"):
+                    RecordBatch.from_records(records)
             else:
-                records = draw_records(step == "object batch")
+                records = draw_records(step == "integer batch")
                 for record in records:
                     reference.process(record)
                 batched.process_batch(RecordBatch.from_records(records, origin="NEU"))

@@ -119,9 +119,10 @@ def test_factories_build_from_vms(engine):
 
 
 @pytest.mark.parametrize("backend_kind", ["sage", "direct", "reliable"])
-def test_delivered_batch_is_collectable(engine, backend_kind):
-    # The transfer service keeps every finished session for reporting;
-    # that must not keep the shipped payload alive with it.
+def test_delivered_batch_is_collectable(engine, backend_kind, monkeypatch):
+    # Once delivered, neither the shipped payload nor the transfer session
+    # that carried it may stay reachable: the transfer service keeps no
+    # list of past sessions.
     if backend_kind == "direct":
         backend = DirectShipping(
             engine, engine.deployment.vms("NEU"), engine.deployment.vms("NUS")[0]
@@ -130,6 +131,15 @@ def test_delivered_batch_is_collectable(engine, backend_kind):
         backend = SageShipping(engine, "NEU", "NUS", n_nodes=2)
         if backend_kind == "reliable":
             backend = ReliableShipping(engine, backend)
+    session_refs = []
+    execute = engine.transfers.execute
+
+    def recording_execute(*args, **kwargs):
+        session = execute(*args, **kwargs)
+        session_refs.append(weakref.ref(session))
+        return session
+
+    monkeypatch.setattr(engine.transfers, "execute", recording_execute)
     records = [
         Record(float(i), "k", 1.0, origin="NEU", size_bytes=4 * KB)
         for i in range(64)
@@ -141,8 +151,9 @@ def test_delivered_batch_is_collectable(engine, backend_kind):
     # ReliableShipping's cancelled timeout timer stays in the event heap
     # (lazy deletion) until its time passes; step over it.
     engine.run_until(engine.sim.now + 30.0)
-    assert engine.transfers.sessions  # the session objects stay
+    assert session_refs  # the batch rode at least one transfer session
     del shipped, records
     gc.collect()
     assert batch_ref() is None
     assert column_ref() is None
+    assert [ref() for ref in session_refs] == [None] * len(session_refs)

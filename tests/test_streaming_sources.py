@@ -14,7 +14,6 @@ from repro.streaming.sources import (
     PoissonSource,
     ScheduleSource,
     SensorGridSource,
-    TraceSource,
 )
 from tests import _source_oracle as oracle
 
@@ -110,32 +109,10 @@ def test_sensor_validation():
         SensorGridSource("g", n_sensors=1, report_interval=0.0)
 
 
-def test_trace_source_replays_in_order():
-    trace = [(5.0, "a", 1), (1.0, "b", 2), (12.0, "c", 3)]
-    src = TraceSource("t", trace)
-    sim, batch = collect(src, 20.0)
-    assert keys_of(batch) == ["b", "a", "c"]
-    assert list(batch.value) == [2, 1, 3]  # payloads verbatim (object column)
-    assert src.exhausted
-
-
-def test_trace_source_partial_replay():
-    src = TraceSource("t", [(1.0, "a", 1), (100.0, "b", 2)])
-    sim, batch = collect(src, 10.0)
-    assert len(batch) == 1
-    assert not src.exhausted
-
-
-def test_trace_source_validation():
-    with pytest.raises(ValueError):
-        TraceSource("t", [])
-
-
 # ----------------------------------------------------------------------
 # Built-in sources against their per-record oracles, column for column
 # ----------------------------------------------------------------------
 _KEYS = ["k0", "k1", "k2", "k3", "k4"]
-_TRACE = [(0.37 * i, f"u{i % 7}", float(i) if i % 3 else i) for i in range(150)]
 
 #: kind -> (oracle tick, source class, constructor arguments). The oracle
 #: reads the same dict (plus the base-class defaults).
@@ -192,7 +169,6 @@ _ORACLE_CASES = {
             "keys": _KEYS,
         },
     ),
-    "trace": (oracle.trace_tick, TraceSource, {"trace": _TRACE}),
 }
 
 

@@ -134,17 +134,6 @@ def test_service_feeds_monitor(env):
     assert est.known  # achieved throughput was ingested for free
 
 
-def test_service_session_listings(env):
-    src, dst = setup_vms(env)
-    service = TransferService(env)
-    plan = TransferPlan.direct(src[0], dst[0], streams=4)
-    s = service.execute(plan, 10 * MB)
-    assert service.active_sessions() == [s]
-    env.sim.run_until(10_000)
-    assert service.completed_sessions() == [s]
-    assert service.active_sessions() == []
-
-
 def test_session_validates_size(env):
     src, dst = setup_vms(env)
     plan = TransferPlan.direct(src[0], dst[0])
@@ -167,8 +156,6 @@ def test_finished_and_cancelled_sessions_release_their_callbacks(env):
         assert session.on_complete is None
         assert session.on_flow_complete is None
         assert all(flow.on_complete is None for flow in session.flows)
-    # The service still reports on both.
-    assert service.sessions == [finished, cancelled]
     assert finished.elapsed > 0 and finished.transferred > 0
 
 
