@@ -233,10 +233,11 @@ def _stream_runtime(engine, args) -> GeoStreamRuntime:
     else:
         regions = [r for r in engine.deployment.regions() if r != "WUS"][:3]
         job = clickstream_job(site_regions=regions, aggregation_region="WUS")
-    flow = None
     if getattr(args, "policy", None):
-        flow = FlowConfig(policy=args.policy, max_backlog=args.max_backlog)
-    return GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2), flow=flow)
+        job = dataclasses.replace(
+            job, flow=FlowConfig(policy=args.policy, max_backlog=args.max_backlog)
+        )
+    return GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2))
 
 
 def cmd_stream(args) -> int:

@@ -523,59 +523,23 @@ class FluidNetwork:
         so a single flow on a bad day delivers less than ``window/RTT``
         even when the aggregate link is far from saturated. This is what
         makes the cloud's variability *observable* to unsaturated probes.
-
-        The path-derived parts (per-hop window/RTT ceilings, the VM list,
-        the relay factor) never change for a given flow, so they are
-        computed once and cached on the flow; only the weather factors
-        and VM NIC capacities are re-read per call. The arithmetic is
-        kept operation-for-operation identical to the original per-hop
-        walk so cached and uncached evaluation agree bit-exactly.
         """
-        static = getattr(flow, "_cap_static", None)
-        if static is None or static[0] != (self.tcp_window, self.relay_efficiency):
-            static = self._build_cap_static(flow)
-            flow._cap_static = static
-        _, base, wan_ceilings, intrusiveness, vms, relay = static
-        cap = base
+        cap = flow.rate_cap if flow.rate_cap is not None else float("inf")
         now = self.sim.now
-        for link, ceiling in wan_ceilings:
-            weather = link.process.factor(now)
-            if weather > 1.0:
-                weather = 1.0
-            hop_cap = ceiling * weather
-            if hop_cap < cap:
-                cap = hop_cap
-        for vm in vms:
-            vm_cap = intrusiveness * vm.uplink_capacity
-            if vm_cap < cap:
-                cap = vm_cap
-        return cap * relay if relay is not None else cap
-
-    def _build_cap_static(self, flow: Flow) -> tuple:
-        """Precompute the path-invariant inputs of :meth:`flow_cap`."""
         n_wan = 0
-        wan_ceilings: list[tuple[WanLink, float]] = []
         for a, b in flow.hops():
             if a.region_code != b.region_code:
                 n_wan += 1
                 if flow.transport == "udp":
                     continue  # no congestion window: NICs and shares bind
                 link = self.topology.link(a.region_code, b.region_code)
-                wan_ceilings.append(
-                    (link, flow.streams * self.tcp_window / link.rtt)
-                )
-        relay = (
-            self.relay_efficiency ** (n_wan - 1) if n_wan > 1 else None
-        )
-        base = flow.rate_cap if flow.rate_cap is not None else float("inf")
-        return (
-            (self.tcp_window, self.relay_efficiency),
-            base,
-            wan_ceilings,
-            flow.intrusiveness,
-            flow.path,
-            relay,
-        )
+                weather = min(1.0, link.process.factor(now))
+                cap = min(cap, flow.streams * self.tcp_window / link.rtt * weather)
+        for vm in flow.path:
+            cap = min(cap, flow.intrusiveness * vm.uplink_capacity)
+        if n_wan > 1:
+            cap *= self.relay_efficiency ** (n_wan - 1)
+        return cap
 
     def isolated_rate(
         self,
@@ -752,40 +716,6 @@ class FluidNetwork:
                     else 0.0
                 )
 
-        n = len(flows)
-        if n == 1:
-            # A lone flow gets the min of its private cap and every
-            # resource it crosses — no water-filling, and nothing to
-            # compare against, so skip the early-out bookkeeping too.
-            f = flows[0]
-            f._wf_i = 0
-            base, wan_pairs, vm_entries, intr, relay = f._cap_plan
-            cap = base
-            for e, ceiling in wan_pairs:
-                w = e.weather
-                if w > 1.0:
-                    w = 1.0
-                hop_cap = ceiling * w
-                if hop_cap < cap:
-                    cap = hop_cap
-            for e in vm_entries:
-                vm_cap = intr * e.cap
-                if vm_cap < cap:
-                    cap = vm_cap
-            if relay is not None:
-                cap *= relay
-            mn = cap
-            for e in entries:
-                c = e.cap
-                if c < mn:
-                    mn = c
-            f._rate = mn
-            self._struct_version = self._flows_version
-            self._last_entry_caps = None
-            self._last_flow_caps = None
-            self.allocations += 1
-            return
-
         flow_caps: list[float] = []
         for ix, f in enumerate(flows):
             f._wf_i = ix
@@ -803,6 +733,21 @@ class FluidNetwork:
                 if vm_cap < cap:
                     cap = vm_cap
             flow_caps.append(cap * relay if relay is not None else cap)
+        if len(flows) == 1:
+            # A lone flow gets the min of its private cap and every
+            # resource it crosses — no water-filling, and nothing to
+            # compare against, so skip the early-out bookkeeping too.
+            mn = flow_caps[0]
+            for e in entries:
+                c = e.cap
+                if c < mn:
+                    mn = c
+            flows[0]._rate = mn
+            self._struct_version = self._flows_version
+            self._last_entry_caps = None
+            self._last_flow_caps = None
+            self.allocations += 1
+            return
         entry_caps = [e.cap for e in entries]
         structure_changed = self._struct_version != self._flows_version
         if structure_changed:

@@ -10,17 +10,18 @@ Three answers, matching how production stream processors degrade:
   bounded at zero; latency absorbs the overload.
 
 * ``shed`` — bounded latency. Every arriving record is admitted, then the
-  buffer is trimmed back to the bound by dropping the *oldest* records
-  (or, in ``sample`` mode, by probabilistically refusing arrivals once
-  the buffer is full). Shed records are counted per site so loss is
-  always quantified, never silent.
+  buffer is trimmed back to the bound by dropping the *oldest* records.
+  Shed records are counted per site so loss is always quantified, never
+  silent.
 
 * ``degrade`` — bounded memory at reduced fidelity/cost. The site enters
   a coarse mode when the buffer crosses the bound: the drain budget is
-  multiplied by ``degrade_factor`` (modelling a cheaper coarse code
-  path) and the batcher flushes ``degrade_factor``× less often, cutting
-  fewer, larger batches. If even coarse mode cannot keep up, the buffer
-  is trimmed like ``shed`` as a last resort, so memory stays bounded.
+  multiplied by :data:`DEGRADE_FACTOR` (modelling a cheaper coarse code
+  path) and the batcher flushes ``DEGRADE_FACTOR``× less often, cutting
+  fewer, larger batches. Coarse mode clears once the buffer falls below
+  :data:`RESUME_RATIO` × the bound. If even coarse mode cannot keep up,
+  the buffer is trimmed like ``shed`` as a last resort, so memory stays
+  bounded.
 
 Policies are pluggable: :func:`make_policy` builds one from a
 :class:`FlowConfig`, and anything implementing the same three hooks can
@@ -37,6 +38,13 @@ from repro.config import POLICIES, ConfigBase
 if TYPE_CHECKING:
     from repro.streaming.records import RecordBatch
 
+#: Coarse-mode gain for ``degrade``: drain budget multiplier and batcher
+#: flush-interval multiplier.
+DEGRADE_FACTOR = 4
+#: Hysteresis: coarse mode clears once the buffer falls below
+#: ``RESUME_RATIO × max_backlog``.
+RESUME_RATIO = 0.5
+
 
 @dataclass(frozen=True)
 class FlowConfig(ConfigBase):
@@ -46,15 +54,6 @@ class FlowConfig(ConfigBase):
     policy: str = "block"
     #: Hard bound on each site's ingest buffer (records).
     max_backlog: int = 50_000
-    #: ``shed`` trimming mode: ``oldest`` (drop-oldest) or ``sample``
-    #: (probabilistically refuse arrivals once full).
-    shed_mode: str = "oldest"
-    #: Coarse-mode gain for ``degrade``: drain budget multiplier and
-    #: batcher flush-interval multiplier.
-    degrade_factor: int = 4
-    #: Hysteresis: coarse mode / source pause clears once the buffer
-    #: falls below ``resume_ratio × max_backlog``.
-    resume_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -64,12 +63,6 @@ class FlowConfig(ConfigBase):
             )
         if self.max_backlog <= 0:
             raise ValueError("max_backlog must be positive")
-        if self.shed_mode not in ("oldest", "sample"):
-            raise ValueError("shed_mode must be 'oldest' or 'sample'")
-        if self.degrade_factor < 2:
-            raise ValueError("degrade_factor must be >= 2")
-        if not 0.0 < self.resume_ratio <= 1.0:
-            raise ValueError("resume_ratio must be in (0, 1]")
 
 
 class OverloadPolicy:
@@ -141,21 +134,8 @@ class ShedPolicy(OverloadPolicy):
     name = "shed"
 
     def admit(self, site, records: RecordBatch) -> int:
-        cfg = self.config
-        backlog = site._backlog
-        if cfg.shed_mode == "sample" and len(backlog) >= cfg.max_backlog:
-            # Probabilistic sampling: once full, each arrival is kept
-            # with p=0.5, spreading the loss across the stream instead
-            # of concentrating it on the oldest records.
-            # One rng.random(n): the bit stream n scalar draws consume.
-            kept = records.where(site.flow_rng.random(len(records)) < 0.5)
-            shed = len(records) - len(kept)
-            if shed:
-                site.count_shed(shed)
-            backlog.extend(kept)
-        else:
-            backlog.extend(records)
-        self._trim_oldest(site, cfg.max_backlog)
+        site._backlog.extend(records)
+        self._trim_oldest(site, self.config.max_backlog)
         return len(records)
 
 
@@ -182,21 +162,21 @@ class DegradePolicy(OverloadPolicy):
         if not self.active and depth > cfg.max_backlog:
             self.active = True
             site.count_degrade(True)
-        elif self.active and depth < cfg.resume_ratio * cfg.max_backlog:
+        elif self.active and depth < RESUME_RATIO * cfg.max_backlog:
             self.active = False
             site.count_degrade(False)
         if self.active:
             site.count_degraded_tick()
-            return base_budget * cfg.degrade_factor
+            return base_budget * DEGRADE_FACTOR
         return base_budget
 
     def flush_allowed(self, site) -> bool:
         self._tick_no += 1
         if not self.active:
             return True
-        # Coarse batches: hold partials degrade_factor× longer so each
+        # Coarse batches: hold partials DEGRADE_FACTOR× longer so each
         # WAN batch amortises its per-batch overhead over more records.
-        return self._tick_no % self.config.degrade_factor == 0
+        return self._tick_no % DEGRADE_FACTOR == 0
 
 
 _POLICY_CLASSES = {

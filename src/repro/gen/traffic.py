@@ -100,7 +100,7 @@ class SourceProgram:
     def shape(self) -> WorkloadShape:
         return _SHAPES_BY_NAME[self.shape_name]
 
-    def build_source(self, tick: float = 1.0) -> ScheduleSource:
+    def build_source(self) -> ScheduleSource:
         """Materialise as a runtime source (rates relative to first tick)."""
         shape = self.shape
         return ScheduleSource(
@@ -110,8 +110,6 @@ class SourceProgram:
             key_weights=shape.key_weights(self.n_keys),
             bytes_fn=self.sizes.at,
             record_bytes=shape.record_bytes,
-            tick=tick,
-            integrate_step=min(30.0, max(1.0, self.rates.resolution / 2.0)),
         )
 
     def to_dict(self) -> dict:

@@ -25,7 +25,6 @@ from repro.monitor.estimators import (
 from repro.monitor.history import MetricHistory, MetricPoint
 from repro.monitor.linkmap import LinkEstimate, LinkPerformanceMap
 from repro.monitor.samplers import (
-    ActiveProbeSampler,
     CpuSampler,
     PassiveLinkSampler,
     Sampler,
@@ -46,6 +45,5 @@ __all__ = [
     "LinkEstimate",
     "Sampler",
     "PassiveLinkSampler",
-    "ActiveProbeSampler",
     "CpuSampler",
 ]

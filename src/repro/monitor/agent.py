@@ -15,7 +15,7 @@ system design:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import ConfigBase
 from repro.cloud.deployment import Deployment
@@ -25,9 +25,9 @@ from repro.monitor.estimators import Estimator, make_estimator
 from repro.obs import NULL_OBSERVER
 from repro.monitor.history import MetricHistory
 from repro.monitor.linkmap import LinkPerformanceMap
-from repro.monitor.samplers import ActiveProbeSampler, PassiveLinkSampler, Sampler
+from repro.monitor.samplers import PassiveLinkSampler, Sampler
 from repro.simulation.engine import PeriodicTask
-from repro.simulation.units import MB, MINUTE
+from repro.simulation.units import MINUTE
 
 
 @dataclass
@@ -38,20 +38,12 @@ class MonitorConfig(ConfigBase):
     interval: float = MINUTE
     #: Estimator strategy for link throughput ("WSI", "LSI", "Monitor", "EWMA").
     strategy: str = "WSI"
-    #: Extra keyword arguments for the estimator factory.
-    strategy_kwargs: dict = field(default_factory=dict)
-    #: Use active probe transfers instead of passive estimates.
-    active_probing: bool = False
-    #: Probe payload for active probing.
-    probe_size: float = 4 * MB
     #: Parallel streams used when measuring a link. Keep equal to the
     #: decision engine's per-route stream count so the link model predicts
     #: what a transfer route will actually achieve.
     probe_streams: int = 4
     #: Suspend a VM's measurements above this CPU load.
     cpu_threshold: float = 0.85
-    #: Suspend link probing while an application transfer uses the link.
-    suspend_during_transfers: bool = True
     #: Run the heartbeat failure detector alongside sampling.
     failure_detection: bool = True
     #: Heartbeat period of the failure detector.
@@ -62,8 +54,6 @@ class MonitorConfig(ConfigBase):
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ValueError("interval must be positive")
-        if self.probe_size <= 0:
-            raise ValueError("probe_size must be positive")
         if self.probe_streams < 1:
             raise ValueError("probe_streams must be >= 1")
         if not 0.0 < self.cpu_threshold <= 1.0:
@@ -142,24 +132,11 @@ class MonitoringAgent:
             )
         src_vm, dst_vm = src_vms[0], dst_vms[0]
         cfg = self.config
-        sampler: Sampler
-        if cfg.active_probing:
-            sampler = ActiveProbeSampler(
-                self.network,
-                src_vm,
-                dst_vm,
-                probe_size=cfg.probe_size,
-                streams=cfg.probe_streams,
-            )
-        else:
-            sampler = PassiveLinkSampler(
-                self.network, src_vm, dst_vm, streams=cfg.probe_streams
-            )
-        self._link_samplers[key] = sampler
-        self._link_vms[key] = (src_vm, dst_vm)
-        self.link_map.register(
-            src, dst, make_estimator(cfg.strategy, **cfg.strategy_kwargs)
+        self._link_samplers[key] = PassiveLinkSampler(
+            self.network, src_vm, dst_vm, streams=cfg.probe_streams
         )
+        self._link_vms[key] = (src_vm, dst_vm)
+        self.link_map.register(src, dst, make_estimator(cfg.strategy))
 
     def add_sampler(self, sampler: Sampler) -> None:
         """Register an additional pluggable sampler (CPU, memory, ...)."""
@@ -231,16 +208,12 @@ class MonitoringAgent:
             )
 
     def _suspended(self, key: tuple[str, str]) -> bool:
-        cfg = self.config
-        if cfg.suspend_during_transfers:
-            # Any non-probe application flow currently on this link?
-            for flow in self.network.flows:
-                if key in flow.wan_hops() and not flow.label.startswith("probe:"):
-                    return True
+        # Any application flow currently on this link?
+        for flow in self.network.flows:
+            if key in flow.wan_hops():
+                return True
         src_vm, dst_vm = self._link_vms[key]
-        if max(src_vm.cpu_load, dst_vm.cpu_load) > cfg.cpu_threshold:
-            return True
-        return False
+        return max(src_vm.cpu_load, dst_vm.cpu_load) > self.config.cpu_threshold
 
     def _on_link_sample(self, src: str, dst: str, time: float, value: float) -> None:
         self.samples_taken += 1

@@ -1,23 +1,18 @@
 """Pluggable samplers feeding the Monitoring Agent.
 
-A sampler measures one metric once per invocation. Two measurement styles
-exist for link throughput, with the trade-off experiment E3 quantifies:
-
-* :class:`PassiveLinkSampler` — an iperf-style estimate of the currently
-  achievable single-flow rate. Cheap (no payload) but noisy.
-* :class:`ActiveProbeSampler` — ships a real probe payload through the
-  fluid network and reports achieved throughput. Accurate, but the probe
-  genuinely consumes NIC/link bandwidth, so it is visible to concurrent
-  application transfers (intrusiveness).
+A sampler measures one metric once per invocation. Link throughput is
+measured passively: :class:`PassiveLinkSampler` is an iperf-style
+estimate of the currently achievable single-flow rate — cheap (no
+payload, so no probe flow competes with application transfers) but
+noisy. Live transfers feed the agent their achieved rates for free.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from repro.cloud.network import FluidNetwork, Flow
+from repro.cloud.network import FluidNetwork
 from repro.cloud.vm import VM
-from repro.simulation.units import MB
 
 
 class Sampler(Protocol):
@@ -28,7 +23,7 @@ class Sampler(Protocol):
     def sample(self, on_value: Callable[[float, float], None]) -> None:
         """Take one measurement; report via ``on_value(time, value)``.
 
-        Reporting is callback-based because active samplers complete
+        Reporting is callback-based so a sampler may complete
         asynchronously in simulated time.
         """
         ...  # pragma: no cover - protocol
@@ -62,57 +57,6 @@ class PassiveLinkSampler:
         truth = self.network.isolated_rate([self.src, self.dst], self.streams)
         noise = self._rng.lognormal(mean=0.0, sigma=self.noise_cv)
         on_value(self.network.sim.now, truth * noise)
-
-
-class ActiveProbeSampler:
-    """Measure throughput by actually transferring a probe payload."""
-
-    def __init__(
-        self,
-        network: FluidNetwork,
-        src: VM,
-        dst: VM,
-        probe_size: float = 8 * MB,
-        streams: int = 1,
-        intrusiveness: float = 1.0,
-    ) -> None:
-        self.network = network
-        self.src = src
-        self.dst = dst
-        self.probe_size = probe_size
-        self.streams = streams
-        self.intrusiveness = intrusiveness
-        self.metric = f"thr/{src.region_code}->{dst.region_code}"
-        self.probes_sent = 0
-        self.bytes_probed = 0.0
-        self._in_flight = False
-
-    def sample(self, on_value: Callable[[float, float], None]) -> None:
-        if self._in_flight:
-            # Never stack probes on the same link — that would measure
-            # self-interference, not the link.
-            return
-        self._in_flight = True
-        started = self.network.sim.now
-
-        def _done(flow: Flow) -> None:
-            self._in_flight = False
-            elapsed = self.network.sim.now - started
-            if elapsed > 0:
-                on_value(self.network.sim.now, flow.size / elapsed)
-
-        self.probes_sent += 1
-        self.bytes_probed += self.probe_size
-        self.network.start_flow(
-            Flow(
-                [self.src, self.dst],
-                self.probe_size,
-                streams=self.streams,
-                intrusiveness=self.intrusiveness,
-                on_complete=_done,
-                label=f"probe:{self.metric}",
-            )
-        )
 
 
 class CpuSampler:

@@ -146,19 +146,9 @@ class ScenarioRun:
         )
         engine.start(learning_phase=120.0)
 
-        flow, window = None, {}
+        flow = None
         if s.policy is not None:
             flow = FlowConfig(policy=s.policy, max_backlog=s.max_backlog)
-            # The shipping layer's credit window and per-link breaker.
-            window = dict(
-                max_inflight=8,
-                # ``block`` must never shed in the shipping layer; the lossy
-                # policies bound the parked queue as well.
-                max_pending=None if s.policy == "block" else 64,
-                breaker=True,
-                breaker_threshold=3,
-                breaker_reset=20.0,
-            )
         job = StreamJob(
             name=s.name,
             sites=s.sites,
@@ -173,7 +163,7 @@ class ScenarioRun:
             delivery_timeout=s.delivery_timeout,
             max_retries=s.max_retries,
             retry_budget=s.retry_budget,
-            **window,
+            flow=flow,
         )
         self.runtime = runtime = GeoStreamRuntime(
             engine, job, factory, per_vm_records_per_s=s.per_vm_records_per_s

@@ -29,8 +29,6 @@ class SiteSpec:
     sources: list[StreamSource]
     #: Batch operators applied, in order, before windowed aggregation.
     operators: list[Operator] = field(default_factory=list)
-    #: VMs to use at this site (None = all deployment VMs there).
-    n_vms: int | None = None
 
     def __post_init__(self) -> None:
         if not self.sources:

@@ -23,7 +23,7 @@ from repro.core.engine import SageEngine
 from repro.streaming.batching import Batcher, HybridBatchPolicy
 from repro.streaming.dataflow import StreamJob
 from repro.streaming.events import Batch, Record
-from repro.streaming.operators import PartialAggregate
+from repro.streaming.operators import PARTIAL_RECORD_BYTES, PartialAggregate
 from repro.streaming.windows import Window
 from repro.simulation.units import KB
 
@@ -121,7 +121,7 @@ class HubAggregator:
             key=key,
             value=PartialAggregate(window, key, slot.state, slot.count),
             origin=self.hub_region,
-            size_bytes=120.0,
+            size_bytes=PARTIAL_RECORD_BYTES,
         )
         self.partials_out += 1
         out = self.batcher.offer(merged, self.engine.sim.now)

@@ -336,15 +336,18 @@ class PartialAggregate:
 #: trimmed and re-faulted them every flush (8x the parent's page faults).
 HOLD_RECORDS = 2048
 
+#: Wire size of one partial-aggregate record (window, key, state, count).
+PARTIAL_RECORD_BYTES = 120.0
+
 
 class WindowedAggregator:
     """Keyed, windowed aggregation producing mergeable partials.
 
     Windows close on *watermark*: once the operator has seen (or been
-    told) event time past ``window.end + allowed_lateness``, the window's
-    partial records are emitted. Late records beyond lateness are counted
-    and dropped — the global aggregator must never block on a straggler
-    site's slow clock.
+    told) event time past ``window.end``, the window's partial records
+    are emitted. Records behind the watermark are counted and dropped —
+    the global aggregator must never block on a straggler site's slow
+    clock.
 
     Batches are counted and late-filtered at ingest but only *held*;
     they are folded as one concatenation when a window can close, the
@@ -353,25 +356,17 @@ class WindowedAggregator:
     that equals folding batch by batch, bit for bit.
     """
 
-    def __init__(
-        self,
-        windows,
-        aggregate: AggregateFn,
-        allowed_lateness: float = 0.0,
-        partial_record_bytes: float = 120.0,
-    ) -> None:
+    def __init__(self, windows, aggregate: AggregateFn) -> None:
         self.windows = windows
         self.aggregate = aggregate
-        self.allowed_lateness = allowed_lateness
-        self.partial_record_bytes = partial_record_bytes
         #: Folded slots: ``(window, key) -> [state, count]``, updated in
         #: place so a fold hashes its slot once (twice when it opens it).
         self._folded: dict[tuple[Window, str], list] = {}
         #: Admitted batches not folded yet, and how many records they hold.
         self._held: list[RecordBatch] = []
         self._held_n = 0
-        #: Earliest ``window.end + allowed_lateness`` over held records
-        #: and folded slots: no window closes below this watermark.
+        #: Earliest ``window.end`` over held records and folded slots: no
+        #: window closes below this watermark.
         self._next_close = math.inf
         self.records_seen = 0
         self.late_dropped = 0
@@ -387,7 +382,7 @@ class WindowedAggregator:
         """Fold a record in; emits nothing (emission is watermark-driven)."""
         self._flush()
         self.records_seen += 1
-        if record.event_time + self.allowed_lateness < self._watermark:
+        if record.event_time < self._watermark:
             self.late_dropped += 1
             return []
         for window in self.windows.assign(record.event_time):
@@ -401,7 +396,7 @@ class WindowedAggregator:
         held = self._folded.get(slot)
         if held is None:
             held = self._folded[slot] = [self.aggregate.zero(), 0]
-            close = slot[0].end + self.allowed_lateness
+            close = slot[0].end
             if close < self._next_close:
                 self._next_close = close
         elif held[0] is None:
@@ -418,12 +413,11 @@ class WindowedAggregator:
         if not n:
             return batch
         self.records_seen += n
-        # t + lateness is monotone in t, so the earliest record says
-        # whether any is late — and, window starts being monotone too,
-        # which held window can close first.
+        # The earliest record says whether any is late — and, window
+        # starts being monotone in t, which held window can close first.
         first = batch.t.min().item()
-        if first + self.allowed_lateness < self._watermark:
-            keep = batch.t + self.allowed_lateness >= self._watermark
+        if first < self._watermark:
+            keep = batch.t >= self._watermark
             n_keep = int(np.count_nonzero(keep))
             self.late_dropped += n - n_keep
             if not n_keep:
@@ -432,7 +426,7 @@ class WindowedAggregator:
             first = batch.t.min().item()
         self._held.append(batch)
         self._held_n += len(batch.t)
-        close = self.windows.assign(first)[0].end + self.allowed_lateness
+        close = self.windows.assign(first)[0].end
         if close < self._next_close:
             self._next_close = close
         if self._held_n >= HOLD_RECORDS:
@@ -499,11 +493,10 @@ class WindowedAggregator:
             return []
         self._flush()
         slots = self._folded
-        lateness = self.allowed_lateness
         closed = []
         next_close = math.inf
         for slot in slots:
-            close = slot[0].end + lateness
+            close = slot[0].end
             if close <= watermark:
                 closed.append(slot)
             elif close < next_close:
@@ -518,7 +511,7 @@ class WindowedAggregator:
                     event_time=window.end,
                     key=key,
                     value=PartialAggregate(window, key, state, count),
-                    size_bytes=self.partial_record_bytes,
+                    size_bytes=PARTIAL_RECORD_BYTES,
                 )
             )
         return out

@@ -150,7 +150,7 @@ class SiteRuntime:
         vms = engine.deployment.vms(spec.region)
         if not vms:
             raise ValueError(f"no VMs deployed in site region {spec.region}")
-        self.vms = vms[: spec.n_vms] if spec.n_vms else vms
+        self.vms = vms
         self.capacity_per_tick = per_vm_records_per_s * len(self.vms) * tick
         self.aggregator = WindowedAggregator(job.windows, job.aggregate)
         self.batcher = Batcher(job.batch_policy_factory(), origin=spec.region)
@@ -335,11 +335,6 @@ class SiteRuntime:
         self.degrade_transitions += 1
         if self._obs_on:
             self._m_degrade_active.set(1 if active else 0)
-
-    @property
-    def flow_rng(self) -> np.random.Generator:
-        """Named RNG stream for sampling decisions (deterministic)."""
-        return self.engine.sim.rngs.get(f"flow/{self.spec.region}")
 
     # ------------------------------------------------------------------
     def _on_tick(self) -> None:
@@ -860,7 +855,6 @@ class GeoStreamRuntime:
         job: StreamJob,
         shipping_factory,
         per_vm_records_per_s: float = 5000.0,
-        flow: FlowConfig | None = None,
         *,
         hubs: dict[str, str] | None = None,
         hub_shipping_factory=None,
@@ -878,7 +872,9 @@ class GeoStreamRuntime:
                     raise ValueError(f"no VMs in hub region {hub_region}")
         self.engine = engine
         self.job = job
-        self.flow = flow if flow is not None else job.flow
+        #: Live flow config: the job's, until :meth:`ControlPlane.apply`
+        #: changes a knob.
+        self.flow = job.flow
         agg_vms = engine.deployment.vms(job.aggregation_region)
         if not agg_vms:
             raise ValueError(
@@ -1070,9 +1066,7 @@ class GeoStreamRuntime:
         self.agg_vm = (live or vms)[0]
         self.aggregation_region = region
         for backend in self._root_backends():
-            retarget = getattr(backend, "retarget", None)
-            if retarget is not None:
-                retarget(self.agg_vm)
+            backend.retarget(self.agg_vm)
 
     @property
     def aggregator_up(self) -> bool:

@@ -17,9 +17,11 @@ per-batch sequence tracking, a delivery timeout, exponential backoff with
 jitter, and bounded retries. Duplicates it may create are removed by the
 aggregator's ``(origin, seq)`` dedup.
 
-``ship`` may return a cancellable handle (anything with ``cancel()``) so
-a reliability wrapper can abandon a stalled attempt and free its network
-resources; backends without one return ``None``.
+An inner backend's ``ship`` may return a cancellable handle (anything
+with ``cancel()``) so the reliability wrapper can abandon a stalled
+attempt and free its network resources; backends without one return
+``None``. Every backend can ``retarget`` to a new destination VM, which
+is how leader failover moves the aggregation site.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ from repro.streaming.events import Batch
 from repro.transfer.plan import TransferPlan
 
 DeliveryCallback = Callable[[Batch], None]
+
+#: Retry backoff of :class:`ReliableShipping`: the first re-send waits
+#: ``BACKOFF_BASE`` seconds (jittered), doubling up to ``BACKOFF_CAP``.
+BACKOFF_BASE = 2.0
+BACKOFF_CAP = 60.0
+
+#: What a :class:`~repro.flow.FlowConfig` gives each link built by
+#: :meth:`ReliableShipping.factory`: credit window, parked-queue bound
+#: (lossy policies only), breaker failure threshold and reset seconds.
+FLOW_MAX_INFLIGHT = 8
+FLOW_MAX_PENDING = 64
+BREAKER_FAILURES = 3
+BREAKER_RESET_S = 20.0
 
 #: Fault kinds that change what a good route looks like — a cached plan
 #: must not outlive any of them. Batch-level faults (drop/duplicate) are
@@ -150,40 +165,35 @@ class ShippingBackend(Protocol):
     def bytes_shipped(self) -> float:
         ...  # pragma: no cover - protocol
 
+    def retarget(self, dst_vm: VM) -> None:
+        """Send every later batch to ``dst_vm`` (leader failover)."""
+        ...  # pragma: no cover - protocol
+
 
 class DirectShipping:
     """One unmanaged flow per batch, round-robin over the sender VMs.
 
-    Accepts a single VM (the historical signature) or the site's whole
-    VM list; successive batches rotate through the senders so one busy
-    or crashed NIC does not serialise the site's entire egress. Crashed
+    Successive batches rotate through the site's senders so one busy or
+    crashed NIC does not serialise the site's entire egress. Crashed
     senders are skipped while any live one remains.
     """
 
     def __init__(
         self,
         engine: SageEngine,
-        src_vms: VM | list[VM],
+        src_vms: list[VM],
         dst_vm: VM,
         streams: int = 1,
     ):
         self.engine = engine
-        self.src_vms = [src_vms] if isinstance(src_vms, VM) else list(src_vms)
+        self.src_vms = list(src_vms)
         if not self.src_vms:
             raise ValueError("DirectShipping needs at least one sender VM")
-        self.dst_vm = dst_vm
         self.streams = streams
         self.bytes_shipped = 0.0
         self.batches_shipped = 0
         self._rr = 0
-        self._inst = _ShipInstruments(
-            engine, "direct", self.src_vms[0].region_code, dst_vm.region_code
-        )
-
-    @property
-    def src_vm(self) -> VM:
-        """The next sender (historical single-VM attribute)."""
-        return self.src_vms[self._rr % len(self.src_vms)]
+        self.retarget(dst_vm)
 
     def _next_sender(self) -> VM:
         n = len(self.src_vms)
@@ -218,9 +228,9 @@ class DirectShipping:
         )
 
     @classmethod
-    def factory(cls, streams: int = 1):
+    def factory(cls, **kwargs):
         def build(engine: SageEngine, src_vms: list[VM], dst_vm: VM):
-            return cls(engine, src_vms, dst_vm, streams=streams)
+            return cls(engine, src_vms, dst_vm, **kwargs)
 
         return build
 
@@ -245,27 +255,19 @@ class SageShipping:
         dst_region: str,
         n_nodes: int = 3,
         plan_ttl: float = 60.0,
-        intrusiveness: float | None = None,
-        coordination_latency: float | None = None,
     ) -> None:
         self.engine = engine
         self.src_region = src_region
         self.dst_region = dst_region
         self.n_nodes = n_nodes
         self.plan_ttl = plan_ttl
-        self.intrusiveness = intrusiveness
-        #: Re-derive the coordination latency when the destination moves
-        #: (failover retarget) — unless the caller pinned it explicitly.
-        self._auto_coord = coordination_latency is None
-        if coordination_latency is None:
-            # Each item is registered with the Decision Manager, matched to
-            # routes and acknowledged: two control round-trips plus DM
-            # processing. This fixed per-item cost is why blob staging is
-            # competitive for tiny files (experiment E8) — the managed
-            # machinery only pays off once transfer time dominates.
-            rtt = engine.env.topology.rtt(src_region, dst_region)
-            coordination_latency = 2.0 * rtt + 0.1
-        self.coordination_latency = coordination_latency
+        # Each item is registered with the Decision Manager, matched to
+        # routes and acknowledged: two control round-trips plus DM
+        # processing. This fixed per-item cost is why blob staging is
+        # competitive for tiny files (experiment E8) — the managed
+        # machinery only pays off once transfer time dominates.
+        rtt = engine.env.topology.rtt(src_region, dst_region)
+        self.coordination_latency = 2.0 * rtt + 0.1
         self.bytes_shipped = 0.0
         self.batches_shipped = 0
         self.plans_built = 0
@@ -322,7 +324,6 @@ class SageShipping:
                         self.src_region,
                         self.dst_region,
                         self.n_nodes,
-                        intrusiveness=self.intrusiveness,
                         label=f"ship-sage:{self.src_region}->{self.dst_region}",
                     )
                 )
@@ -368,31 +369,22 @@ class SageShipping:
         if dst_region == self.dst_region:
             return
         self.dst_region = dst_region
-        if self._auto_coord:
-            if self.src_region == dst_region:
-                # Local handover: no WAN control round-trips, only the
-                # Decision Manager's fixed processing share.
-                self.coordination_latency = 0.1
-            else:
-                rtt = self.engine.env.topology.rtt(self.src_region, dst_region)
-                self.coordination_latency = 2.0 * rtt + 0.1
+        if self.src_region == dst_region:
+            # Local handover: no WAN control round-trips, only the
+            # Decision Manager's fixed processing share.
+            self.coordination_latency = 0.1
+        else:
+            rtt = self.engine.env.topology.rtt(self.src_region, dst_region)
+            self.coordination_latency = 2.0 * rtt + 0.1
         self._inst = _ShipInstruments(
             self.engine, "sage", self.src_region, dst_region
         )
 
     @classmethod
-    def factory(cls, n_nodes: int = 3, plan_ttl: float = 60.0,
-                intrusiveness: float | None = None,
-                coordination_latency: float | None = None):
+    def factory(cls, **kwargs):
         def build(engine: SageEngine, src_vms: list[VM], dst_vm: VM):
             return cls(
-                engine,
-                src_vms[0].region_code,
-                dst_vm.region_code,
-                n_nodes=n_nodes,
-                plan_ttl=plan_ttl,
-                intrusiveness=intrusiveness,
-                coordination_latency=coordination_latency,
+                engine, src_vms[0].region_code, dst_vm.region_code, **kwargs
             )
 
         return build
@@ -461,30 +453,6 @@ class _Delivery:
         return self.acked or self.abandoned or self.cancelled
 
 
-class ReliableHandle:
-    """Cancellable handle for a :class:`ReliableShipping` delivery.
-
-    ``cancel()`` stops the *whole* delivery, not just the current
-    attempt: the pending timeout/retry timer is cancelled, the inner
-    transfer (if any) is cancelled so its network resources free up,
-    and the delivery is removed from the in-flight map — a cancelled
-    batch can never be retried again nor consume WAN capacity.
-    """
-
-    __slots__ = ("_shipping", "_delivery")
-
-    def __init__(self, shipping: "ReliableShipping", delivery: _Delivery):
-        self._shipping = shipping
-        self._delivery = delivery
-
-    @property
-    def cancelled(self) -> bool:
-        return self._delivery.cancelled
-
-    def cancel(self) -> None:
-        self._shipping._cancel(self._delivery)
-
-
 class ReliableShipping:
     """At-least-once delivery over any inner shipping backend.
 
@@ -504,7 +472,8 @@ class ReliableShipping:
     copy can land after its retry was already sent); the global
     aggregator removes them by ``(origin, seq)``.
 
-    Flow control (all optional, off by default):
+    Flow control (all optional, off by default; :meth:`factory` sets
+    all three from a :class:`~repro.flow.FlowConfig`):
 
     * ``max_inflight`` bounds concurrently attempting deliveries — the
       credit window the receiver side grants this link. Excess batches
@@ -524,8 +493,6 @@ class ReliableShipping:
         inner,
         delivery_timeout: float = 20.0,
         max_retries: int = 6,
-        backoff_base: float = 2.0,
-        backoff_cap: float = 60.0,
         name: str | None = None,
         max_inflight: int | None = None,
         max_pending: int | None = None,
@@ -544,14 +511,11 @@ class ReliableShipping:
         self.inner = inner
         self.delivery_timeout = delivery_timeout
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.name = name or type(inner).__name__
         self._rng = engine.sim.rngs.get(f"reliable/{self.name}")
         self.retries = 0
         self.abandoned = 0
         self.acked = 0
-        self.cancels = 0
         self.duplicates_delivered = 0
         # Flow control -------------------------------------------------
         from repro.flow.credits import CreditGate
@@ -584,7 +548,6 @@ class ReliableShipping:
         self._m_duplicates = obs.counter("ship_duplicates_delivered_total")
         self._m_parked = obs.counter("ship_batches_parked_total")
         self._m_shed = obs.counter("ship_batches_shed_total")
-        self._m_cancelled = obs.counter("ship_batches_cancelled_total")
         self._m_budget_exhausted = obs.counter("retry_budget_exhausted_total")
 
     # Cost accounting stays the inner backend's: retries pass through it.
@@ -611,18 +574,15 @@ class ReliableShipping:
         batches are already queueing behind it (or an open breaker)."""
         return self._credits.exhausted and bool(self._parked)
 
-    def ship(
-        self, batch: Batch, on_delivered: DeliveryCallback
-    ) -> ReliableHandle:
+    def ship(self, batch: Batch, on_delivered: DeliveryCallback) -> None:
         existing = self._inflight.get((batch.origin, batch.seq))
         if existing is not None and not existing.finished:
             # Idempotent re-ship (crash-recovery replay overlaps the
             # original delivery): the pending delivery already covers it.
-            return ReliableHandle(self, existing)
+            return
         d = _Delivery(batch, on_delivered)
         self._inflight[(batch.origin, batch.seq)] = d
         self._dispatch(d)
-        return ReliableHandle(self, d)
 
     # ------------------------------------------------------------------
     def _dispatch(self, d: _Delivery) -> None:
@@ -718,15 +678,6 @@ class ReliableShipping:
         if self._inflight.get(key) is d:
             del self._inflight[key]
 
-    def _cancel(self, d: _Delivery) -> None:
-        """Abort a delivery entirely (see :class:`ReliableHandle`)."""
-        if d.finished:
-            return
-        d.cancelled = True
-        self.cancels += 1
-        self._m_cancelled.inc()
-        self._finish(d)
-
     def _attempt(self, d: _Delivery) -> None:
         d.attempt += 1
         attempt_no = d.attempt
@@ -737,8 +688,8 @@ class ReliableShipping:
 
         def _arrived(batch: Batch) -> None:
             if d.cancelled:
-                # Cancelled mid-flight: the copy still physically lands,
-                # but the delivery no longer exists — drop silently.
+                # Shed while a late copy was in flight: the copy still
+                # physically lands, but the delivery no longer exists.
                 return
             if d.acked:
                 # A retry already delivered this batch; the late copy
@@ -791,9 +742,7 @@ class ReliableShipping:
             return
         self.retries += 1
         self._m_retries.inc()
-        delay = min(
-            self.backoff_cap, self.backoff_base * 2.0 ** (d.attempt - 1)
-        )
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (d.attempt - 1))
         # Jitter in [0.5, 1.5): retries of batches lost together do not
         # re-collide on the recovering link.
         delay *= 0.5 + self._rng.random()
@@ -813,7 +762,7 @@ class ReliableShipping:
                 self.retry_budget_exhausted += 1
                 self._m_budget_exhausted.inc()
                 d.timer = self.engine.sim.schedule(
-                    self.backoff_base * (0.5 + self._rng.random()),
+                    BACKOFF_BASE * (0.5 + self._rng.random()),
                     self._retry,
                     d,
                 )
@@ -822,56 +771,50 @@ class ReliableShipping:
         self._dispatch(d)
 
     @classmethod
-    def factory(
-        cls,
-        inner_factory,
-        delivery_timeout: float = 20.0,
-        max_retries: int = 6,
-        backoff_base: float = 2.0,
-        backoff_cap: float = 60.0,
-        max_inflight: int | None = None,
-        max_pending: int | None = None,
-        breaker: bool = False,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 30.0,
-        retry_budget: int | None = None,
-    ):
+    def factory(cls, inner_factory, *, flow=None, retry_budget=None, **kwargs):
         """Wrap another backend factory with at-least-once delivery.
 
-        ``breaker=True`` attaches a per-link circuit breaker wired to the
-        engine's fault bus (see :class:`repro.flow.CircuitBreaker`).
-        ``retry_budget`` caps *concurrent retry attempts across every
-        link this factory builds* (one shared :class:`RetryBudget`), so
-        a correlated outage cannot amplify into a cross-site retry storm.
+        ``flow`` (a :class:`repro.flow.FlowConfig`) gives every link a
+        credit window, a circuit breaker wired to the engine's fault bus
+        (:class:`repro.flow.CircuitBreaker`) and, unless the policy is the
+        lossless ``block``, a bounded parked queue (the ``FLOW_*`` and
+        ``BREAKER_*`` constants); without it, none of these. ``retry_budget``
+        caps *concurrent retry attempts across every link this factory
+        builds* (one shared :class:`RetryBudget`), so a correlated outage
+        cannot amplify into a cross-site retry storm. Other keyword
+        arguments go to the constructor.
         """
+        if kwargs.keys() & {"max_inflight", "max_pending", "breaker"}:
+            raise TypeError("a factory's links take flow control from flow=")
         shared_budget = (
             RetryBudget(retry_budget) if retry_budget is not None else None
         )
 
         def build(engine: SageEngine, src_vms: list[VM], dst_vm: VM):
             link = (src_vms[0].region_code, dst_vm.region_code)
-            brk = None
-            if breaker:
+            window = {}
+            if flow is not None:
                 from repro.flow.breaker import CircuitBreaker
 
-                brk = CircuitBreaker(
-                    engine,
-                    link=link,
-                    failure_threshold=breaker_threshold,
-                    reset_timeout=breaker_reset,
+                window = dict(
+                    max_inflight=FLOW_MAX_INFLIGHT,
+                    max_pending=None if flow.policy == "block" else FLOW_MAX_PENDING,
+                    # Built before the inner backend: both subscribe to
+                    # the fault bus, the breaker first.
+                    breaker=CircuitBreaker(
+                        engine,
+                        link=link,
+                        failure_threshold=BREAKER_FAILURES,
+                        reset_timeout=BREAKER_RESET_S,
+                    ),
                 )
             return cls(
                 engine,
                 inner_factory(engine, src_vms, dst_vm),
-                delivery_timeout=delivery_timeout,
-                max_retries=max_retries,
-                backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
                 name=f"{link[0]}->{link[1]}",
-                max_inflight=max_inflight,
-                max_pending=max_pending,
-                breaker=brk,
                 retry_budget=shared_budget,
+                **window,
+                **kwargs,
             )
 
         return build
@@ -885,9 +828,7 @@ class ReliableShipping:
         deliberately survives the move: it is the *site's* link, not the
         destination's.
         """
-        inner_retarget = getattr(self.inner, "retarget", None)
-        if inner_retarget is not None:
-            inner_retarget(dst_vm)
+        self.inner.retarget(dst_vm)
 
 
 def _record_weight(batch: Batch) -> int:
@@ -930,7 +871,6 @@ class UdpShipping:
             raise ValueError("weather_loss must be in [0, 1)")
         self.engine = engine
         self.src_vm = src_vm
-        self.dst_vm = dst_vm
         self.base_loss = base_loss
         self.weather_loss = weather_loss
         self.bytes_shipped = 0.0
@@ -939,13 +879,18 @@ class UdpShipping:
         self._rng = engine.sim.rngs.get(
             f"udp/{src_vm.region_code}->{dst_vm.region_code}"
         )
-        self._inst = _ShipInstruments(
-            engine, "udp", src_vm.region_code, dst_vm.region_code
-        )
-        self._m_lost = engine.observer.counter(
-            "ship_batches_lost_total",
-            backend="udp",
-            link=f"{src_vm.region_code}->{dst_vm.region_code}",
+        self.retarget(dst_vm)
+
+    def retarget(self, dst_vm: VM) -> None:
+        """Point this backend at a new destination VM (leader failover).
+
+        The loss RNG stream stays: the link belongs to the site.
+        """
+        self.dst_vm = dst_vm
+        src, dst = self.src_vm.region_code, dst_vm.region_code
+        self._inst = _ShipInstruments(self.engine, "udp", src, dst)
+        self._m_lost = self.engine.observer.counter(
+            "ship_batches_lost_total", backend="udp", link=f"{src}->{dst}"
         )
 
     def _loss_probability(self) -> float:
@@ -988,9 +933,9 @@ class UdpShipping:
         return self.batches_lost / self.batches_shipped if self.batches_shipped else 0.0
 
     @classmethod
-    def factory(cls, base_loss: float = 0.005, weather_loss: float = 0.25):
+    def factory(cls, **kwargs):
         def build(engine: SageEngine, src_vms: list[VM], dst_vm: VM):
-            return cls(engine, src_vms[0], dst_vm, base_loss, weather_loss)
+            return cls(engine, src_vms[0], dst_vm, **kwargs)
 
         return build
 
@@ -1001,13 +946,17 @@ class BlobShipping:
     def __init__(self, engine: SageEngine, src_vm: VM, dst_vm: VM) -> None:
         self.engine = engine
         self.src_vm = src_vm
-        self.dst_vm = dst_vm
-        self.store = engine.env.blob(dst_vm.region_code)
         self.bytes_shipped = 0.0
         self.batches_shipped = 0
         self._seq = 0
+        self.retarget(dst_vm)
+
+    def retarget(self, dst_vm: VM) -> None:
+        """Stage later batches through ``dst_vm``'s regional blob store."""
+        self.dst_vm = dst_vm
+        self.store = self.engine.env.blob(dst_vm.region_code)
         self._inst = _ShipInstruments(
-            engine, "blob", src_vm.region_code, dst_vm.region_code
+            self.engine, "blob", self.src_vm.region_code, dst_vm.region_code
         )
 
     def ship(self, batch: Batch, on_delivered: DeliveryCallback) -> None:

@@ -65,13 +65,8 @@ def mmpp_tick(rng, p: dict, state: dict, t0: float, t1: float) -> list[Row]:
 
 def schedule_tick(rng, p: dict, state: dict, t0: float, t1: float) -> list[Row]:
     origin = state.setdefault("origin_time", t0)
-    # Midpoint rule over the tick, in integrate_step slices.
-    mean = 0.0
-    t = t0
-    while t < t1:
-        step = min(p["integrate_step"], t1 - t)
-        mean += max(0.0, float(p["rate_fn"](t + step / 2.0 - origin))) * step
-        t += step
+    # Midpoint rule over the whole tick.
+    mean = max(0.0, float(p["rate_fn"](t0 + (t1 - t0) / 2.0 - origin))) * (t1 - t0)
     n = rng.poisson(mean) if mean > 0 else 0
     if n == 0:
         return []

@@ -95,7 +95,8 @@ import importlib, sys, types
 pkg = types.ModuleType("repro"); pkg.__path__ = [sys.argv[1]]
 sys.modules["repro"] = pkg
 importlib.import_module(sys.argv[2])
-print(sorted(m for m in sys.modules if m.startswith("repro.scenarios")))
+print(sorted(m for m in sys.modules for p in sys.argv[3:]
+             if m == p or m.startswith(p + ".")))
 """
 
 
@@ -114,7 +115,26 @@ def _fresh(code: str, *argv: str) -> str:
     ["repro.flow", "repro.faults", "repro.control", "repro.gen", "repro.streaming"],
 )
 def test_components_do_not_import_the_scenarios(module):
-    assert _fresh(_CLOSURE, module) == "[]"
+    assert _fresh(_CLOSURE, module, "repro.scenarios") == "[]"
+
+
+_ABOVE_SUBSTRATE = tuple(
+    f"repro.{p}"
+    for p in ("core", "transfer", "monitor", "flow", "streaming", "control",
+              "scenarios")
+)
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("repro.simulation", _ABOVE_SUBSTRATE),
+        ("repro.cloud", _ABOVE_SUBSTRATE),
+        ("repro.flow", ("repro.streaming",)),
+    ],
+)
+def test_lower_layers_do_not_import_the_layers_above(module, forbidden):
+    assert _fresh(_CLOSURE, module, *forbidden) == "[]"
 
 
 def test_import_repro_leaves_the_cli_and_argparse_out():

@@ -58,7 +58,7 @@ def _build(finalize_grace=60.0, reliable=False):
         factory = ReliableShipping.factory(
             factory, delivery_timeout=8.0, max_retries=8
         )
-    runtime = GeoStreamRuntime(engine, job, factory, flow=flow)
+    runtime = GeoStreamRuntime(engine, job, factory)
     return engine, runtime
 
 

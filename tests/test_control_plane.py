@@ -170,9 +170,7 @@ def _make_runtime(with_checkpointing=True):
         aggregate=builtin_aggregate("count"),
         flow=flow,
     )
-    runtime = GeoStreamRuntime(
-        engine, job, SageShipping.factory(n_nodes=2), flow=flow
-    )
+    runtime = GeoStreamRuntime(engine, job, SageShipping.factory(n_nodes=2))
     if with_checkpointing:
         runtime.enable_checkpointing(interval=10.0)
     return engine, runtime

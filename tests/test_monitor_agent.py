@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow
 from repro.monitor.agent import MonitorConfig, MonitoringAgent
-from repro.monitor.samplers import ActiveProbeSampler, CpuSampler, PassiveLinkSampler
+from repro.monitor.samplers import CpuSampler, PassiveLinkSampler
 from repro.simulation.units import MB
 
 
@@ -32,31 +32,6 @@ def test_passive_sampler_close_to_truth(env):
     sampler.sample(lambda t, v: values.append(v))
     truth = env.network.isolated_rate([src, dst], streams=4)
     assert values and values[0] == pytest.approx(truth, rel=0.25)
-
-
-def test_active_probe_consumes_bandwidth_and_measures(env):
-    deployed(env)
-    src = env.deployment.vms("NEU")[0]
-    dst = env.deployment.vms("NUS")[0]
-    sampler = ActiveProbeSampler(env.network, src, dst, probe_size=4 * MB, streams=4)
-    values = []
-    sampler.sample(lambda t, v: values.append(v))
-    assert len(env.network.flows) == 1  # a real flow is in the network
-    env.sim.run_until(60.0)
-    assert values
-    truth = env.network.isolated_rate([src, dst], streams=4)
-    assert values[0] == pytest.approx(truth, rel=0.15)
-    assert sampler.bytes_probed == 4 * MB
-
-
-def test_active_probe_does_not_stack(env):
-    deployed(env)
-    src = env.deployment.vms("NEU")[0]
-    dst = env.deployment.vms("NUS")[0]
-    sampler = ActiveProbeSampler(env.network, src, dst, probe_size=50 * MB)
-    sampler.sample(lambda t, v: None)
-    sampler.sample(lambda t, v: None)  # ignored while in flight
-    assert sampler.probes_sent == 1
 
 
 def test_cpu_sampler_reflects_load_and_health(env):

@@ -13,6 +13,7 @@ the same rate at every read and end in exactly the same per-flow state.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,11 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow, FluidNetwork
 from repro.simulation.units import MB
-from tests._fluid_oracle import EagerReferenceNetwork, reference_rates
+from tests._fluid_oracle import (
+    EagerReferenceNetwork,
+    reference_flow_cap,
+    reference_rates,
+)
 
 
 def churn(network_cls, seed, read_share, steps=120):
@@ -137,3 +142,32 @@ def test_steady_state_reallocation_early_out():
     env.sim.run_until(env.sim.now + 200.0)
     assert net.alloc_skips > skips_before
     assert all(f.rate > 0 for f in net.flows)
+
+
+def test_flow_cap_equals_the_oracle_walk_bit_for_bit():
+    # Every private-ceiling input in turn: transport, 1-3 WAN hops (the
+    # relay factor), a same-region hop, rate_cap, intrusiveness, a
+    # degraded VM, and the weather at several instants (clipped at 1).
+    env = CloudEnvironment(seed=5, variability_sigma=0.3, glitches=True)
+    net = env.network
+    regions = env.topology.region_codes()[:4]
+    vms = {r: env.provision(r, "Small", count=2) for r in regions}
+    vms[regions[0]][1].degrade(0.3)
+    weather = []
+    for t in (0.0, 900.0, 7_200.0, 50_000.0):
+        env.sim.run_until(t)
+        for transport, n_wan, rate_cap, intr, vm_i, local_hop in itertools.product(
+            ("tcp", "udp"), (1, 2, 3), (None, 2 * MB), (0.25, 1.0), (0, 1),
+            (False, True),
+        ):
+            path = [vms[r][vm_i] for r in regions[: n_wan + 1]]
+            if local_hop:
+                path.insert(1, vms[regions[0]][1 - vm_i])
+            flow = Flow(path, 1.0, streams=1 + n_wan, intrusiveness=intr,
+                        rate_cap=rate_cap, transport=transport)
+            assert net.flow_cap(flow) == reference_flow_cap(net, flow)
+        weather.extend(
+            env.topology.link(a, b).process.factor(t)
+            for a, b in zip(regions, regions[1:])
+        )
+    assert min(weather) < 1.0 < max(weather)  # both sides of the clip

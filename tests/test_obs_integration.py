@@ -114,7 +114,7 @@ def test_ship_batch_span_is_the_hops_transit():
                   created_at=engine.sim.now, seq=0)
     batch.trace = BatchTrace.stamp("NEU", 0, engine.sim.now)
     src, dst = engine.deployment.vms("NEU")[0], engine.deployment.vms("NUS")[0]
-    DirectShipping(engine, src, dst).ship(batch, lambda b: None)
+    DirectShipping(engine, [src], dst).ship(batch, lambda b: None)
     engine.run_until(engine.sim.now + 60.0)
     (span,) = spans(obs, "ship.batch")
     (hop,) = batch.trace.hops

@@ -134,10 +134,9 @@ def test_regional_outage_recovers_with_zero_loss():
     )
     factory = ReliableShipping.factory(
         SageShipping.factory(n_nodes=2, plan_ttl=30.0),
+        flow=flow,
         delivery_timeout=10.0,
         max_retries=50,
-        max_inflight=8,
-        breaker=True,
     )
     runtime = GeoStreamRuntime(engine, job, factory, per_vm_records_per_s=50.0)
 

@@ -143,7 +143,7 @@ def test_degrade_bounds_memory_at_twice_and_counts_coarse_ticks():
         "burst", base_rate=50.0, burst_rate=500.0,
         burst_start=5.0, burst_end=20.0, keys=["k1", "k2"],
     )
-    flow = FlowConfig(policy="degrade", max_backlog=300, degrade_factor=4)
+    flow = FlowConfig(policy="degrade", max_backlog=300)
     runtime = GeoStreamRuntime(
         engine,
         make_job(source, flow=flow),
@@ -259,10 +259,10 @@ def test_ship_is_idempotent_while_pending(engine):
     inner = ManualInner()
     shipping = ReliableShipping(engine, inner, delivery_timeout=60.0)
     got = []
-    h1 = shipping.ship(batch(7), got.append)
-    h2 = shipping.ship(batch(7), got.append)  # replay overlap
+    shipping.ship(batch(7), got.append)
+    shipping.ship(batch(7), got.append)  # replay overlap
     assert len(inner.shipped) == 1  # one delivery covers both
-    assert h2._delivery is h1._delivery
+    assert len(shipping._inflight) == 1
     inner.deliver_next()
     assert len(got) == 1
     # Once finished, a new ship for the same seq is a fresh delivery
@@ -272,45 +272,26 @@ def test_ship_is_idempotent_while_pending(engine):
     assert len(inner.shipped) == 1 and shipping.acked == 1
 
 
-def test_cancel_stops_retries_and_frees_the_slot(engine):
-    """Satellite contract: ``cancel()`` kills the *whole* delivery — the
-    pending retry timer is cancelled and the in-flight entry removed, so
-    a cancelled batch can never ship again."""
-    inner = ManualInner()  # never delivers: every attempt times out
-    shipping = ReliableShipping(
-        engine, inner, delivery_timeout=2.0, max_retries=5, backoff_base=4.0
+@pytest.mark.parametrize(
+    "policy, max_pending",
+    [(None, None), ("block", None), ("shed", 64), ("degrade", 64)],
+)
+def test_factory_derives_each_links_flow_control(engine, policy, max_pending):
+    flow = None if policy is None else FlowConfig(policy=policy)
+    build = ReliableShipping.factory(
+        lambda *_: ManualInner(), flow=flow, delivery_timeout=9.0
     )
-    got = []
-    handle = shipping.ship(batch(3), got.append)
-    engine.run_until(engine.sim.now + 3.0)  # first timeout: retry pending
-    assert shipping.retries == 1
-    assert len(inner.shipped) == 1
-    handle.cancel()
-    assert handle.cancelled
-    assert shipping.cancels == 1
-    assert shipping._inflight == {}  # removed from the in-flight map
-    engine.run_until(engine.sim.now + 120.0)
-    assert len(inner.shipped) == 1  # the retry timer never fired
-    assert got == [] and shipping.abandoned == 0
-    assert shipping.inflight == 0  # no slot leaked
-
-
-def test_cancel_active_delivery_releases_its_credit(engine):
-    inner = ManualInner()
-    shipping = ReliableShipping(
-        engine, inner, delivery_timeout=60.0, max_inflight=1
-    )
-    got = []
-    h1 = shipping.ship(batch(1), got.append)
-    shipping.ship(batch(2), got.append)
-    assert shipping.parked == 1
-    h1.cancel()
-    # The freed slot immediately dispatches the parked batch.
-    assert shipping.parked == 0
-    assert [b.seq for b, _ in inner.shipped] == [1, 2]
-    inner.deliver_next()  # batch 1's copy lands dead: delivery cancelled
-    inner.deliver_next()
-    assert [b.seq for b in got] == [2]
+    deployment = engine.deployment
+    link = build(engine, deployment.vms("NEU"), deployment.vms("NUS")[0])
+    assert link.delivery_timeout == 9.0
+    assert link.max_pending == max_pending
+    if flow is None:
+        assert link.max_inflight is None and link.breaker is None
+    else:
+        assert link.max_inflight == 8
+        assert link.breaker.link == ("NEU", "NUS")
+        assert link.breaker.failure_threshold == 3
+        assert link.breaker.reset_timeout == 20.0
 
 
 # ----------------------------------------------------------------------

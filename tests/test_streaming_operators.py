@@ -229,12 +229,10 @@ def test_windowed_aggregation_per_key():
 
 
 def test_late_records_dropped_and_counted():
-    wa = WindowedAggregator(
-        TumblingWindows(10.0), builtin_aggregate("count"), allowed_lateness=2.0
-    )
+    wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("count"))
     wa.advance_watermark(20.0)
-    wa.process(rec(19.0))  # within lateness: kept
-    wa.process(rec(5.0))  # far too late: dropped
+    wa.process(rec(25.0))  # ahead of the watermark: kept
+    wa.process(rec(5.0))  # behind it: dropped
     assert wa.late_dropped == 1
     assert wa.records_seen == 2
 
@@ -339,7 +337,6 @@ def test_property_process_batch_equals_per_record_process(name, data):
     # A narrow span and few keys make groups long enough for the
     # summation order inside one (window, key) fold to show.
     span = data.draw(st.sampled_from([4.0, 30.0]), label="time span")
-    lateness = data.draw(st.sampled_from([0.0, 3.0]), label="allowed lateness")
     bound = data.draw(st.sampled_from([2, 9, HOLD_RECORDS]), label="hold bound")
     steps = data.draw(
         st.lists(
@@ -362,9 +359,7 @@ def test_property_process_batch_equals_per_record_process(name, data):
 
     def aggregator():
         aggregate = SUM_OF_SQUARES if name == "sumsq" else builtin_aggregate(name)
-        return WindowedAggregator(
-            TumblingWindows(10.0), aggregate, allowed_lateness=lateness
-        )
+        return WindowedAggregator(TumblingWindows(10.0), aggregate)
 
     def draw_records(integers):
         keys = data.draw(st.sampled_from([["a"], ["a", "b"], ["c", "b", "a"]]))

@@ -7,15 +7,20 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
+from repro.obs.lineage import BatchTrace
 from repro.simulation.units import KB, MB
+from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.records import RecordBatch
+from repro.streaming.runtime import GeoStreamRuntime
 from repro.streaming.shipping import (
     BlobShipping,
     DirectShipping,
     ReliableShipping,
     SageShipping,
+    UdpShipping,
 )
+from repro.streaming.sources import PoissonSource
 
 
 @pytest.fixture
@@ -47,7 +52,7 @@ def ship_and_wait(engine, backend, b, timeout=600.0):
 def test_direct_shipping_delivers(engine):
     src = engine.deployment.vms("NEU")[0]
     dst = engine.deployment.vms("NUS")[0]
-    backend = DirectShipping(engine, src, dst, streams=2)
+    backend = DirectShipping(engine, [src], dst, streams=2)
     ship_and_wait(engine, backend, batch())
     assert backend.batches_shipped == 1
     assert backend.bytes_shipped == 512 * KB
@@ -64,19 +69,22 @@ def test_sage_shipping_reuses_plan_until_ttl(engine):
 
 
 def test_sage_shipping_coordination_latency(engine):
-    eager = SageShipping(engine, "NEU", "NUS", n_nodes=1,
-                         coordination_latency=0.0)
+    topology = engine.env.topology
+    backend = SageShipping(engine, "NEU", "NUS", n_nodes=1)
+    # Two control round-trips plus the Decision Manager's 0.1 s share.
+    assert backend.coordination_latency == 2.0 * topology.rtt("NEU", "NUS") + 0.1
     t0 = engine.sim.now
-    fast = ship_and_wait(engine, eager, batch(size=64 * KB)) - t0
-    slow_backend = SageShipping(engine, "NEU", "NUS", n_nodes=1,
-                                coordination_latency=5.0)
-    t1 = engine.sim.now
-    slow = ship_and_wait(engine, slow_backend, batch(size=64 * KB)) - t1
-    assert slow == pytest.approx(fast + 5.0, abs=0.5)
+    elapsed = ship_and_wait(engine, backend, batch(size=64 * KB)) - t0
+    assert elapsed > backend.coordination_latency
+    backend.retarget(engine.deployment.vms("WEU")[0])
+    assert backend.coordination_latency == 2.0 * topology.rtt("NEU", "WEU") + 0.1
+    # Into the site's own region: local handover, no WAN round-trips.
+    backend.retarget(engine.deployment.vms("NEU")[0])
+    assert backend.coordination_latency == 0.1
 
 
 def test_sage_shipping_same_region_is_local(engine):
-    backend = SageShipping(engine, "NEU", "NEU", coordination_latency=0.0)
+    backend = SageShipping(engine, "NEU", "NEU")
     t0 = engine.sim.now
     elapsed = ship_and_wait(engine, backend, batch(size=1 * MB)) - t0
     assert elapsed < 1.0  # intra-DC: NIC speed, no WAN planning
@@ -97,7 +105,7 @@ def test_blob_shipping_slower_than_direct(engine):
     dst = engine.deployment.vms("NUS")[0]
     t0 = engine.sim.now
     direct_t = ship_and_wait(
-        engine, DirectShipping(engine, src, dst, streams=2), batch(size=8 * MB)
+        engine, DirectShipping(engine, [src], dst, streams=2), batch(size=8 * MB)
     ) - t0
     t1 = engine.sim.now
     blob_t = ship_and_wait(
@@ -116,6 +124,36 @@ def test_factories_build_from_vms(engine):
     ):
         backend = factory(engine, src_vms, dst_vm)
         ship_and_wait(engine, backend, batch(size=128 * KB))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        DirectShipping.factory(),
+        SageShipping.factory(n_nodes=2),
+        UdpShipping.factory(base_loss=0.0, weather_loss=0.0),
+        BlobShipping.factory(),
+        ReliableShipping.factory(BlobShipping.factory()),
+    ],
+    ids=["direct", "sage", "udp", "blob", "reliable-blob"],
+)
+def test_failover_retarget_moves_every_backend(factory):
+    # A promoted leader in WUS must receive the site's next batch: no
+    # backend may keep shipping to the dead leader's region.
+    env = CloudEnvironment(seed=61, variability_sigma=0.0, glitches=False)
+    engine = SageEngine(env, deployment_spec={"NEU": 2, "NUS": 2, "WUS": 2})
+    engine.start(learning_phase=60.0)
+    job = StreamJob(
+        name="failover",
+        sites=[SiteSpec("NEU", [PoissonSource("s", rate=1.0)])],
+        aggregation_region="NUS",
+    )
+    runtime = GeoStreamRuntime(engine, job, factory)
+    runtime.retarget_aggregation("WUS")
+    b = batch()
+    b.trace = BatchTrace.stamp("NEU", 0, engine.sim.now)
+    ship_and_wait(engine, runtime.sites["NEU"].shipping, b)
+    assert [hop.link for hop in b.trace.hops] == ["NEU->WUS"]
 
 
 @pytest.mark.parametrize("backend_kind", ["sage", "direct", "reliable"])

@@ -146,7 +146,6 @@ _ORACLE_CASES = {
             "keys": _KEYS,
             "key_weights": [8.0, 4.0, 2.0, 1.0, 1.0],
             "bytes_fn": lambda t: 150.0 + 2.0 * t,
-            "integrate_step": 0.25,
         },
     ),
     "schedule-uniform-keys": (
@@ -155,7 +154,6 @@ _ORACLE_CASES = {
         {
             "rate_fn": lambda t: 5.0 if t < 20.0 else 0.0,
             "keys": _KEYS,
-            "integrate_step": 1.0,
         },
     ),
     "burst": (

@@ -63,7 +63,7 @@ def test_udp_faster_than_tcp_direct_on_long_rtt():
     e1 = make_engine(seed=502, variability_sigma=0.0, glitches=False)
     src, dst = e1.deployment.vms("NEU")[0], e1.deployment.vms("NUS")[0]
     t0 = e1.sim.now
-    tcp_t = ship_and_wait(e1, DirectShipping(e1, src, dst, streams=1), batch()) - t0
+    tcp_t = ship_and_wait(e1, DirectShipping(e1, [src], dst, streams=1), batch()) - t0
     e2 = make_engine(seed=502, variability_sigma=0.0, glitches=False)
     src2, dst2 = e2.deployment.vms("NEU")[0], e2.deployment.vms("NUS")[0]
     t1 = e2.sim.now

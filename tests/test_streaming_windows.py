@@ -48,11 +48,8 @@ def _rec(t, key="k", value=1.0):
     return Record(event_time=t, key=key, value=value, origin="NEU")
 
 
-def _agg(lateness=0.0):
-    return WindowedAggregator(
-        TumblingWindows(10.0), builtin_aggregate("count"),
-        allowed_lateness=lateness,
-    )
+def _agg():
+    return WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("count"))
 
 
 def test_arrival_exactly_at_the_watermark_is_not_late():
@@ -68,20 +65,6 @@ def test_arrival_exactly_at_the_watermark_is_not_late():
     out = agg.advance_watermark(20.0)
     assert len(out) == 1 and out[0].value.window == Window(10.0, 20.0)
     assert out[0].value.count == 1  # the late record never entered
-
-
-def test_allowed_lateness_shifts_the_boundary_exactly():
-    agg = _agg(lateness=2.0)
-    agg.process(_rec(5.0))
-    # The [0, 10) window is held open until end + lateness.
-    assert agg.advance_watermark(10.0) == []
-    agg.process(_rec(8.0))  # 8.0 + 2.0 == 10.0: not strictly behind
-    assert agg.late_dropped == 0
-    agg.process(_rec(8.0 - 1e-9))  # strictly behind watermark - lateness
-    assert agg.late_dropped == 1
-    out = agg.advance_watermark(12.0)  # end + lateness == watermark
-    assert [r.value.window for r in out] == [Window(0.0, 10.0)]
-    assert out[0].value.count == 2
 
 
 def test_backlog_delayed_watermark_closes_windows_in_order():

@@ -226,7 +226,7 @@ def test_degrade_coarsening_neither_duplicates_nor_drops_traces():
     env = CloudEnvironment(seed=29, variability_sigma=0.0, glitches=False)
     engine = SageEngine(env, deployment_spec={"NEU": 2, "NUS": 2})
     engine.start(learning_phase=60.0)
-    flow = FlowConfig(policy="degrade", max_backlog=300, degrade_factor=4)
+    flow = FlowConfig(policy="degrade", max_backlog=300)
     job = StreamJob(
         name="deg",
         sites=[SiteSpec("NEU", [PoissonSource("p", rate=400.0, keys=["k1", "k2"])])],
