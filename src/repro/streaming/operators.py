@@ -15,7 +15,13 @@ transforms one :class:`~repro.streaming.records.RecordBatch` at a time
 
 The window fold has one path: windows are tumbling and values float64,
 so every batch is held and each (window, key) group folded by the
-aggregate's ``fold_groups``, or else by its own ``add`` chain.
+aggregate's ``fold_groups``, or else by its own ``add`` chain. Window
+state is columns: each open window holds one numpy array per state
+component with a row per key id of the aggregator's own key table, so a
+flush folds every group in one radix argsort, one ``bincount`` and one
+kernel call, with no Python per group. When a flush's earliest and
+latest records fall in one window (window index is monotone in event
+time), no per-record window index is computed at all.
 """
 
 from __future__ import annotations
@@ -149,13 +155,16 @@ class AggregateFn:
     add: Callable[[Any, Any], Any]
     merge: Callable[[Any, Any], Any]
     result: Callable[[Any], Any]
-    #: Optional vectorized fold over every group of a flush:
-    #: ``fold_groups(states, values, starts, lengths)`` takes one prior
-    #: state per group and a float64 array holding the groups back to back
-    #: (group ``g`` is ``values[starts[g]:starts[g] + lengths[g]]``, never
-    #: empty) and returns the new states, each **bit-identical** to
-    #: applying ``add`` left-to-right over its group. Aggregates without
-    #: one fold each group through its own ``add`` chain.
+    #: Optional column kernel. The window fold then keeps each state as
+    #: numeric columns, one per component of ``zero()`` (the items of a
+    #: tuple, else the state itself), and folds every group of a flush in
+    #: one call: ``fold_groups(columns, values, starts, lengths)`` takes
+    #: each group's prior state as those columns and a float64 array
+    #: holding the groups back to back (group ``g`` is
+    #: ``values[starts[g]:starts[g] + lengths[g]]``, never empty), and
+    #: returns the new states as columns, each row **bit-identical** to
+    #: applying ``add`` left to right over its group. An aggregate
+    #: without one keeps an object column, folded by ``add`` chains.
     fold_groups: (
         Callable[[list, np.ndarray, np.ndarray, np.ndarray], list] | None
     ) = None
@@ -168,8 +177,8 @@ _MIN_GROUPS = 8
 
 
 def _seq_sums(
-    states: list, values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> list[float]:
+    prior: np.ndarray, values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
     # np.add.accumulate is a strictly sequential left-to-right fold
     # (unlike the pairwise np.add.reduce), also along axis 1 of a 2-D
     # array: with each group a row seeded by its prior state in column 0,
@@ -180,45 +189,82 @@ def _seq_sums(
         width = int(lengths.max())
         if rows * width <= 4 * len(values):
             pack = np.zeros((rows, width + 1))
-            pack[:, 0] = states
+            pack[:, 0] = prior
             pack[:, 1:][np.arange(width) < lengths[:, None]] = values
             np.add.accumulate(pack, axis=1, out=pack)
-            return pack[np.arange(rows), lengths].tolist()
+            return pack[np.arange(rows), lengths]
     # Few groups, or one so long that the pack's padding would outgrow
     # 4x the flush: each group's own chain.
-    sums = []
-    for state, lo, n in zip(states, starts.tolist(), lengths.tolist()):
+    sums = np.empty(rows)
+    for g, (lo, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
         chain = np.empty(n + 1)
-        chain[0] = state
+        chain[0] = prior[g]
         chain[1:] = values[lo:lo + n]
         np.add.accumulate(chain, out=chain)
-        sums.append(chain[-1].item())
+        sums[g] = chain[-1]
     return sums
 
 
-def _reduce_groups(ufunc: np.ufunc) -> Callable[..., list[float]]:
-    # Each group prefixed by its prior state and reduced with reduceat:
-    # per group that is the reduction ``ufunc.reduce(group, initial=state)``
-    # performs (the state as accumulator, then the same inner loop over
-    # the same values), so ties of +-0.0 and NaN come out alike.
-    def fold(states, values, starts, lengths):
+def _sum_groups(columns, values, starts, lengths) -> list[np.ndarray]:
+    return [_seq_sums(columns[0], values, starts, lengths)]
+
+
+def _mean_groups(columns, values, starts, lengths) -> list[np.ndarray]:
+    n, total = columns
+    return [n + lengths, _seq_sums(total, values, starts, lengths)]
+
+
+def _count_groups(columns, values, starts, lengths) -> list[np.ndarray]:
+    return [columns[0] + lengths]
+
+
+# min and max order every float: NaN propagates (whatever its position)
+# and -0.0 lies below +0.0, so the per-record chain, the column fold and
+# a merge in either argument order give one answer.
+def _min(a: float, b: float) -> float:
+    if a < b:
+        return a
+    if b < a:
+        return b
+    if a != a:
+        return a
+    if b != b:
+        return b
+    return a if math.copysign(1.0, a) < 0.0 else b
+
+
+def _max(a: float, b: float) -> float:
+    if a > b:
+        return a
+    if b > a:
+        return b
+    if a != a:
+        return a
+    if b != b:
+        return b
+    return b if math.copysign(1.0, a) < 0.0 else a
+
+
+def _extreme_groups(ufunc: np.ufunc, signed: np.ufunc) -> Callable[..., list]:
+    # Each group prefixed by its prior state and reduced with reduceat,
+    # which propagates NaN. A zero result ties +0.0 and -0.0, which the
+    # ufunc orders by position: it is -0.0 when ``signed`` (any for min,
+    # all for max) of the group's operands carry a sign bit.
+    def fold(columns, values, starts, lengths):
         at = starts + np.arange(len(starts))
         prefixed = np.empty(len(values) + len(starts))
         taken = np.ones(len(prefixed), dtype=bool)
         taken[at] = False
-        prefixed[at] = states
+        prefixed[at] = columns[0]
         prefixed[taken] = values
-        return ufunc.reduceat(prefixed, at).tolist()
+        out = ufunc.reduceat(prefixed, at)
+        zero = out == 0.0
+        if zero.any():
+            negative = signed.reduceat(np.signbit(prefixed), at)
+            out[zero] = np.where(negative[zero], -0.0, 0.0)
+        return [out]
 
     return fold
-
-
-def _mean_groups(states, values, starts, lengths) -> list[tuple]:
-    sums = _seq_sums([s[1] for s in states], values, starts, lengths)
-    return [
-        (s[0] + n, total)
-        for s, n, total in zip(states, lengths.tolist(), sums)
-    ]
 
 
 def builtin_aggregate(name: str) -> AggregateFn:
@@ -230,9 +276,7 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=lambda s, v: s + 1,
             merge=lambda a, b: a + b,
             result=lambda s: s,
-            fold_groups=lambda states, values, starts, lengths: [
-                s + n for s, n in zip(states, lengths.tolist())
-            ],
+            fold_groups=_count_groups,
         )
     if name == "sum":
         return AggregateFn(
@@ -241,25 +285,25 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=lambda s, v: s + float(v),
             merge=lambda a, b: a + b,
             result=lambda s: s,
-            fold_groups=_seq_sums,
+            fold_groups=_sum_groups,
         )
     if name == "min":
         return AggregateFn(
             "min",
             zero=lambda: math.inf,
-            add=lambda s, v: min(s, float(v)),
-            merge=min,
+            add=lambda s, v: _min(s, float(v)),
+            merge=_min,
             result=lambda s: s,
-            fold_groups=_reduce_groups(np.minimum),
+            fold_groups=_extreme_groups(np.minimum, np.logical_or),
         )
     if name == "max":
         return AggregateFn(
             "max",
             zero=lambda: -math.inf,
-            add=lambda s, v: max(s, float(v)),
-            merge=max,
+            add=lambda s, v: _max(s, float(v)),
+            merge=_max,
             result=lambda s: s,
-            fold_groups=_reduce_groups(np.maximum),
+            fold_groups=_extreme_groups(np.maximum, np.logical_and),
         )
     if name == "mean":
         # Partial state: (count, sum).
@@ -295,15 +339,20 @@ def _var_add(s: tuple, v: float) -> tuple:
     return (n, mean, m2 + delta * (v - mean))
 
 
-def _add_chains(add, states, values, starts, lengths) -> list:
-    # The fold of an aggregate without ``fold_groups``: each group's own
-    # scalar ``add`` chain, left to right, so exact by construction.
-    folded = []
-    for state, lo, n in zip(states, starts.tolist(), lengths.tolist()):
+def _add_chains(add, zero, columns, values, starts, lengths) -> list[np.ndarray]:
+    # The kernel of an aggregate without ``fold_groups``: one object
+    # column, each group's own scalar ``add`` chain left to right, so
+    # exact by construction. A row no record reached yet holds None.
+    folded = np.empty(len(lengths), dtype=object)
+    for g, (state, lo, n) in enumerate(
+        zip(columns[0].tolist(), starts.tolist(), lengths.tolist())
+    ):
+        if state is None:
+            state = zero()
         for v in values[lo:lo + n].tolist():
             state = add(state, v)
-        folded.append(state)
-    return folded
+        folded[g] = state
+    return [folded]
 
 
 def _var_merge(a: tuple, b: tuple) -> tuple:
@@ -340,6 +389,17 @@ HOLD_RECORDS = 2048
 PARTIAL_RECORD_BYTES = 120.0
 
 
+class _WindowColumns:
+    """One open window's state: a row per key id of the aggregator's key
+    table, in each state column and in ``count`` (records folded)."""
+
+    __slots__ = ("count", "state")
+
+    def __init__(self, count: np.ndarray, state: list[np.ndarray]) -> None:
+        self.count = count
+        self.state = state
+
+
 class WindowedAggregator:
     """Keyed, windowed aggregation producing mergeable partials.
 
@@ -351,33 +411,129 @@ class WindowedAggregator:
 
     Batches are counted and late-filtered at ingest but only *held*;
     they are folded as one concatenation when a window can close, the
-    hold reaches :data:`HOLD_RECORDS`, or the fold state is read. Each
-    (window, key) group folds left to right and the sort is stable, so
-    that equals folding batch by batch, bit for bit.
+    hold reaches :data:`HOLD_RECORDS`, or the fold state is read.
+
+    State is columns, not slots: the aggregator numbers every key it
+    sees in its own key table, and each open window (by index) holds one
+    array per state component with a row per key id, plus a row count;
+    a (window, key) slot exists once a record has folded into it. A
+    flush remaps each held batch's key indices into that table once,
+    groups the records by ``window offset * n_keys + key id`` with one
+    stable radix argsort (when the earliest and the latest record fall
+    in one window, window index being monotone in event time, the key
+    id alone), takes the group lengths from one ``bincount``, and folds
+    every group of every window in one ``fold_groups`` call straight
+    from the columns and back into them. Each group folds left to right
+    and the sort is stable, so that equals folding batch by batch, bit
+    for bit. Emission and snapshots read the rows back in (window, key)
+    order as the aggregate's Python states.
     """
 
     def __init__(self, windows, aggregate: AggregateFn) -> None:
         self.windows = windows
         self.aggregate = aggregate
-        #: Folded slots: ``(window, key) -> [state, count]``, updated in
-        #: place so a fold hashes its slot once (twice when it opens it).
-        self._folded: dict[tuple[Window, str], list] = {}
+        if aggregate.fold_groups is None:
+            self._zeros: tuple = (None,)
+            self._fold = partial(_add_chains, aggregate.add, aggregate.zero)
+        else:
+            zero = aggregate.zero()
+            self._zeros = zero if isinstance(zero, tuple) else (zero,)
+            self._fold = aggregate.fold_groups
+        #: The key table: key -> id, ids in order of first sight, and
+        #: (built when read) the ids sorted by key.
+        self._ids: dict[str, int] = {}
+        self._names: list[str] = []
+        self._by_key: np.ndarray | None = None
+        #: Rows per column: at least one per key id, doubled to grow.
+        self._rows = 0
+        #: The last batch key table seen and its ids here (None: the same
+        #: ids).
+        self._table: tuple[str, ...] | None = None
+        self._remap: np.ndarray | None = None
+        #: Open windows: window index -> its columns.
+        self._folded: dict[int, _WindowColumns] = {}
         #: Admitted batches not folded yet, and how many records they hold.
         self._held: list[RecordBatch] = []
         self._held_n = 0
-        #: Earliest ``window.end`` over held records and folded slots: no
+        #: Earliest ``window.end`` over held records and open windows: no
         #: window closes below this watermark.
         self._next_close = math.inf
         self.records_seen = 0
         self.late_dropped = 0
         self._watermark = -math.inf
 
-    @property
-    def _slots(self) -> dict[tuple[Window, str], list]:
-        """Open slots, the hold folded in first."""
-        self._flush()
-        return self._folded
+    # -- key table and columns -----------------------------------------
+    def _key_id(self, key: str) -> int:
+        """The key's id, numbered (and every window's rows grown) if new."""
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._names)
+            self._names.append(key)
+            self._by_key = None
+            if i >= self._rows:
+                self._grow(max(2 * self._rows, 1))
+        return i
 
+    def _grow(self, rows: int) -> None:
+        def grown(column, zero):
+            return np.concatenate((column, np.full(rows - len(column), zero)))
+
+        for cols in self._folded.values():
+            cols.count = grown(cols.count, 0)
+            cols.state = [grown(c, z) for c, z in zip(cols.state, self._zeros)]
+        self._rows = rows
+
+    def _key_ids(self, batch: RecordBatch) -> np.ndarray:
+        """The batch's ``key_idx`` as ids of this aggregator's key table."""
+        keys = batch.keys
+        # Sources share one table across their batches; a rekeying
+        # operator builds an equal one per batch.
+        if keys is not self._table and keys != self._table:
+            ids = [self._key_id(key) for key in keys]
+            same = ids == list(range(len(ids)))
+            self._table, self._remap = keys, None if same else np.array(ids)
+        if self._remap is None:
+            return batch.key_idx
+        return self._remap[batch.key_idx]
+
+    def _window(self, index: int) -> _WindowColumns:
+        """The window's columns, opened at zero if new."""
+        cols = self._folded.get(index)
+        if cols is None:
+            rows = self._rows
+            cols = self._folded[index] = _WindowColumns(
+                np.zeros(rows, dtype=np.int64),
+                [np.full(rows, zero) for zero in self._zeros],
+            )
+            close = self.windows.end(index)
+            if close < self._next_close:
+                self._next_close = close
+        return cols
+
+    def _states(self, cols: _WindowColumns, ids: np.ndarray) -> list:
+        """The Python states of rows ``ids``: scalars, or tuples of the
+        components."""
+        components = [c[ids].tolist() for c in cols.state]
+        if len(components) == 1:
+            return components[0]
+        return list(zip(*components))
+
+    def _set_state(self, cols: _WindowColumns, i: int, state: Any) -> None:
+        components = (state,) if len(cols.state) == 1 else state
+        for column, value in zip(cols.state, components):
+            column[i] = value
+
+    def _rows_by_key(self, cols: _WindowColumns) -> np.ndarray:
+        """Ids of the window's open slots, in key order."""
+        if self._by_key is None:
+            names = self._names
+            self._by_key = np.array(
+                sorted(range(len(names)), key=names.__getitem__), dtype=np.int64
+            )
+        by_key = self._by_key
+        return by_key[cols.count[by_key] > 0]
+
+    # -- ingest and fold -----------------------------------------------
     def process(self, record: Record) -> list[Record]:
         """Fold a record in; emits nothing (emission is watermark-driven)."""
         self._flush()
@@ -385,36 +541,27 @@ class WindowedAggregator:
         if record.event_time < self._watermark:
             self.late_dropped += 1
             return []
-        for window in self.windows.assign(record.event_time):
-            held = self._open((window, record.key))
-            held[0] = self.aggregate.add(held[0], record.value)
-            held[1] += 1
+        i = self._key_id(record.key)
+        cols = self._window(self.windows.index(record.event_time))
+        state = self._states(cols, np.array([i]))[0]
+        if state is None:
+            state = self.aggregate.zero()
+        self._set_state(cols, i, self.aggregate.add(state, record.value))
+        cols.count[i] += 1
         return []
-
-    def _open(self, slot: tuple[Window, str]) -> list:
-        """The slot's ``[state, count]``, opened at zero if new."""
-        held = self._folded.get(slot)
-        if held is None:
-            held = self._folded[slot] = [self.aggregate.zero(), 0]
-            close = slot[0].end
-            if close < self._next_close:
-                self._next_close = close
-        elif held[0] is None:
-            held[0] = self.aggregate.zero()
-        return held
 
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
 
         The batch is held for :meth:`_flush`, which folds it into the
-        slots :meth:`process` would, bit for bit.
+        columns :meth:`process` would, bit for bit.
         """
         n = len(batch)
         if not n:
             return batch
         self.records_seen += n
         # The earliest record says whether any is late — and, window
-        # starts being monotone in t, which held window can close first.
+        # index being monotone in t, which held window can close first.
         first = batch.t.min().item()
         if first < self._watermark:
             keep = batch.t >= self._watermark
@@ -426,7 +573,7 @@ class WindowedAggregator:
             first = batch.t.min().item()
         self._held.append(batch)
         self._held_n += len(batch.t)
-        close = self.windows.assign(first)[0].end
+        close = self.windows.end(self.windows.index(first))
         if close < self._next_close:
             self._next_close = close
         if self._held_n >= HOLD_RECORDS:
@@ -434,56 +581,71 @@ class WindowedAggregator:
         return RecordBatch.empty(batch.origin)
 
     def _flush(self) -> None:
-        """Fold the held batches, as one, into the slots."""
-        if self._held:
-            batch = RecordBatch.concat(self._held)
-            self._held, self._held_n = [], 0
-            self._fold_tumbling(batch)
+        """Fold the held batches, as one, into the columns."""
+        held = self._held
+        if not held:
+            return
+        self._held, self._held_n = [], 0
+        ids = [self._key_ids(b) for b in held]
+        if len(held) == 1:
+            self._fold_columns(held[0].t, ids[0], held[0].value)
+        else:
+            self._fold_columns(
+                np.concatenate([b.t for b in held]),
+                np.concatenate(ids),
+                np.concatenate([b.value for b in held]),
+            )
 
-    def _fold_tumbling(self, batch: RecordBatch) -> None:
-        """Group by (window, key) with one stable lexsort and fold every
-        contiguous group in one ``fold_groups`` call (or its ``add``
-        chains)."""
-        starts = self.windows.assign_starts(batch.t)
+    def _fold_columns(
+        self, t: np.ndarray, ids: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Group by (window, key) with one stable radix argsort and fold
+        every group from the columns and back in one ``fold_groups`` call
+        (or its ``add`` chains)."""
+        windows = self.windows
+        lo = windows.index(t.min().item())
+        span = windows.index(t.max().item()) - lo + 1
+        n_keys = len(self._names)
+        codes = ids
+        if span > 1:
+            codes = (windows.indices(t) - lo) * n_keys + ids
+        n_codes = span * n_keys
         # Stable sort: within one (window, key) group, values keep their
         # arrival order, so sequential folds match interleaved
-        # per-record adds (:meth:`process`) exactly.
-        order = np.lexsort((batch.key_idx, starts))
-        starts = starts[order]
-        key_idx = batch.key_idx[order]
-        n = len(starts)
-        # Group edges, the flush's end included: a group starts wherever
-        # the window or the key changes.
-        edge = np.empty(n + 1, dtype=bool)
-        edge[0] = edge[n] = True
-        np.not_equal(starts[1:], starts[:-1], out=edge[1:n])
-        edge[1:n] |= key_idx[1:] != key_idx[:-1]
-        edges = np.flatnonzero(edge)
-        group_starts = edges[:-1]
-        lengths = edges[1:] - group_starts
-        length = self.windows.length
-        keys = batch.keys
-        open_slot = self._open
-        cells = []
-        last = None
-        # One pass opens every group's slot, with one Window per start.
-        for start, k in zip(
-            starts[group_starts].tolist(), key_idx[group_starts].tolist()
-        ):
-            if start != last:
-                window = Window(start, start + length)
-                last = start
-            cells.append(open_slot((window, keys[k])))
-        fold = self.aggregate.fold_groups or partial(
-            _add_chains, self.aggregate.add
+        # per-record adds (:meth:`process`) exactly. Codes that fit 16
+        # bits sort by radix.
+        order = np.argsort(
+            codes.astype(np.uint16 if n_codes <= 1 << 16 else np.int64),
+            kind="stable",
         )
-        states = fold(
-            [cell[0] for cell in cells], batch.value[order], group_starts, lengths
-        )
-        for cell, state, count in zip(cells, states, lengths.tolist()):
-            cell[0] = state
-            cell[1] += count
+        lengths = np.bincount(codes, minlength=n_codes)
+        groups = np.flatnonzero(lengths)
+        lengths = lengths[groups]
+        starts = np.cumsum(lengths) - lengths
+        # Groups come window by window: cut them where the offset changes.
+        if span == 1:
+            parts = [(self._window(lo), groups)]
+        else:
+            offsets, rows = np.divmod(groups, n_keys)
+            cuts = (np.flatnonzero(np.diff(offsets)) + 1).tolist()
+            parts = [
+                (self._window(lo + int(offsets[a])), rows[a:b])
+                for a, b in zip([0, *cuts], [*cuts, len(groups)])
+            ]
+        prior = [
+            np.concatenate([cols.state[c][r] for cols, r in parts])
+            for c in range(len(self._zeros))
+        ]
+        folded = self._fold(prior, values[order], starts, lengths)
+        at = 0
+        for cols, r in parts:
+            nxt = at + len(r)
+            for column, new in zip(cols.state, folded):
+                column[r] = new[at:nxt]
+            cols.count[r] += lengths[at:nxt]
+            at = nxt
 
+    # -- emission ------------------------------------------------------
     def advance_watermark(self, watermark: float) -> list[Record]:
         """Close all windows ending before the watermark; emit partials."""
         if watermark < self._watermark:
@@ -492,54 +654,65 @@ class WindowedAggregator:
         if watermark < self._next_close:
             return []
         self._flush()
-        slots = self._folded
-        closed = []
-        next_close = math.inf
-        for slot in slots:
-            close = slot[0].end
-            if close <= watermark:
-                closed.append(slot)
-            elif close < next_close:
-                next_close = close
-        self._next_close = next_close
+        end = self.windows.end
+        open_ = self._folded
+        closed = sorted(k for k in open_ if end(k) <= watermark)
         out: list[Record] = []
-        for slot in sorted(closed, key=lambda s: (s[0], s[1])):
-            window, key = slot
-            state, count = slots.pop(slot)
-            out.append(
-                Record(
-                    event_time=window.end,
-                    key=key,
-                    value=PartialAggregate(window, key, state, count),
-                    size_bytes=PARTIAL_RECORD_BYTES,
+        names = self._names
+        for k in closed:
+            cols = open_.pop(k)
+            window = self.windows.window(k)
+            ids = self._rows_by_key(cols)
+            for i, state, count in zip(
+                ids.tolist(), self._states(cols, ids), cols.count[ids].tolist()
+            ):
+                key = names[i]
+                out.append(
+                    Record(
+                        event_time=window.end,
+                        key=key,
+                        value=PartialAggregate(window, key, state, count),
+                        size_bytes=PARTIAL_RECORD_BYTES,
+                    )
                 )
-            )
+        self._next_close = min(map(end, open_), default=math.inf)
         return out
 
     @property
     def open_windows(self) -> int:
-        return len({w for w, _ in self._slots})
+        self._flush()
+        return len(self._folded)
 
     # -- checkpoint/restore --------------------------------------------
     def snapshot(self) -> dict:
         """JSON-serializable view of all open window state.
 
-        Aggregate states are stored verbatim; the built-in aggregates use
-        scalars and tuples, and tuples survive a JSON round trip as lists
-        whose element access the add/merge closures are agnostic to.
+        Slots are rows ``[start, end, key, state, count]`` in (window,
+        key) order. Aggregate states are stored verbatim; the built-in
+        aggregates use scalars and tuples, and tuples survive a JSON round
+        trip as lists whose element access the add/merge closures are
+        agnostic to.
         """
+        self._flush()
+        slots = []
+        names = self._names
+        for k in sorted(self._folded):
+            cols = self._folded[k]
+            window = self.windows.window(k)
+            ids = self._rows_by_key(cols)
+            slots += [
+                [window.start, window.end, names[i], state, count]
+                for i, state, count in zip(
+                    ids.tolist(), self._states(cols, ids), cols.count[ids].tolist()
+                )
+            ]
         return {
             "watermark": (
                 None if self._watermark == -math.inf else self._watermark
             ),
             "records_seen": self.records_seen,
             "late_dropped": self.late_dropped,
-            "slots": [
-                [w.start, w.end, key, state, count]
-                for (w, key), (state, count) in sorted(
-                    self._slots.items(), key=lambda kv: kv[0]
-                )
-            ],
+            "slots": slots,
         }
 
     def restore(self, payload: dict) -> None:
@@ -549,8 +722,10 @@ class WindowedAggregator:
         self.records_seen = payload["records_seen"]
         self.late_dropped = payload["late_dropped"]
         self._held, self._held_n = [], 0
-        self._folded = {
-            (Window(start, end), key): [state, count]
-            for start, end, key, state, count in payload["slots"]
-        }
-        self._next_close = -math.inf  # unknown: the next advance rescans
+        self._folded = {}
+        self._next_close = math.inf
+        for start, _end, key, state, count in payload["slots"]:
+            i = self._key_id(key)
+            cols = self._window(self.windows.index(start))
+            self._set_state(cols, i, state)
+            cols.count[i] = count

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,42 +28,53 @@ class Window:
 
 
 class TumblingWindows:
-    """Fixed, non-overlapping windows of one length."""
+    """Fixed, non-overlapping windows of one length.
+
+    Window ``k`` is ``[k * length, (k + 1) * length)``, both bounds the
+    float products, so consecutive windows share a bound and tile the
+    line. An event time belongs to the window with the largest ``k``
+    whose start is ``<= t``: it lies inside that window by construction,
+    and the index never decreases as ``t`` grows. (``t // length`` is
+    not that index in general — with a length of 1.1, ``5.5 // 1.1`` is
+    4.0 — but for lengths whose multiples are exact, such as 7.5, 10, 30
+    or 3600 s, the two agree.)
+    """
 
     def __init__(self, length: float) -> None:
         if length <= 0:
             raise ValueError("window length must be positive")
         self.length = length
 
+    def index(self, event_time: float) -> int:
+        """Index of the window that contains ``event_time``."""
+        length = self.length
+        # The correctly rounded quotient floors to the index or one past
+        # it, either way: one step down, then one step up, settles it.
+        k = math.floor(event_time / length)
+        if k * length > event_time:
+            k -= 1
+        if (k + 1) * length <= event_time:
+            k += 1
+        return k
+
+    def indices(self, event_times: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`index`: the same int64 index per record."""
+        length = self.length
+        k = np.floor(event_times / length)
+        k -= k * length > event_times
+        k += (k + 1.0) * length <= event_times
+        return k.astype(np.int64)
+
+    def end(self, index: int) -> float:
+        """End of window ``index``, the start of the next one."""
+        return (index + 1) * self.length
+
+    def window(self, index: int) -> Window:
+        return Window(index * self.length, self.end(index))
+
     def assign(self, event_time: float) -> list[Window]:
-        start = (event_time // self.length) * self.length
-        return [Window(start, start + self.length)]
+        return [self.window(self.index(event_time))]
 
     def assign_starts(self, event_times: np.ndarray) -> np.ndarray:
-        """Vectorized window starts, bit-identical to :meth:`assign`.
-
-        The scalar path computes ``(t // length) * length`` with
-        CPython float floor-division, which is *not* ``floor(t /
-        length)``: CPython derives the quotient from ``fmod`` and
-        applies a half-ulp correction, so e.g. large ``t`` just below a
-        window boundary can floor differently than naive division.
-        This replicates that algorithm (for the non-negative operands
-        the stream plane uses) so both planes bucket every record into
-        the same window.
-        """
-        length = self.length
-        mod = np.fmod(event_times, length)
-        div = (event_times - mod) / length
-        floordiv = np.floor(div)
-        # CPython rounds the reconstructed quotient to the nearest
-        # integer when it lands within half a unit — mirror it.
-        floordiv[(div - floordiv) > 0.5] += 1.0
-        if np.any(event_times < 0.0):
-            # Negative event times take CPython's sign-correction
-            # branch; defer to the scalar path for exactness.
-            neg = event_times < 0.0
-            floordiv[neg] = [
-                t // length for t in event_times[neg].tolist()
-            ]
-            return floordiv * length
-        return floordiv * length
+        """Vectorized window starts, bit-identical to :meth:`assign`."""
+        return self.indices(event_times) * self.length

@@ -333,7 +333,7 @@ def test_aggregator_crash_mid_hold_restores_raw_records_from_its_checkpoint():
     raw = runtime.aggregator._raw_aggregator
     held = raw._held_n
     assert held > 0  # raw records delivered, not folded yet
-    folded = sum(count for _, count in raw._folded.values())
+    folded = sum(int(cols.count.sum()) for cols in raw._folded.values())
     runtime._checkpointer.run_once()
     saved = runtime.checkpoint_store.load("aggregator")["raw"]
     assert sum(row[4] for row in saved["slots"]) == folded + held

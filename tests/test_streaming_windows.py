@@ -1,5 +1,8 @@
 """Unit + property tests for window assigners and watermark edge cases."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,57 @@ def test_property_tumbling_covers_every_instant(t):
     w = TumblingWindows(7.5).assign(t)
     assert len(w) == 1
     assert w[0].contains(t)
+
+
+#: Window lengths whose multiples round (1.1, 0.3, 1e-3, 2/3) beside ones
+#: whose multiples are exact (7.5, 10, 3600).
+_LENGTHS = st.sampled_from([1.1, 0.3, 1e-3, 2.0 / 3.0, 7.5, 10.0, 3600.0])
+
+
+@st.composite
+def _boundary_times(draw):
+    """A length, and an event time at, or one float beside, the start of
+    one of its windows — where a floor-divided index goes wrong."""
+    length = draw(_LENGTHS)
+    k = draw(st.integers(-10**6, 10**6))
+    t = k * length
+    step = draw(st.sampled_from([None, math.inf, -math.inf]))
+    return length, t if step is None else math.nextafter(t, step)
+
+
+@given(_boundary_times())
+@settings(max_examples=400, deadline=None)
+def test_property_every_record_lands_in_a_window_that_contains_it(case):
+    length, t = case
+    windows = TumblingWindows(length)
+    (window,) = windows.assign(t)
+    assert window.contains(t)
+    k = windows.index(t)
+    # Windows tile: each ends where the next starts.
+    assert window == windows.window(k)
+    assert windows.window(k + 1).start == window.end
+    # The vectorized index and starts are the scalar ones, bit for bit.
+    assert windows.indices(np.array([t])).tolist() == [k]
+    assert repr(windows.assign_starts(np.array([t]))[0].item()) == repr(window.start)
+
+
+@given(_LENGTHS, st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_property_window_index_is_monotone_in_event_time(length, times):
+    # The fold's one-window shortcut rests on this: when the earliest and
+    # the latest record of a flush share a window, so does every record.
+    windows = TumblingWindows(length)
+    times = np.sort(np.array(times))
+    scalar = [windows.index(t) for t in times.tolist()]
+    assert scalar == sorted(scalar)
+    assert windows.indices(times).tolist() == scalar
+
+
+def test_multiples_of_1_1_start_their_own_window():
+    # 5.5 // 1.1 == 4.0, so floor division put t = 5.5 in [4.4, 5.5).
+    windows = TumblingWindows(1.1)
+    assert windows.assign(5.5) == [Window(5 * 1.1, 6 * 1.1)]
+    assert windows.assign_starts(np.array([5.5])).tolist() == [5.5]
 
 
 # ----------------------------------------------------------------------
