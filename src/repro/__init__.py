@@ -44,7 +44,6 @@ from repro.api import (
     TransferResult,
     default_suite,
     derive_seed,
-    register_scenario,
     run_experiment,
     run_serve,
     run_soak,
@@ -70,7 +69,6 @@ __all__ = [
     "TransferResult",
     "default_suite",
     "derive_seed",
-    "register_scenario",
     "run_experiment",
     "run_serve",
     "run_soak",

@@ -52,7 +52,6 @@ from repro.monitor.agent import MonitorConfig
 from repro.report import ScenarioReport
 from repro.runner import SweepReport, SweepRunner, SweepTask, derive_seed, execute_task
 from repro.scenarios import (
-    register_scenario,
     registered_scenarios,
     run_experiment,
     run_serve,
@@ -306,7 +305,6 @@ __all__ = [
     "default_suite",
     "derive_seed",
     "execute_task",
-    "register_scenario",
     "registered_scenarios",
     "run_experiment",
     "run_serve",

@@ -77,24 +77,5 @@ class AdmissionGate:
         self.rejected += rejected
         return rejected
 
-    # ------------------------------------------------------------------
-    def configure(
-        self, rate: float | None = None, burst_s: float | None = None
-    ) -> None:
-        """Live-reconfigure the bucket (control-plane ``apply``).
-
-        Tokens are clamped to the new capacity so a rate cut takes
-        effect immediately instead of coasting on the old burst.
-        """
-        if rate is not None:
-            if rate <= 0:
-                raise ValueError("admission rate must be positive")
-            self.rate = float(rate)
-        if burst_s is not None:
-            if burst_s <= 0:
-                raise ValueError("admission burst_s must be positive")
-            self.burst_s = float(burst_s)
-        self.tokens = min(self.tokens, self.capacity)
-
 
 __all__ = ["AdmissionGate"]

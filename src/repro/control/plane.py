@@ -18,12 +18,11 @@ cold (pay ``cold_fetch_delay`` to pull it). That is what preserves
 exactly-once across an epoch change: a stale standby never aggregates
 from its stale snapshot.
 
-**Live reconfiguration.** :meth:`apply` swaps overload policy, SLO
-thresholds, batching, shipping and admission knobs on the running
-session without restart. Each apply bumps an epoch-stamped config
-version that the aggregator stamps into every subsequent
-:class:`~repro.streaming.runtime.WindowResult`, so lineage and flight
-records attribute every window to the exact configuration that
+**Live reconfiguration.** :meth:`apply` swaps the backlog bound and the
+latency SLO on the running session without restart. Each apply bumps an
+epoch-stamped config version that the aggregator stamps into every
+subsequent :class:`~repro.streaming.runtime.WindowResult`, so lineage and
+flight records attribute every window to the exact configuration that
 produced it.
 
 **Admission control.** When armed with an admission rate, every site
@@ -50,17 +49,7 @@ from repro.flow.policy import make_policy
 
 
 #: Knobs :meth:`ControlPlane.apply` accepts (anything else is an error).
-APPLY_KEYS = frozenset({
-    "policy",
-    "max_backlog",
-    "slo_max_latency_s",
-    "slo_max_usd_per_1k",
-    "delivery_timeout",
-    "max_retries",
-    "batch_max_delay",
-    "admission_rate",
-    "admission_burst_s",
-})
+APPLY_KEYS = frozenset({"max_backlog", "slo_max_latency_s"})
 
 
 @dataclass
@@ -209,9 +198,10 @@ class ControlPlane:
             sim.add_periodic(self.config.watch_interval, self._watch)
         )
         if self.config.admission_rate > 0:
-            self._install_admission(
-                self.config.admission_rate, self.config.admission_burst_s
-            )
+            for site in self.runtime.sites.values():
+                site.admission = AdmissionGate(
+                    self.config.admission_rate, self.config.admission_burst_s
+                )
         return self
 
     def stop(self) -> None:
@@ -427,47 +417,19 @@ class ControlPlane:
         """Apply a config change to the running session; returns the
         new config version (stamped into subsequent window results).
 
-        Accepted keys: ``policy``, ``max_backlog`` (flow layer, swapped
-        per site with credit capacity adjusted), ``slo_max_latency_s``,
-        ``slo_max_usd_per_1k`` (auditor thresholds), ``delivery_timeout``,
-        ``max_retries`` (reliable shipping), ``batch_max_delay`` (time/
-        hybrid batch policies), ``admission_rate``, ``admission_burst_s``
-        (ingress gates; rate 0 removes them).
+        Accepted keys: ``max_backlog`` (flow layer, swapped per site with
+        credit capacity adjusted) and ``slo_max_latency_s`` (auditor
+        threshold).
         """
         unknown = set(changes) - APPLY_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if not changes:
             raise ValueError("empty config change")
-        flow_keys = {"policy", "max_backlog"} & set(changes)
-        if flow_keys:
-            self._apply_flow(
-                {k: changes[k] for k in flow_keys}
-            )
-        if "delivery_timeout" in changes or "max_retries" in changes:
-            for site in self.runtime.sites.values():
-                shipping = site.shipping
-                if "delivery_timeout" in changes and hasattr(
-                    shipping, "delivery_timeout"
-                ):
-                    shipping.delivery_timeout = float(
-                        changes["delivery_timeout"]
-                    )
-                if "max_retries" in changes and hasattr(
-                    shipping, "max_retries"
-                ):
-                    shipping.max_retries = int(changes["max_retries"])
-        if "batch_max_delay" in changes:
-            self._apply_batch_delay(float(changes["batch_max_delay"]))
+        if "max_backlog" in changes:
+            self._apply_flow(changes["max_backlog"])
         if "slo_max_latency_s" in changes and self.auditor is not None:
             self.auditor.max_latency_s = changes["slo_max_latency_s"]
-        if "slo_max_usd_per_1k" in changes and self.auditor is not None:
-            self.auditor.max_usd_per_1k = changes["slo_max_usd_per_1k"]
-        if "admission_rate" in changes or "admission_burst_s" in changes:
-            self._apply_admission(
-                changes.get("admission_rate"),
-                changes.get("admission_burst_s"),
-            )
         self.config_version += 1
         v = self.config_version
         self.runtime.aggregator.config_version = v
@@ -479,13 +441,13 @@ class ControlPlane:
         self.engine.emit_fault("control.apply", f"v{v}")
         return v
 
-    def _apply_flow(self, changes: dict) -> None:
+    def _apply_flow(self, max_backlog: int) -> None:
         base = self.runtime.flow
         if base is None:
             raise ValueError(
                 "cannot apply flow knobs: runtime has no flow config"
             )
-        new_flow = replace(base, **changes)
+        new_flow = replace(base, max_backlog=max_backlog)
         self.runtime.flow = new_flow
         for site in self.runtime.sites.values():
             site.flow = new_flow
@@ -493,41 +455,6 @@ class ControlPlane:
             # Credit capacity tracks max_backlog; in-use credits are
             # released by the drain loop, so a cut self-corrects.
             site.credits.capacity = new_flow.max_backlog
-
-    def _apply_batch_delay(self, max_delay: float) -> None:
-        if max_delay <= 0:
-            raise ValueError("batch_max_delay must be positive")
-        for site in self.runtime.sites.values():
-            policy = site.batcher.policy
-            target = getattr(policy, "time", policy)  # hybrid holds .time
-            if hasattr(target, "max_delay"):
-                target.max_delay = max_delay
-
-    def _apply_admission(
-        self, rate: float | None, burst_s: float | None
-    ) -> None:
-        if rate is not None and rate <= 0:
-            # Rate 0 (or negative clamped by config validation upstream)
-            # disarms ingress gating entirely.
-            for site in self.runtime.sites.values():
-                site.admission = None
-            return
-        for site in self.runtime.sites.values():
-            if site.admission is None:
-                if rate is None:
-                    raise ValueError(
-                        "admission_burst_s without admission_rate on a "
-                        "session with no gates armed"
-                    )
-                site.admission = AdmissionGate(
-                    rate, burst_s if burst_s is not None else 2.0
-                )
-            else:
-                site.admission.configure(rate=rate, burst_s=burst_s)
-
-    def _install_admission(self, rate: float, burst_s: float) -> None:
-        for site in self.runtime.sites.values():
-            site.admission = AdmissionGate(rate, burst_s)
 
 
 __all__ = ["APPLY_KEYS", "ControlPlane", "FailoverEvent", "Replica"]

@@ -2,8 +2,9 @@
 
 The cloud layer models *soft* degradation (AR(1) weather, glitches,
 ``VM.degrade``); this package injects *hard* faults on the simulation
-clock — VM crashes/restarts, link blackholes and partitions, capacity
-flaps, and dropped/duplicated shipped batches — from a declarative,
+clock — VM crashes/restarts, link blackholes (a partition is one per
+link across the cut), capacity flaps, and dropped/duplicated shipped
+batches — from a declarative,
 seeded :class:`FaultPlan`, so two runs with the same seed replay the
 identical fault schedule. The :class:`FaultInjector` applies the plan,
 keeps an ordered event log (the determinism contract of ``repro chaos``),

@@ -131,15 +131,6 @@ class FaultInjector:
             link.scale_capacity(event.param2)
             self.env.network.notify_change()
             self.sim.schedule(event.param, self._unflap, link)
-        elif kind in (FaultKind.PARTITION, FaultKind.PARTITION_HEAL):
-            group_a, group_b = (g.split(",") for g in event.target.split("|"))
-            down = kind == FaultKind.PARTITION
-            for a in group_a:
-                for b in group_b:
-                    for src, dst in ((a, b), (b, a)):
-                        link = self.env.topology.link(src, dst)
-                        link.set_down() if down else link.set_up()
-            self.env.network.notify_change()
         elif kind in (FaultKind.BATCH_DROP, FaultKind.BATCH_DUP):
             self._windows.append(
                 _BatchWindow(

@@ -1,17 +1,17 @@
 """Declarative fault schedules.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultEvent` s on the
-virtual-time axis. Plans are built either explicitly (scripted chaos
-scenarios, unit tests) or generated from a seed with :meth:`FaultPlan.random`
-— both are fully deterministic, which is what makes fault-recovery
-experiments reproducible and A/B-comparable across strategies.
+virtual-time axis. Plans are built explicitly (scripted chaos scenarios,
+unit tests) or generated from a seed by :mod:`repro.gen` — both are fully
+deterministic, which is what makes fault-recovery experiments reproducible
+and A/B-comparable across strategies. A network partition is no kind of
+its own: it is a ``link.down`` on every directed link across the cut, which
+is what :func:`repro.gen.adversity.regional_outage` emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 class FaultKind:
@@ -22,15 +22,13 @@ class FaultKind:
     LINK_DOWN = "link.down"
     LINK_UP = "link.up"
     LINK_FLAP = "link.flap"
-    PARTITION = "partition"
-    PARTITION_HEAL = "partition.heal"
     BATCH_DROP = "batch.drop"
     BATCH_DUP = "batch.dup"
     LEADER_KILL = "leader.kill"
 
     ALL = (
         VM_CRASH, VM_RESTART, LINK_DOWN, LINK_UP, LINK_FLAP,
-        PARTITION, PARTITION_HEAL, BATCH_DROP, BATCH_DUP, LEADER_KILL,
+        BATCH_DROP, BATCH_DUP, LEADER_KILL,
     )
 
 
@@ -39,8 +37,7 @@ class FaultEvent:
     """One scheduled fault.
 
     ``target`` is a VM id for VM faults, ``"SRC->DST"`` for link faults,
-    ``"A,B|C,D"`` (two comma-separated region groups) for partitions, and
-    an origin-region filter (or ``"*"``) for batch faults. ``param`` is
+    and an origin-region filter (or ``"*"``) for batch faults. ``param`` is
     the duration of windowed faults (link flap, batch drop/dup windows)
     or the capacity factor for :data:`FaultKind.LINK_FLAP` (see
     ``param2``).
@@ -70,28 +67,6 @@ class FaultPlan:
         self.events.sort()
         return self
 
-    # -- dict form (config surface / sweep cache keys) -----------------
-    def to_dict(self) -> dict:
-        return {
-            "events": [
-                {
-                    "time": e.time,
-                    "kind": e.kind,
-                    "target": e.target,
-                    "param": e.param,
-                    "param2": e.param2,
-                }
-                for e in self.events
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        plan = cls()
-        for entry in data.get("events", []):
-            plan.add(FaultEvent(**entry))
-        return plan
-
     # -- builders ------------------------------------------------------
     def crash_vm(
         self, time: float, vm_id: str, restart_after: float | None = None
@@ -106,9 +81,6 @@ class FaultPlan:
             )
         return self
 
-    def restart_vm(self, time: float, vm_id: str) -> "FaultPlan":
-        return self.add(FaultEvent(time, FaultKind.VM_RESTART, vm_id))
-
     def link_down(
         self, time: float, src: str, dst: str, duration: float | None = None
     ) -> "FaultPlan":
@@ -121,9 +93,6 @@ class FaultPlan:
             self.add(FaultEvent(time + duration, FaultKind.LINK_UP, target))
         return self
 
-    def link_up(self, time: float, src: str, dst: str) -> "FaultPlan":
-        return self.add(FaultEvent(time, FaultKind.LINK_UP, f"{src}->{dst}"))
-
     def flap_link(
         self, time: float, src: str, dst: str, scale: float, duration: float
     ) -> "FaultPlan":
@@ -135,26 +104,6 @@ class FaultPlan:
         return self.add(
             FaultEvent(time, FaultKind.LINK_FLAP, f"{src}->{dst}", duration, scale)
         )
-
-    def partition(
-        self,
-        time: float,
-        group_a: list[str],
-        group_b: list[str],
-        duration: float | None = None,
-    ) -> "FaultPlan":
-        """Take down every directed link between the two region groups."""
-        if not group_a or not group_b:
-            raise ValueError("both partition groups must be non-empty")
-        target = ",".join(group_a) + "|" + ",".join(group_b)
-        self.add(FaultEvent(time, FaultKind.PARTITION, target))
-        if duration is not None:
-            if duration <= 0:
-                raise ValueError("duration must be positive")
-            self.add(
-                FaultEvent(time + duration, FaultKind.PARTITION_HEAL, target)
-            )
-        return self
 
     def drop_batches(
         self,
@@ -204,49 +153,6 @@ class FaultPlan:
         if not 0.0 < p <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         return self.add(FaultEvent(time, kind, origin, duration, p))
-
-    # -- generation ----------------------------------------------------
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        vm_ids: list[str],
-        links: list[tuple[str, str]],
-        horizon: float,
-        crash_rate: float = 2.0,
-        blackhole_rate: float = 1.0,
-        flap_rate: float = 1.0,
-        mean_outage: float = 60.0,
-    ) -> "FaultPlan":
-        """Generate a seeded schedule over ``horizon`` seconds.
-
-        ``*_rate`` are expected event counts over the horizon (Poisson).
-        The same seed with the same arguments always produces the same
-        plan — the determinism tests rely on it.
-        """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        plan = cls()
-        if vm_ids:
-            for _ in range(rng.poisson(crash_rate)):
-                vm = vm_ids[int(rng.integers(len(vm_ids)))]
-                t = float(rng.uniform(0, horizon))
-                outage = float(rng.exponential(mean_outage)) + 1.0
-                plan.crash_vm(t, vm, restart_after=outage)
-        if links:
-            for _ in range(rng.poisson(blackhole_rate)):
-                src, dst = links[int(rng.integers(len(links)))]
-                t = float(rng.uniform(0, horizon))
-                outage = float(rng.exponential(mean_outage)) + 1.0
-                plan.link_down(t, src, dst, duration=outage)
-            for _ in range(rng.poisson(flap_rate)):
-                src, dst = links[int(rng.integers(len(links)))]
-                t = float(rng.uniform(0, horizon))
-                outage = float(rng.exponential(mean_outage)) + 1.0
-                scale = float(rng.uniform(0.05, 0.5))
-                plan.flap_link(t, src, dst, scale, outage)
-        return plan
 
     # -- views ---------------------------------------------------------
     def horizon(self) -> float:

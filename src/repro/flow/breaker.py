@@ -11,8 +11,8 @@ Classic three-state breaker on the virtual clock:
   breaker, failure re-opens it for another full timeout.
 
 The breaker cooperates with the failure-detection plumbing of the
-engine: ``link.down`` / ``partition`` events covering its link trip it
-immediately (no need to burn ``failure_threshold`` timeouts against a
+engine: a ``link.down`` event naming its link trips it immediately
+(no need to burn ``failure_threshold`` timeouts against a
 link the monitor already knows is dead) and ``link.up`` arms an
 immediate half-open probe.
 """
@@ -22,10 +22,6 @@ from __future__ import annotations
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-#: Fault kinds that imply a specific link is gone / back.
-_LINK_DOWN_KINDS = ("link.down", "partition")
-_LINK_UP_KINDS = ("link.up", "partition.heal")
 
 
 class CircuitBreaker:
@@ -80,26 +76,17 @@ class CircuitBreaker:
                 {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}[state]
             )
 
-    def _covers(self, target: str) -> bool:
-        """Whether a fault-bus target string names this breaker's link."""
-        if self.link is None:
-            return False
-        src, dst = self.link
-        if "|" in target:  # partition: "A,B|C,D" region groups
-            left, _, right = target.partition("|")
-            a = {r.strip() for r in left.split(",")}
-            b = {r.strip() for r in right.split(",")}
-            return (src in a and dst in b) or (src in b and dst in a)
-        return target == f"{src}->{dst}"
-
     def _on_fault(self, kind: str, target: str) -> None:
-        if kind in _LINK_DOWN_KINDS and self._covers(target):
+        if kind not in ("link.down", "link.up"):
+            return
+        if target != f"{self.link[0]}->{self.link[1]}":
+            return
+        if kind == "link.down":
             self.trip()
-        elif kind in _LINK_UP_KINDS and self._covers(target):
-            if self.state == OPEN:
-                # The monitor says the link is back: probe right away
-                # instead of waiting out the timeout.
-                self._reopen_at = self.engine.sim.now
+        elif self.state == OPEN:
+            # The monitor says the link is back: probe right away
+            # instead of waiting out the timeout.
+            self._reopen_at = self.engine.sim.now
 
     # ------------------------------------------------------------------
     def trip(self) -> None:

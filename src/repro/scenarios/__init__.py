@@ -35,17 +35,6 @@ SCENARIOS: dict[str, tuple[type, object]] = {
 }
 
 
-def register_scenario(name: str, config_cls, run_fn) -> None:
-    """Register ``name`` as a user-defined scenario.
-
-    ``config_cls`` must provide ``from_dict`` and have a ``seed`` field;
-    ``run_fn(config, observer=None)`` must return a ``ScenarioReport``.
-    """
-    if ":" in name:
-        raise ValueError("registry names must not contain ':'")
-    SCENARIOS[name] = (config_cls, run_fn)
-
-
 def registered_scenarios() -> list[str]:
     return sorted(SCENARIOS)
 
@@ -59,8 +48,8 @@ def run_experiment(
 ) -> ScenarioReport:
     """Run one registered scenario and return its :class:`ScenarioReport`.
 
-    ``scenario`` is a registry name (``"chaos"``, ``"overload"``, or
-    anything added via :func:`register_scenario`); ``config`` is the
+    ``scenario`` is a registry name (``"chaos"``, ``"overload"``,
+    ``"serve"`` or ``"soak"``); ``config`` is the
     scenario's config dataclass, its dict form, or ``None`` for
     defaults. ``seed`` overrides the config's seed when given.
     """
@@ -78,7 +67,6 @@ def run_experiment(
 __all__ = [
     "SCENARIOS",
     "SoakRunner",
-    "register_scenario",
     "registered_scenarios",
     "run_chaos",
     "run_experiment",

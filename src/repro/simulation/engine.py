@@ -32,7 +32,6 @@ class Simulator:
         self.events_processed: int = 0
         #: Hard cap guarding against accidental infinite self-rescheduling.
         self.max_events = max_events
-        self._tracers: list[Callable[[Event], None]] = []
         self._obs_enabled = False
         self._m_events = NULL_OBSERVER.counter("sim_events_total")
         self._m_vtime = NULL_OBSERVER.gauge("sim_virtual_time_seconds")
@@ -124,8 +123,6 @@ class Simulator:
                 f"exceeded max_events={self.max_events}; "
                 "likely a runaway periodic task"
             )
-        for tracer in self._tracers:
-            tracer(event)
         if self._owner_timer is None:
             event.callback(*event.args)
         else:
@@ -197,15 +194,6 @@ class Simulator:
             self._drain(horizon)
             self.now = horizon
 
-    def run(self) -> None:
-        """Drain the queue completely (use with care: periodic tasks must
-        be stopped first or this never terminates before ``max_events``)."""
-        while self.step():
-            pass
-
-    def add_tracer(self, tracer: Callable[[Event], None]) -> None:
-        """Register a hook called before each event executes (debug aid)."""
-        self._tracers.append(tracer)
 
 
 class PeriodicTask:

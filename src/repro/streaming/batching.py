@@ -34,25 +34,18 @@ class BatchPolicy:
 
     def first_flush(
         self, cum_bytes: np.ndarray, start_count: int, oldest_age: float
-    ) -> int:
+    ) -> int:  # pragma: no cover - interface
         """First index at which :meth:`should_flush` turns true.
 
         ``cum_bytes[i]`` is the buffered byte total once element ``i``
         of a column block is appended, ``start_count + i + 1`` the
         buffered count at that point, and ``oldest_age`` the (constant
         within one offer) age of the oldest buffered element. Returns
-        ``len(cum_bytes)`` when the policy never fires. This default
-        asks :meth:`should_flush` per element, so it is exact for any
-        policy; the built-in policies answer with one ``searchsorted``
-        on the non-decreasing ``cum_bytes``.
+        ``len(cum_bytes)`` when the policy never fires. The built-in
+        policies answer with one ``searchsorted`` on the non-decreasing
+        ``cum_bytes``.
         """
-        for i, buffered in enumerate(cum_bytes.tolist()):
-            if self.should_flush(buffered, start_count + i + 1, oldest_age):
-                return i
-        return len(cum_bytes)
-
-    def describe(self) -> str:
-        return type(self).__name__
+        raise NotImplementedError
 
 
 class SizeBatchPolicy(BatchPolicy):
@@ -67,9 +60,6 @@ class SizeBatchPolicy(BatchPolicy):
     def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
         return int(np.searchsorted(cum_bytes, self.max_bytes, side="left"))
 
-    def describe(self) -> str:
-        return f"size({self.max_bytes:.0f}B)"
-
 
 class TimeBatchPolicy(BatchPolicy):
     def __init__(self, max_delay: float) -> None:
@@ -82,9 +72,6 @@ class TimeBatchPolicy(BatchPolicy):
 
     def first_flush(self, cum_bytes, start_count, oldest_age) -> int:
         return 0 if oldest_age >= self.max_delay else len(cum_bytes)
-
-    def describe(self) -> str:
-        return f"time({self.max_delay:.1f}s)"
 
 
 class HybridBatchPolicy(BatchPolicy):
@@ -101,9 +88,6 @@ class HybridBatchPolicy(BatchPolicy):
         if oldest_age >= self.time.max_delay:
             return 0
         return self.size.first_flush(cum_bytes, start_count, oldest_age)
-
-    def describe(self) -> str:
-        return f"hybrid({self.size.max_bytes:.0f}B,{self.time.max_delay:.1f}s)"
 
 
 class AdaptiveBatchPolicy(BatchPolicy):
@@ -150,9 +134,6 @@ class AdaptiveBatchPolicy(BatchPolicy):
         return int(
             np.searchsorted(cum_bytes, self.current_threshold(), side="left")
         )
-
-    def describe(self) -> str:
-        return f"adaptive(occ={self.target_occupancy}, {self.max_delay:.1f}s)"
 
 
 class Batcher:

@@ -15,7 +15,7 @@ transforms one :class:`~repro.streaming.records.RecordBatch` at a time
 
 The window fold has one path: windows are tumbling and values float64,
 so every batch is held and each (window, key) group folded by the
-aggregate's ``fold_groups``, or else by its own ``add`` chain. Window
+aggregate's ``fold_groups`` column kernel. Window
 state is columns: each open window holds one numpy array per state
 component with a row per key id of the aggregator's own key table, so a
 flush folds every group in one radix argsort, one ``bincount`` and one
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Protocol
 
 import numpy as np
@@ -155,19 +154,16 @@ class AggregateFn:
     add: Callable[[Any, Any], Any]
     merge: Callable[[Any, Any], Any]
     result: Callable[[Any], Any]
-    #: Optional column kernel. The window fold then keeps each state as
-    #: numeric columns, one per component of ``zero()`` (the items of a
-    #: tuple, else the state itself), and folds every group of a flush in
-    #: one call: ``fold_groups(columns, values, starts, lengths)`` takes
-    #: each group's prior state as those columns and a float64 array
-    #: holding the groups back to back (group ``g`` is
+    #: The column kernel. The window fold keeps each state as numeric
+    #: columns, one per component of ``zero()`` (the items of a tuple,
+    #: else the state itself), and folds every group of a flush in one
+    #: call: ``fold_groups(columns, values, starts, lengths)`` takes each
+    #: group's prior state as those columns and a float64 array holding
+    #: the groups back to back (group ``g`` is
     #: ``values[starts[g]:starts[g] + lengths[g]]``, never empty), and
     #: returns the new states as columns, each row **bit-identical** to
-    #: applying ``add`` left to right over its group. An aggregate
-    #: without one keeps an object column, folded by ``add`` chains.
-    fold_groups: (
-        Callable[[list, np.ndarray, np.ndarray, np.ndarray], list] | None
-    ) = None
+    #: applying ``add`` left to right over its group.
+    fold_groups: Callable[[list, np.ndarray, np.ndarray, np.ndarray], list]
 
 
 #: Fewer groups than this fold one by one: packing them (a mask, a
@@ -268,7 +264,7 @@ def _extreme_groups(ufunc: np.ufunc, signed: np.ufunc) -> Callable[..., list]:
 
 
 def builtin_aggregate(name: str) -> AggregateFn:
-    """Built-in aggregates: count, sum, mean, min, max, var."""
+    """Built-in aggregates: count, sum, mean, min, max."""
     if name == "count":
         return AggregateFn(
             "count",
@@ -315,57 +311,7 @@ def builtin_aggregate(name: str) -> AggregateFn:
             result=lambda s: s[1] / s[0] if s[0] else float("nan"),
             fold_groups=_mean_groups,
         )
-    if name == "var":
-        # Partial state: (count, mean, M2) — population variance via the
-        # Welford/Chan update. The naive (count, sum, sum-of-squares)
-        # state cancels catastrophically when the mean is large relative
-        # to the spread, so merged and sequential results diverged.
-        return AggregateFn(
-            "var",
-            zero=lambda: (0, 0.0, 0.0),
-            add=_var_add,
-            merge=_var_merge,
-            result=lambda s: s[2] / s[0] if s[0] else float("nan"),
-        )
     raise ValueError(f"unknown aggregate {name!r}")
-
-
-def _var_add(s: tuple, v: float) -> tuple:
-    n, mean, m2 = s
-    v = float(v)
-    n += 1
-    delta = v - mean
-    mean += delta / n
-    return (n, mean, m2 + delta * (v - mean))
-
-
-def _add_chains(add, zero, columns, values, starts, lengths) -> list[np.ndarray]:
-    # The kernel of an aggregate without ``fold_groups``: one object
-    # column, each group's own scalar ``add`` chain left to right, so
-    # exact by construction. A row no record reached yet holds None.
-    folded = np.empty(len(lengths), dtype=object)
-    for g, (state, lo, n) in enumerate(
-        zip(columns[0].tolist(), starts.tolist(), lengths.tolist())
-    ):
-        if state is None:
-            state = zero()
-        for v in values[lo:lo + n].tolist():
-            state = add(state, v)
-        folded[g] = state
-    return [folded]
-
-
-def _var_merge(a: tuple, b: tuple) -> tuple:
-    na, mean_a, m2a = a
-    nb, mean_b, m2b = b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
-    n = na + nb
-    delta = mean_b - mean_a
-    mean = mean_a + delta * nb / n
-    return (n, mean, m2a + m2b + delta * delta * na * nb / n)
 
 
 @dataclass(frozen=True)
@@ -432,13 +378,8 @@ class WindowedAggregator:
     def __init__(self, windows, aggregate: AggregateFn) -> None:
         self.windows = windows
         self.aggregate = aggregate
-        if aggregate.fold_groups is None:
-            self._zeros: tuple = (None,)
-            self._fold = partial(_add_chains, aggregate.add, aggregate.zero)
-        else:
-            zero = aggregate.zero()
-            self._zeros = zero if isinstance(zero, tuple) else (zero,)
-            self._fold = aggregate.fold_groups
+        zero = aggregate.zero()
+        self._zeros: tuple = zero if isinstance(zero, tuple) else (zero,)
         #: The key table: key -> id, ids in order of first sight, and
         #: (built when read) the ids sorted by key.
         self._ids: dict[str, int] = {}
@@ -544,8 +485,6 @@ class WindowedAggregator:
         i = self._key_id(record.key)
         cols = self._window(self.windows.index(record.event_time))
         state = self._states(cols, np.array([i]))[0]
-        if state is None:
-            state = self.aggregate.zero()
         self._set_state(cols, i, self.aggregate.add(state, record.value))
         cols.count[i] += 1
         return []
@@ -600,8 +539,8 @@ class WindowedAggregator:
         self, t: np.ndarray, ids: np.ndarray, values: np.ndarray
     ) -> None:
         """Group by (window, key) with one stable radix argsort and fold
-        every group from the columns and back in one ``fold_groups`` call
-        (or its ``add`` chains)."""
+        every group from the columns and back in one ``fold_groups``
+        call."""
         windows = self.windows
         lo = windows.index(t.min().item())
         span = windows.index(t.max().item()) - lo + 1
@@ -636,7 +575,7 @@ class WindowedAggregator:
             np.concatenate([cols.state[c][r] for cols, r in parts])
             for c in range(len(self._zeros))
         ]
-        folded = self._fold(prior, values[order], starts, lengths)
+        folded = self.aggregate.fold_groups(prior, values[order], starts, lengths)
         at = 0
         for cols, r in parts:
             nxt = at + len(r)

@@ -292,10 +292,9 @@ class SiteRuntime:
                 self.flow is not None
                 and len(self._backlog) >= self.flow.max_backlog
             )
-            allowed = self.admission.admit(
+            rejected = self.admission.admit(
                 len(records), self.engine.sim.now, saturated=saturated
             )
-            rejected = len(records) - allowed
             if rejected:
                 self.records_admission_rejected += rejected
                 if self._obs_on:

@@ -60,8 +60,6 @@ _ROUTING_FAULTS = (
     "link.down",
     "link.up",
     "link.flap",
-    "partition",
-    "partition.heal",
     "flow.stall",
 )
 

@@ -110,31 +110,3 @@ class TransferPlan:
             [RouteAssignment([src, dst], 1.0, streams, intrusiveness)],
             label=label,
         )
-
-    @classmethod
-    def parallel(
-        cls,
-        src: VM,
-        helpers: list[VM],
-        dst: VM,
-        streams: int = 1,
-        intrusiveness: float = 1.0,
-        label: str = "parallel",
-    ) -> "TransferPlan":
-        """Source plus same-site helper VMs, all sending to ``dst``.
-
-        Helpers must live in the source region: data fans out over the fast
-        intra-site fabric and crosses the WAN from many NICs at once.
-        """
-        for h in helpers:
-            if h.region_code != src.region_code:
-                raise ValueError(
-                    f"helper {h.vm_id} is in {h.region_code}, "
-                    f"expected source region {src.region_code}"
-                )
-        routes = [RouteAssignment([src, dst], 1.0, streams, intrusiveness)]
-        routes += [
-            RouteAssignment([src, h, dst], 1.0, streams, intrusiveness)
-            for h in helpers
-        ]
-        return cls(routes, label=label)

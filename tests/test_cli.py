@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 
 import pytest
 
@@ -110,6 +111,19 @@ def test_cmd_overload_renders_scenario_report(capsys):
     out = capsys.readouterr().out
     assert "scenario overload: seed=5" in out
     assert "verdict" in out
+
+
+def test_cmd_serve_with_a_gate_above_the_load_counts_every_record(tmp_path):
+    report = tmp_path / "serve.json"
+    argv = [
+        "serve", "--duration", "300", "--kill-leader-every", "0",
+        "--admission-rate", "1000000", "--report-json", str(report),
+    ]
+    assert main(argv) == 0
+    result = json.loads(report.read_text())["result"]
+    assert result["admission_rejected"] == 0
+    assert result["counted"] == result["ingested"] > 0
+    assert result["results"] > 0
 
 
 def test_cmd_sweep_warm_cache_and_digest(tmp_path, capsys):

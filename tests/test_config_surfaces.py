@@ -26,7 +26,6 @@ from repro.config import (
     ShortestPathConfig,
     SoakConfig,
 )
-from repro.faults.plan import FaultPlan
 from repro.report import ScenarioReport, canonical_json
 from repro.scenarios import run_chaos, run_overload
 
@@ -91,13 +90,6 @@ def test_invalid_values_rejected():
         OverloadConfig(burst_factor=0.5)
     with pytest.raises(ValueError):
         DirectConfig(streams=0)
-
-
-def test_fault_plan_dict_roundtrip():
-    plan = FaultPlan().crash_vm(10.0, "vm-1", restart_after=5.0)
-    wire = json.loads(json.dumps(plan.to_dict()))
-    clone = FaultPlan.from_dict(wire)
-    assert clone.to_dict() == plan.to_dict()
 
 
 # ----------------------------------------------------------------------

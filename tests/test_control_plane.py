@@ -80,23 +80,14 @@ def test_admission_token_accounting():
     assert gate.admitted == 20 and gate.rejected == 5
     # One second refills 10 tokens.
     assert gate.admit(10, now=1.0) == 0
+    with pytest.raises(ValueError):
+        AdmissionGate(rate=0.0)
 
 
 def test_admission_saturated_rejects_everything():
     gate = AdmissionGate(rate=1000.0)
     assert gate.admit(50, now=0.0, saturated=True) == 50
     assert gate.rejected == 50 and gate.admitted == 0
-
-
-def test_admission_configure_clamps_tokens():
-    gate = AdmissionGate(rate=100.0, burst_s=2.0)  # 200 tokens
-    gate.configure(rate=10.0, burst_s=1.0)  # capacity now 10
-    assert gate.tokens <= 10.0
-    assert gate.admit(50, now=0.0) == 40
-    with pytest.raises(ValueError):
-        gate.configure(rate=0.0)
-    with pytest.raises(ValueError):
-        AdmissionGate(rate=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -186,31 +177,49 @@ def test_apply_swaps_flow_and_stamps_config_version():
     engine, runtime = _make_runtime()
     plane = ControlPlane(engine, runtime)
     plane.add_leader()
-    v = plane.apply({"max_backlog": 200, "policy": "shed"})
+    v = plane.apply({"max_backlog": 200})
     assert v == 1
     assert runtime.aggregator.config_version == 1
     for site in runtime.sites.values():
         assert site.flow.max_backlog == 200
-        assert site.flow.policy == "shed"
+        assert site.flow.policy == "block"
         assert site.credits.capacity == 200
     assert plane.config_log[0]["changes"]["max_backlog"] == 200
     with pytest.raises(ValueError):
-        plane.apply({"no_such_knob": 1})
+        plane.apply({"policy": "shed"})  # not a live knob
     with pytest.raises(ValueError):
         plane.apply({})
 
 
-def test_apply_arms_and_disarms_admission_gates():
+def _gated_run(rate):
+    """The two-site job for two minutes behind per-site admission gates of
+    ``rate`` records/s (0: no gate)."""
     engine, runtime = _make_runtime()
-    plane = ControlPlane(engine, runtime)
-    plane.add_leader()
-    plane.apply({"admission_rate": 50.0, "admission_burst_s": 1.0})
-    assert all(
-        isinstance(s.admission, AdmissionGate)
-        for s in runtime.sites.values()
-    )
-    plane.apply({"admission_rate": 0})
-    assert all(s.admission is None for s in runtime.sites.values())
+    ControlPlane(engine, runtime, ControlConfig(admission_rate=rate)).start()
+    runtime.start()
+    engine.run_until(engine.sim.now + 120.0)
+    return runtime
+
+
+def _window_results(runtime):
+    return [(r.window, r.key, r.value, r.record_count) for r in runtime.results]
+
+
+def test_admission_gate_above_the_load_changes_no_result():
+    gated, ungated = _gated_run(1e6), _gated_run(0.0)
+    assert all(s.admission is not None for s in gated.sites.values())
+    assert all(s.admission is None for s in ungated.sites.values())
+    assert gated.records_admission_rejected() == 0
+    assert _window_results(gated) == _window_results(ungated)
+    assert gated.results
+
+
+def test_tight_admission_gate_rejects_what_the_gate_refused():
+    runtime = _gated_run(5.0)  # each site offers ~20 records/s
+    sites = list(runtime.sites.values())
+    assert all(s.admission.rejected > 0 for s in sites)
+    for site in sites:
+        assert site.records_admission_rejected == site.admission.rejected
 
 
 def test_split_brain_audit_fires_on_two_leaders():

@@ -1,5 +1,6 @@
 """Tests for the fault-injection subsystem (plans and the injector)."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
@@ -12,6 +13,7 @@ from repro.faults import (
     FaultPlan,
     chaos_scenario,
 )
+from repro.gen.adversity import link_flap, regional_outage
 from repro.simulation.units import MB
 
 
@@ -42,8 +44,6 @@ def test_plan_builders_validate():
         plan.flap_link(0.0, "NEU", "NUS", scale=-0.1, duration=10.0)
     with pytest.raises(ValueError, match="duration"):
         plan.flap_link(0.0, "NEU", "NUS", scale=0.5, duration=0.0)
-    with pytest.raises(ValueError, match="non-empty"):
-        plan.partition(0.0, [], ["NUS"])
     with pytest.raises(ValueError, match="probability"):
         plan.drop_batches(0.0, 10.0, probability=0.0)
     with pytest.raises(ValueError, match="probability"):
@@ -60,16 +60,6 @@ def test_plan_events_stay_time_ordered():
     assert times == sorted(times)
     assert len(plan) == 4  # down+up, crash+restart
     assert "vm.crash" in plan.describe()
-
-
-def test_random_plan_is_deterministic():
-    args = (["vm-1", "vm-2", "vm-3"], [("NEU", "NUS"), ("NUS", "NEU")], 600.0)
-    a = FaultPlan.random(21, *args)
-    b = FaultPlan.random(21, *args)
-    assert a.events == b.events
-    assert len(a) > 0
-    c = FaultPlan.random(22, *args)
-    assert a.events != c.events
 
 
 def test_chaos_scenario_shape():
@@ -139,13 +129,17 @@ def test_injector_flap_scales_then_restores():
     ]
 
 
-def test_injector_partition_cuts_both_directions():
+def test_injector_region_cut_downs_both_directions():
+    # A partition is a link.down on every directed link across the cut.
     engine = make_engine()
     there = engine.env.topology.link("NEU", "NUS")
     back = engine.env.topology.link("NUS", "NEU")
-    FaultInjector(
-        engine, FaultPlan().partition(1.0, ["NEU"], ["NUS"], duration=5.0)
-    ).arm()
+    cut = regional_outage(
+        FaultPlan(), np.random.default_rng(0), 1.0, "NEU", [], ["NUS"],
+        outage_s=5.0, jitter_s=0.0,
+    )
+    assert {e.kind for e in cut} == {FaultKind.LINK_DOWN, FaultKind.LINK_UP}
+    FaultInjector(engine, cut).arm()
     t0 = engine.sim.now
     engine.run_until(t0 + 3.0)
     assert there.capacity(engine.sim.now) == 0.0
@@ -188,7 +182,12 @@ def test_injector_log_is_deterministic_per_seed():
     def run(seed):
         engine = make_engine(seed=404)
         vm_ids = [vm.vm_id for vm in engine.deployment.vms("NEU")]
-        plan = FaultPlan.random(seed, vm_ids, [("NEU", "NUS")], horizon=120.0)
+        rng = np.random.default_rng(seed)
+        plan = regional_outage(
+            FaultPlan(), rng, 20.0, "NEU", vm_ids, ["NUS"],
+            outage_s=60.0, jitter_s=30.0,
+        )
+        link_flap(plan, rng, 10.0, ("NUS", "NEU"), 0.05, 0.5, 60.0)
         injector = FaultInjector(engine, plan).arm()
         engine.run_until(engine.sim.now + 400.0)
         return injector.log

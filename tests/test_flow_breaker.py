@@ -1,10 +1,13 @@
 """Circuit-breaker state machine and fault-bus cooperation."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
+from repro.faults import FaultInjector, FaultPlan
 from repro.flow.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.gen.adversity import regional_outage
 
 
 @pytest.fixture
@@ -110,19 +113,26 @@ def test_link_up_arms_immediate_probe(engine):
     assert b.state == HALF_OPEN
 
 
-def test_partition_target_parsing(engine):
+def _region_cut(engine, region, peers):
+    # A partition is a link.down on every directed link across the cut.
+    plan = regional_outage(
+        FaultPlan(), np.random.default_rng(0), 1.0, region, [], peers,
+        outage_s=5.0, jitter_s=0.0,
+    )
+    FaultInjector(engine, plan).arm()
+
+
+def test_region_cut_trips_and_heals(engine):
     b = make_breaker(engine)
-    engine.emit_fault("partition", "WEU,EUS|SEA")  # does not cover NEU->NUS
-    assert b.state == CLOSED
-    engine.emit_fault("partition", "NEU,WEU|NUS")
+    _region_cut(engine, "NUS", ["NEU"])
+    advance(engine, 2.0)
     assert b.state == OPEN
-    engine.emit_fault("partition.heal", "NEU,WEU|NUS")
+    advance(engine, 5.0)  # the cut's link.up, well before the reset timeout
     assert b.probe_delay() == 0.0
 
 
-def test_partition_covers_either_direction(engine):
-    # The breaker's link is NEU->NUS; a partition listing NUS on the
-    # left still severs it.
+def test_region_cut_elsewhere_is_ignored(engine):
     b = make_breaker(engine)
-    engine.emit_fault("partition", "NUS|NEU,WEU")
-    assert b.state == OPEN
+    _region_cut(engine, "WEU", ["NUS"])
+    advance(engine, 2.0)
+    assert b.state == CLOSED

@@ -93,7 +93,7 @@ plan = gen.adversity(scn, ids)
 report = run_soak(SoakConfig(seed=seed, hours=0.1, profile="diurnal"))
 print(json.dumps({
     "summary": canonical_json(scn.summary()),
-    "plan": canonical_json(plan.to_dict()),
+    "plan": repr(plan.events),
     "digest": report.digest,
 }))
 """
@@ -116,5 +116,5 @@ def test_generation_stable_across_process_boundary():
     )
     child = json.loads(out.stdout)
     assert child["summary"] == canonical_json(scn.summary())
-    assert child["plan"] == canonical_json(plan.to_dict())
+    assert child["plan"] == repr(plan.events)
     assert child["digest"] == report.digest

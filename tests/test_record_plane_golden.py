@@ -50,7 +50,7 @@ from repro.streaming.windows import TumblingWindows
 
 GOLDEN = Path(__file__).parent / "golden" / "record_plane.json"
 REPO = Path(__file__).parent.parent
-AGGREGATES = ("mean", "count", "sum", "min", "max", "var")
+AGGREGATES = ("mean", "count", "sum", "min", "max")
 POLICIES = ("block", "shed", "degrade")
 
 

@@ -117,16 +117,6 @@ def test_max_events_guard():
         sim.run_until(1.0)
 
 
-def test_tracer_sees_events():
-    sim = Simulator()
-    seen = []
-    sim.add_tracer(lambda e: seen.append(e.time))
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.run_until(5.0)
-    assert seen == [1.0, 2.0]
-
-
 def test_determinism_same_seed():
     def run(seed):
         sim = Simulator(seed=seed)

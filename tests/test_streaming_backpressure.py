@@ -351,14 +351,18 @@ def test_restarted_site_keeps_one_event_per_tick_and_source_first_order(halt):
 
     site_events = []  # queue events that run any of this site's callbacks
 
-    def trace(event):
-        task = getattr(event.callback, "__self__", None)  # PeriodicTask._fire
+    pop = engine.sim.queue.pop
+
+    def traced_pop():
+        event = pop()
+        task = getattr(getattr(event, "callback", None), "__self__", None)
         owner = getattr(getattr(task, "callback", None), "__self__", None)
         # The only PeriodicGroup in this engine is the one site's.
         if isinstance(owner, PeriodicGroup) or owner in (site, *sources):
             site_events.append(event.time)
+        return event
 
-    engine.sim.add_tracer(trace)
+    engine.sim.queue.pop = traced_pop  # each event the kernel dispatches
     emitted = sum(source.records_emitted for source in sources)
     for tick in range(1, 11):
         engine.run_until(engine.sim.now + 1.0)

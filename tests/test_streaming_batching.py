@@ -113,8 +113,16 @@ def test_empty_batch_rejected():
 # Column blocks: offer_many(RecordBatch) must cut exactly where
 # per-record offer does, and the hand-built surfaces keep working.
 # ----------------------------------------------------------------------
+def _first_flush_per_element(policy, cum_bytes, start_count, oldest_age):
+    """The reference ``first_flush``: ask ``should_flush`` per element."""
+    for i, buffered in enumerate(cum_bytes.tolist()):
+        if policy.should_flush(buffered, start_count + i + 1, oldest_age):
+            return i
+    return len(cum_bytes)
+
+
 class _CountOrBytesPolicy(BatchPolicy):
-    """A user policy that only implements ``should_flush``."""
+    """A user policy whose ``first_flush`` asks ``should_flush`` per element."""
 
     def should_flush(self, buffered_bytes, buffered_count, oldest_age) -> bool:
         return (
@@ -122,6 +130,8 @@ class _CountOrBytesPolicy(BatchPolicy):
             or buffered_bytes >= 2500.0
             or oldest_age >= 1.5
         )
+
+    first_flush = _first_flush_per_element
 
 
 _POLICIES = {
@@ -202,7 +212,7 @@ def test_first_flush_overrides_agree_with_the_per_element_default(policy, age):
     for cum in ([100.0, 1500.0, 1800.0, 2200.0, 2500.0], [1.0, 2.0], [9e9]):
         cum = np.array(cum)
         for start in (0, 6):
-            assert p.first_flush(cum, start, age) == BatchPolicy.first_flush(
+            assert p.first_flush(cum, start, age) == _first_flush_per_element(
                 p, cum, start, age
             )
 

@@ -15,7 +15,6 @@ from repro.streaming import operators
 from repro.streaming.events import Record
 from repro.streaming.operators import (
     HOLD_RECORDS,
-    AggregateFn,
     FilterOperator,
     MapOperator,
     PartialAggregate,
@@ -61,7 +60,6 @@ def test_filter_operator():
         ("min", [4.0, 1.0, 3.0], 1.0),
         ("max", [4.0, 1.0, 3.0], 4.0),
         ("mean", [2.0, 4.0, 6.0], 4.0),
-        ("var", [2.0, 4.0, 6.0], 8.0 / 3.0),
     ],
 )
 def test_builtin_aggregates_sequential(name, values, expected):
@@ -82,7 +80,7 @@ values_strategy = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean", "var"])
+@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_property_merge_equals_sequential(name, data):
@@ -105,7 +103,7 @@ def test_property_merge_equals_sequential(name, data):
     )
 
 
-@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean", "var"])
+@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean"])
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_property_merge_commutative(name, data):
@@ -125,7 +123,7 @@ def test_property_merge_commutative(name, data):
 
 
 #: Values that expose the fold order: +-0.0 ties, infinities and NaN for
-#: min/max; large magnitudes that cancel for the sums and var (a pairwise
+#: min/max; large magnitudes that cancel for the sums (a pairwise
 #: or reordered sum rounds differently).
 _EDGE_VALUES = {
     "extremes": [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0],
@@ -355,27 +353,14 @@ def _open_state(agg):
     return slots, agg.records_seen, agg.late_dropped
 
 
-#: An aggregate without ``fold_groups``: the window fold runs its ``add``
-#: chain group by group, as it does for ``var``.
-SUM_OF_SQUARES = AggregateFn(
-    "sumsq",
-    zero=lambda: 0.0,
-    add=lambda s, v: s + float(v) * float(v),
-    merge=lambda a, b: a + b,
-    result=lambda s: s,
-)
-
-
-@pytest.mark.parametrize(
-    "name", ["count", "sum", "min", "max", "mean", "var", "sumsq"]
-)
+@pytest.mark.parametrize("name", ["count", "sum", "min", "max", "mean"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_property_process_batch_equals_per_record_process(name, data):
     # A sequence of steps, each mirrored record by record on a reference
     # aggregator: batches with unordered event times and different key
-    # tables (held, then folded by fold_groups or, for var and sumsq, by
-    # each group's add chain), batches of integer values (columnarized
+    # tables (held, then folded by fold_groups), batches of integer
+    # values (columnarized
     # as float64), a string value that from_records refuses, the
     # watermark advancing at arbitrary points (so parts of later batches
     # are late), snapshot -> restore into a fresh aggregator mid-hold,
@@ -408,8 +393,7 @@ def test_property_process_batch_equals_per_record_process(name, data):
     )
 
     def aggregator():
-        aggregate = SUM_OF_SQUARES if name == "sumsq" else builtin_aggregate(name)
-        return WindowedAggregator(TumblingWindows(10.0), aggregate)
+        return WindowedAggregator(TumblingWindows(10.0), builtin_aggregate(name))
 
     def draw_records(integers):
         keys = data.draw(
@@ -599,9 +583,3 @@ def test_pinned_fold_restored_from_a_mid_window_snapshot():
     # and the restored aggregator ends where the uninterrupted one did.
     assert _pinned_run(builtin_aggregate("mean"), restore_at=15) == _MEAN_PINS
 
-
-def test_pinned_fold_of_an_aggregate_without_a_kernel():
-    assert _pinned_run(SUM_OF_SQUARES) == (
-        "0c0fb3e583edd3ecce6f075c6dc0f99ef0cc3fc6b9a7fd207cb549f36cd1a4ed",
-        "d09fd23945bd371842f4b377f916e55ce266c368f4f6791de091541782f0d23e",
-    )

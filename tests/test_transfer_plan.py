@@ -80,13 +80,3 @@ def test_direct_factory(vms):
     assert len(plan.routes) == 1
     assert plan.routes[0].streams == 2
 
-
-def test_parallel_factory(vms):
-    plan = TransferPlan.parallel(vms["s"], [vms["h1"], vms["h2"]], vms["d"])
-    assert len(plan.routes) == 3
-    assert plan.routes[1].path == [vms["s"], vms["h1"], vms["d"]]
-
-
-def test_parallel_factory_rejects_remote_helper(vms):
-    with pytest.raises(ValueError, match="source region"):
-        TransferPlan.parallel(vms["s"], [vms["r"]], vms["d"])
