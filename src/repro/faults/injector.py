@@ -38,7 +38,13 @@ class _BatchWindow:
 
 @dataclass
 class RecoveryReport:
-    """Roll-up the chaos CLI prints after a scenario run."""
+    """What :meth:`FaultInjector.report` returns: the faults applied and
+    the in-flight batches dropped or duplicated.
+
+    No CLI command or scenario prints it. Tests read it, and perfbench
+    resolves ``FaultInjector.report`` as one of the ``faults`` layer's
+    boundaries.
+    """
 
     faults: list[AppliedFault] = field(default_factory=list)
     batches_dropped: int = 0

@@ -74,19 +74,13 @@ class Hop:
 
 @dataclass
 class BatchTrace:
-    """Causal context stamped on a batch at cut time.
-
-    ``parents`` links a derived batch (a hub's merged output) back to
-    the trace IDs of the upstream batches whose partials it carries —
-    the cross-tier edge of the trace tree.
-    """
+    """Causal context stamped on a batch at cut time."""
 
     trace_id: str
     origin: str
     seq: int
     created_at: float
     hops: list[Hop] = field(default_factory=list)
-    parents: tuple[str, ...] = ()
 
     @classmethod
     def stamp(cls, origin: str, seq: int, created_at: float) -> "BatchTrace":
@@ -129,7 +123,6 @@ class BatchTrace:
             "seq": self.seq,
             "created_at": self.created_at,
             "hops": [h.to_dict() for h in self.hops],
-            "parents": list(self.parents),
         }
 
 

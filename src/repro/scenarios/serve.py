@@ -74,9 +74,11 @@ class ServeResult(ScenarioPayload):
 
     @property
     def clean(self) -> bool:
-        """The service contract held across every failover."""
+        """The service contract held across every failover, and a service
+        that ingested records counted some of them."""
         return (
             self.failovers == self.kills
+            and (self.counted > 0 or self.ingested == 0)
             and self.accounted
             and self.drained
             and self.mttr_ok

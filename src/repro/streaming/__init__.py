@@ -30,7 +30,6 @@ from repro.streaming.operators import (
 )
 from repro.streaming.records import ChunkedBacklog, RecordBatch
 from repro.streaming.dataflow import SiteSpec, StreamJob
-from repro.streaming.hierarchy import HubAggregator
 from repro.streaming.runtime import (
     GeoStreamRuntime,
     LatencyStats,
@@ -79,7 +78,6 @@ __all__ = [
     "SiteSpec",
     "StreamJob",
     "GeoStreamRuntime",
-    "HubAggregator",
     "WindowResult",
     "LatencyStats",
     "ShippingBackend",

@@ -33,7 +33,6 @@ from repro.simulation.engine import PeriodicGroup
 from repro.streaming.batching import Batcher
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch
-from repro.streaming.hierarchy import HubAggregator
 from repro.streaming.operators import PartialAggregate, WindowedAggregator
 from repro.streaming.records import ChunkedBacklog, RecordBatch
 from repro.streaming.windows import Window
@@ -837,15 +836,10 @@ class GlobalAggregator:
 class GeoStreamRuntime:
     """Run a :class:`StreamJob` over a SageEngine deployment.
 
-    Flat by default: every site ships to the aggregator. With ``hubs``
-    (site region → hub region; every site needs one, every hub region at
-    least one VM) sites ship to a :class:`HubAggregator` in their hub
-    region instead, which merges partials per (window, key) for
-    ``hub_hold`` seconds and forwards them over a backend built by
-    ``hub_shipping_factory`` (default: ``shipping_factory``). A site
-    whose region *is* a hub still routes through the hub object (a
-    same-region ship is an intra-DC hop). Hubs merge partials, so a hub
-    topology refuses ``ship_raw_records`` jobs.
+    One flat topology, the paper's pipeline: every site aggregates
+    locally and ships its batches over its own backend, built by
+    ``shipping_factory``, straight to the one global aggregator in the
+    job's aggregation region.
     """
 
     def __init__(
@@ -854,21 +848,7 @@ class GeoStreamRuntime:
         job: StreamJob,
         shipping_factory,
         per_vm_records_per_s: float = 5000.0,
-        *,
-        hubs: dict[str, str] | None = None,
-        hub_shipping_factory=None,
-        hub_hold: float = 2.0,
     ) -> None:
-        hubs = hubs or {}
-        if hubs:
-            if job.ship_raw_records:
-                raise ValueError("hierarchical aggregation requires partials")
-            missing = [s.region for s in job.sites if s.region not in hubs]
-            if missing:
-                raise ValueError(f"sites without a hub assignment: {missing}")
-            for hub_region in sorted(set(hubs.values())):
-                if not engine.deployment.vms(hub_region):
-                    raise ValueError(f"no VMs in hub region {hub_region}")
         self.engine = engine
         self.job = job
         #: Live flow config: the job's, until :meth:`ControlPlane.apply`
@@ -897,31 +877,16 @@ class GeoStreamRuntime:
         #: The aggregator instance whose logs the store's ``aggregator``
         #: chain describes row for row (``None`` until one is saved).
         self._chained: GlobalAggregator | None = None
-        #: Hub region → its aggregator; empty in a flat topology.
-        self.hub_aggregators: dict[str, HubAggregator] = {}
-        hub_factory = hub_shipping_factory or shipping_factory
-        for hub_region in sorted(set(hubs.values())):
-            hub_vms = engine.deployment.vms(hub_region)
-            backend = hub_factory(engine, hub_vms, self.agg_vm)
-            hub = HubAggregator(engine, job, hub_region, backend, hold=hub_hold)
-            hub.on_delivered = self._deliver
-            self.hub_aggregators[hub_region] = hub
         self.sites: dict[str, SiteRuntime] = {}
         for spec in job.sites:
             src_vms = engine.deployment.vms(spec.region)
-            hub = self.hub_aggregators.get(hubs.get(spec.region))
-            if hub is None:
-                dst_vm, deliver = self.agg_vm, self._deliver
-            else:
-                dst_vm = engine.deployment.vms(hub.hub_region)[0]
-                deliver = hub.deliver
-            backend = shipping_factory(engine, src_vms, dst_vm)
+            backend = shipping_factory(engine, src_vms, self.agg_vm)
             self.sites[spec.region] = SiteRuntime(
                 engine,
                 job,
                 spec,
                 backend,
-                deliver,
+                self._deliver,
                 per_vm_records_per_s=per_vm_records_per_s,
                 flow=self.flow,
             )
@@ -943,8 +908,6 @@ class GeoStreamRuntime:
     def stop(self) -> None:
         for site in self.sites.values():
             site.stop()
-        for hub in self.hub_aggregators.values():
-            hub.stop()
         if self._checkpointer is not None:
             self._checkpointer.stop()
 
@@ -961,13 +924,7 @@ class GeoStreamRuntime:
         snapshots its window state. Sites start retaining shipped
         batches, pruned down to those the latest checkpoint does not
         cover — the replay set an aggregator restart needs.
-
-        Refused with hubs: a site's replay would go to its hub, whose
-        ``(origin, seq)`` dedup drops it, so a restored aggregator would
-        silently miss windows.
         """
-        if self.hub_aggregators:
-            raise ValueError("checkpointing is not supported with hubs")
         if self._checkpointer is not None:
             return self._checkpointer
         self.checkpoint_store = store if store is not None else CheckpointStore()
@@ -1052,11 +1009,10 @@ class GeoStreamRuntime:
 
         Used by the control plane when a standby in ``region`` takes
         over the leader lease: the destination VM becomes the first live
-        VM there and each backend's ``retarget`` (the hubs' in a hub
-        topology, else the sites') rebuilds plans and instruments for the
-        new destination. In-flight deliveries to the dead leader finish
-        or time out under the old coordinates; their retries (and the
-        retention replay) go to the new one.
+        VM there and each site backend's ``retarget`` rebuilds plans and
+        instruments for the new destination. In-flight deliveries to the
+        dead leader finish or time out under the old coordinates; their
+        retries (and the retention replay) go to the new one.
         """
         vms = self.engine.deployment.vms(region)
         if not vms:
@@ -1064,7 +1020,7 @@ class GeoStreamRuntime:
         live = [vm for vm in vms if vm.alive]
         self.agg_vm = (live or vms)[0]
         self.aggregation_region = region
-        for backend in self._root_backends():
+        for backend in self._backends():
             backend.retarget(self.agg_vm)
 
     @property
@@ -1128,8 +1084,8 @@ class GeoStreamRuntime:
         """Records still somewhere in the pipeline (0 == quiescent).
 
         Counts every stage that can hold data: site ingest backlogs,
-        batcher buffers, shipping inflight/parked queues, source pending
-        buffers and hub slots — plus 1 while the aggregator is down (results
+        batcher buffers, shipping inflight/parked queues and source
+        pending buffers — plus 1 while the aggregator is down (results
         may still be trapped in retained batches awaiting replay).
         Drain-to-quiescence loops poll this instead of re-deriving the
         stage list themselves.
@@ -1140,8 +1096,6 @@ class GeoStreamRuntime:
             pending += site.batcher.buffered_count
             for src in site.spec.sources:
                 pending += src.pending_count
-        for hub in self.hub_aggregators.values():
-            pending += hub.open_slots + hub.batcher.buffered_count
         for backend in self._backends():
             pending += getattr(backend, "inflight", 0)
             pending += getattr(backend, "parked", 0)
@@ -1170,24 +1124,11 @@ class GeoStreamRuntime:
         }
 
     def _backends(self) -> list:
-        """Every shipping backend: the sites', then the hubs'."""
-        return [site.shipping for site in self.sites.values()] + [
-            hub.shipping for hub in self.hub_aggregators.values()
-        ]
-
-    def _root_backends(self) -> list:
-        """The backends that ship to the aggregator."""
-        if self.hub_aggregators:
-            return [hub.shipping for hub in self.hub_aggregators.values()]
+        """Every shipping backend, one per site."""
         return [site.shipping for site in self.sites.values()]
 
     def wan_bytes(self) -> float:
         return sum(backend.bytes_shipped for backend in self._backends())
-
-    def backbone_bytes(self) -> float:
-        """Bytes shipped to the aggregator (the hubs' onward volume in a
-        hub topology; :meth:`wan_bytes` in a flat one)."""
-        return sum(backend.bytes_shipped for backend in self._root_backends())
 
     def records_ingested(self) -> int:
         return sum(site.records_ingested for site in self.sites.values())

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main, parse_size, parse_spec
+from repro.config import ServeConfig
+from repro.scenarios import run_serve
 from repro.simulation.units import GB, KB, MB
 
 
@@ -124,6 +126,22 @@ def test_cmd_serve_with_a_gate_above_the_load_counts_every_record(tmp_path):
     assert result["admission_rejected"] == 0
     assert result["counted"] == result["ingested"] > 0
     assert result["results"] > 0
+
+
+def test_cmd_serve_that_counts_nothing_is_not_clean(capsys):
+    # A gate far below the load rejects nearly every record: everything
+    # ingested is explained, yet no window reaches the outside world.
+    d = run_serve(
+        ServeConfig(duration=300.0, kill_leader_every=0.0, admission_rate=0.01)
+    ).details
+    assert d.ingested > 0 and d.counted == 0 and d.accounted
+    assert not d.clean
+    argv = [
+        "serve", "--duration", "300", "--kill-leader-every", "0",
+        "--admission-rate", "0.01",
+    ]
+    assert main(argv) == 1
+    assert "SERVICE CONTRACT VIOLATED" in capsys.readouterr().out
 
 
 def test_cmd_sweep_warm_cache_and_digest(tmp_path, capsys):

@@ -7,7 +7,6 @@ from repro.core.engine import SageEngine
 from repro.simulation.units import KB
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
-from repro.streaming.hierarchy import HubAggregator
 from repro.streaming.operators import PartialAggregate, builtin_aggregate
 from repro.streaming.runtime import GlobalAggregator
 from repro.streaming.shipping import ReliableShipping
@@ -72,21 +71,6 @@ def test_distinct_batches_do_merge(engine, job):
     assert len(agg.results) == 1
     assert agg.results[0].value == 6
     assert agg.results[0].record_count == 6
-
-
-def test_hub_aggregator_drops_duplicates(engine, job):
-    class _Sink:
-        bytes_shipped = 0.0
-
-        def ship(self, batch, on_delivered):
-            pass
-
-    hub = HubAggregator(engine, job, "NEU", _Sink(), hold=1.0)
-    hub.deliver(partial_batch(seq=9))
-    hub.deliver(partial_batch(seq=9))
-    assert hub.duplicates_dropped == 1
-    assert hub.partials_in == 1
-    hub.stop()
 
 
 # ----------------------------------------------------------------------
