@@ -15,7 +15,6 @@ import itertools
 from repro.baselines.base import BaselineResult, run_transfer_to_completion
 from repro.config import BlobRelayConfig, resolve_config
 from repro.core.engine import SageEngine
-from repro.simulation.units import MB
 
 
 class BlobRelay:

@@ -18,7 +18,7 @@ datacenter level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.engine import SageEngine

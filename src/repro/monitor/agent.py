@@ -21,7 +21,7 @@ from repro.config import ConfigBase
 from repro.cloud.deployment import Deployment
 from repro.cloud.network import FluidNetwork
 from repro.cloud.vm import VM
-from repro.monitor.estimators import Estimator, make_estimator
+from repro.monitor.estimators import make_estimator
 from repro.obs import NULL_OBSERVER
 from repro.monitor.history import MetricHistory
 from repro.monitor.linkmap import LinkPerformanceMap

@@ -24,7 +24,8 @@ embed in canonical scenario output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 
 def trace_id(origin: str, seq: int) -> str:
@@ -98,6 +99,12 @@ class BatchTrace:
         self.hops.append(hop)
         return hop
 
+    def mark(self) -> "TraceMark":
+        """What :meth:`SiteLeg.absorb` reads of this trace, as of now."""
+        return TraceMark(
+            self.trace_id, len(self.hops), self.created_at, self.first_sent_at
+        )
+
     @property
     def attempts(self) -> int:
         return len(self.hops)
@@ -126,7 +133,18 @@ class BatchTrace:
         }
 
 
-@dataclass
+class TraceMark(NamedTuple):
+    """A :class:`BatchTrace` as one delivery saw it: later retries of the
+    same batch append hops, which a leg absorbed at that delivery must
+    not count."""
+
+    trace_id: str
+    attempts: int
+    created_at: float
+    first_sent_at: float
+
+
+@dataclass(slots=True)
 class SiteLeg:
     """One origin's contribution to one pending window.
 
@@ -149,8 +167,41 @@ class SiteLeg:
     arrived_at: float = math.nan
     _seen: set = field(default_factory=set, repr=False)
 
+    @classmethod
+    def of_batch(
+        cls,
+        site: str,
+        trace: "BatchTrace | TraceMark | None",
+        records: int,
+        nbytes: float,
+        now: float,
+    ) -> "SiteLeg":
+        """``SiteLeg(site)`` after one :meth:`absorb`, field for field,
+        built in one step (the global merge makes one per result)."""
+        leg = object.__new__(cls)
+        leg.site = site
+        leg.records = 0 + records
+        leg.partials = 1
+        leg.bytes = 0.0 + nbytes
+        leg.arrived_at = now
+        if trace is None:
+            leg.batches = leg.attempts = 0
+            leg.created_at = leg.first_sent_at = math.nan
+            leg._seen = set()
+        else:
+            leg.batches = 1
+            leg.attempts = 0 + trace.attempts
+            leg.created_at = trace.created_at
+            leg.first_sent_at = trace.first_sent_at
+            leg._seen = {trace.trace_id}
+        return leg
+
     def absorb(
-        self, trace: "BatchTrace | None", records: int, nbytes: float, now: float
+        self,
+        trace: "BatchTrace | TraceMark | None",
+        records: int,
+        nbytes: float,
+        now: float,
     ) -> None:
         self.partials += 1
         self.records += records
@@ -207,7 +258,7 @@ class SiteLeg:
 HOP_NAMES = ("site_close", "queue", "transit", "merge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowLineage:
     """Frozen provenance of one emitted window result."""
 
@@ -262,6 +313,35 @@ class WindowLineage:
             "emitted_at": self.emitted_at,
             "legs": [leg.to_dict() for leg in self.legs],
         }
+
+
+def slot_setters(cls) -> list:
+    """The slot setters of a slotted dataclass, in field order. Filling
+    a frozen one through them skips its ``__init__``, which pays one
+    ``object.__setattr__`` call per field."""
+    return [cls.__dict__[f.name].__set__ for f in fields(cls)]
+
+
+(
+    _set_window_start, _set_window_end, _set_key, _set_emitted_at, _set_legs,
+) = slot_setters(WindowLineage)
+
+
+def new_lineage(
+    window_start: float,
+    window_end: float,
+    key: str,
+    emitted_at: float,
+    legs: tuple[SiteLeg, ...],
+) -> WindowLineage:
+    """``WindowLineage(...)``, one slot write per field."""
+    lineage = object.__new__(WindowLineage)
+    _set_window_start(lineage, window_start)
+    _set_window_end(lineage, window_end)
+    _set_key(lineage, key)
+    _set_emitted_at(lineage, emitted_at)
+    _set_legs(lineage, legs)
+    return lineage
 
 
 def _nan_min(a: float, b: float) -> float:

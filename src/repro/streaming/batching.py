@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.obs.lineage import BatchTrace
 from repro.streaming.events import Batch, Record
-from repro.streaming.records import RecordBatch
 
 
 class BatchPolicy:
@@ -139,11 +138,13 @@ class AdaptiveBatchPolicy(BatchPolicy):
 class Batcher:
     """Buffers records and cuts batches according to a policy.
 
-    Takes its input one kind at a time: ``Record`` objects (partial
-    aggregates, per-record-plane raw records) through :meth:`offer` /
-    :meth:`offer_many`, or raw-record column blocks through
-    ``offer_many(RecordBatch, now)``. A cut batch carries the kind that
-    was buffered; one batcher never mixes the two.
+    Takes its input one kind at a time: ``Record`` objects (hand-built
+    partials or raw records) through :meth:`offer` / :meth:`offer_many`,
+    or column blocks — a site's closed windows
+    (:class:`~repro.streaming.operators.PartialBlock`) or raw records
+    (:class:`~repro.streaming.records.RecordBatch`) — through
+    ``offer_many(block, now)``. A cut batch carries the kind that was
+    buffered; one batcher never mixes them.
     """
 
     def __init__(self, policy: BatchPolicy, origin: str) -> None:
@@ -152,7 +153,7 @@ class Batcher:
         self._buffer: list[Record] = []
         #: Buffered column blocks (views into upstream arrays), oldest
         #: first; concatenated once, at cut time.
-        self._columns: list[RecordBatch] = []
+        self._columns: list = []
         self._buffered_count = 0
         self._buffered_bytes = 0.0
         self._oldest_arrival: float | None = None
@@ -172,18 +173,16 @@ class Batcher:
             self._oldest_arrival = now
         return self.maybe_flush(now)
 
-    def offer_many(
-        self, records: "list[Record] | RecordBatch", now: float
-    ) -> list[Batch]:
+    def offer_many(self, records, now: float) -> list[Batch]:
         """Offer records in order; returns every batch the policy cut.
 
         Semantically identical to calling :meth:`offer` per record —
         the policy is consulted after each append, so batch boundaries
-        land exactly where the one-at-a-time path puts them. A
-        :class:`RecordBatch` gets there without touching its elements:
-        see :meth:`_offer_columns`.
+        land exactly where the one-at-a-time path puts them. A column
+        block (anything but a list) gets there without touching its
+        elements: see :meth:`_offer_columns`.
         """
-        if isinstance(records, RecordBatch):
+        if not isinstance(records, list):
             return self._offer_columns(records, now)
         out: list[Batch] = []
         for record in records:
@@ -192,7 +191,7 @@ class Batcher:
                 out.append(batch)
         return out
 
-    def _offer_columns(self, block: RecordBatch, now: float) -> list[Batch]:
+    def _offer_columns(self, block, now: float) -> list[Batch]:
         """Cut a column block where per-element :meth:`offer` would.
 
         Between two cuts the per-element path adds sizes one by one to
@@ -250,9 +249,8 @@ class Batcher:
         """Unconditionally cut a batch from whatever is buffered."""
         if not self._buffered_count:
             return None
-        payload = (
-            RecordBatch.concat(self._columns) if self._columns else self._buffer
-        )
+        columns = self._columns
+        payload = type(columns[0]).concat(columns) if columns else self._buffer
         batch = Batch(
             payload,
             self.origin,

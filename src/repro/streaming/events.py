@@ -1,10 +1,11 @@
 """One stream event as an object, and the batches that cross the WAN.
 
 The data plane moves records as columns
-(:class:`~repro.streaming.records.RecordBatch`); a :class:`Record`
-object exists per *window partial* (a few per window, not one per
-event), at the bridges ``RecordBatch.from_records`` / ``to_records``,
-and inside a :class:`~repro.streaming.operators.PerRecordAdapter`.
+(:class:`~repro.streaming.records.RecordBatch`) and closed windows as
+columns too (:class:`~repro.streaming.operators.PartialBlock`); a
+:class:`Record` object exists only at the bridges ``from_records`` /
+``to_records``, in hand-built batches, and inside a
+:class:`~repro.streaming.operators.PerRecordAdapter`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import TYPE_CHECKING, Any
 from repro.obs.lineage import BatchTrace
 
 if TYPE_CHECKING:
+    from repro.streaming.operators import PartialBlock
     from repro.streaming.records import RecordBatch
 
 
@@ -42,17 +44,24 @@ class Record:
 class Batch:
     """A set of records (or partial aggregates) packed for the WAN.
 
-    The payload ``records`` is one of two kinds: a ``list[Record]``
-    (partial aggregates, or the raw records of a hand-built batch) or a
-    columnar
-    :class:`~repro.streaming.records.RecordBatch` of raw records, which
-    crosses the WAN without a ``Record`` object per element. ``count``
-    and ``size_bytes`` are fixed once at construction — the batcher
-    passes the byte total it accumulated while buffering — so shipping
-    never re-walks the payload.
+    The payload ``records`` is one of three kinds:
+
+    * a :class:`~repro.streaming.operators.PartialBlock` — a site's
+      closed (window, key) partials as columns, what every site batcher
+      cuts for a windowed job;
+    * a :class:`~repro.streaming.records.RecordBatch` of raw records —
+      what a raw-shipping job's batcher cuts;
+    * a ``list[Record]`` — a hand-built batch, of raw records or of
+      ``Record(PartialAggregate)`` partials; the global aggregator
+      columnizes it once, at the door.
+
+    The first two cross the WAN without a Python object per element.
+    ``count`` (rows) and ``size_bytes`` are fixed once at construction —
+    the batcher passes the byte total it accumulated while buffering —
+    so shipping never re-walks the payload.
     """
 
-    records: "list[Record] | RecordBatch"
+    records: "list[Record] | RecordBatch | PartialBlock"
     origin: str
     created_at: float
     seq: int = 0
@@ -81,4 +90,8 @@ class Batch:
         payload = self.records
         if isinstance(payload, list):
             return min(r.event_time for r in payload)
-        return float(payload.t.min())
+        from repro.streaming.records import RecordBatch
+
+        if isinstance(payload, RecordBatch):
+            return float(payload.t.min())
+        return min(payload.end)  # a partial's event time: its window's end

@@ -22,12 +22,17 @@ flush folds every group in one radix argsort, one ``bincount`` and one
 kernel call, with no Python per group. When a flush's earliest and
 latest records fall in one window (window index is monotone in event
 time), no per-record window index is computed at all.
+
+Closing windows keeps them columns: the watermark hands out one
+:class:`PartialBlock` (a row per closed (window, key)), which the
+batcher cuts and the WAN carries to the global merge as it is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Protocol
 
 import numpy as np
@@ -316,7 +321,8 @@ def builtin_aggregate(name: str) -> AggregateFn:
 
 @dataclass(frozen=True)
 class PartialAggregate:
-    """Value payload of a partial-aggregate record shipped over the WAN."""
+    """One partial as a record value: the per-record form of a
+    :class:`PartialBlock` row, for hand-built batches and the tests."""
 
     window: Window
     key: str
@@ -331,8 +337,122 @@ class PartialAggregate:
 #: trimmed and re-faulted them every flush (8x the parent's page faults).
 HOLD_RECORDS = 2048
 
+#: Most key-table remaps one window fold keeps: a rekeying operator
+#: whose tables never repeat cannot grow the cache past this.
+_REMAPS = 64
+
 #: Wire size of one partial-aggregate record (window, key, state, count).
 PARTIAL_RECORD_BYTES = 120.0
+
+_EMPTY_COUNT = np.empty(0, dtype=np.int64)
+_EMPTY_SIZE = np.empty(0, dtype=np.float64)
+
+
+class PartialBlock:
+    """Closed (window, key) partials as columns: what a site ships.
+
+    Row ``i`` is the partial of window ``[start[i], end[i])`` and key
+    ``key[i]``: the aggregate's state ``state[i]``, the ``count[i]``
+    records folded into it, and its wire size ``size[i]``. Rows come in
+    (window, key) order. ``start``, ``end``, ``key`` and ``state`` are
+    lists (tuples in the shared empty block) of the Python values a
+    per-partial record would carry (window bounds keep their type: a
+    window of an integer length has integer bounds); ``count`` (int64)
+    and ``size`` (float64) are numpy columns. A row's event time is its
+    window's end.
+
+    The block is a sequence of partials for the batcher (``len``,
+    slicing, :meth:`concat`, :attr:`size`, :attr:`total_bytes`) and
+    needs no object per row on its way to the global merge;
+    :meth:`from_records` / :meth:`to_records` bridge to the
+    ``Record(PartialAggregate)`` form.
+    """
+
+    __slots__ = ("start", "end", "key", "state", "count", "size")
+
+    def __init__(
+        self,
+        start: list,
+        end: list,
+        key: list[str],
+        state: list,
+        count: np.ndarray,
+        size: np.ndarray,
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.key = key
+        self.state = state
+        self.count = count
+        self.size = size
+
+    @classmethod
+    def from_records(cls, records: list[Record]) -> "PartialBlock":
+        """Columnize ``Record(PartialAggregate)`` partials, in order."""
+        values = [r.value for r in records]
+        n = len(values)
+        return cls(
+            [pa.window.start for pa in values],
+            [pa.window.end for pa in values],
+            [pa.key for pa in values],
+            [pa.state for pa in values],
+            np.fromiter((pa.count for pa in values), np.int64, n),
+            np.fromiter((r.size_bytes for r in records), np.float64, n),
+        )
+
+    def to_records(self) -> list[Record]:
+        """The equivalent ``Record(PartialAggregate)`` list, one per row."""
+        out = []
+        window = None
+        for start, end, key, state, count, size in zip(
+            self.start, self.end, self.key, self.state,
+            self.count.tolist(), self.size.tolist(),
+        ):
+            if window is None or (window.start, window.end) != (start, end):
+                window = Window(start, end)
+            out.append(
+                Record(
+                    event_time=end,
+                    key=key,
+                    value=PartialAggregate(window, key, state, count),
+                    size_bytes=size,
+                )
+            )
+        return out
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, rows: slice) -> "PartialBlock":
+        return PartialBlock(
+            self.start[rows],
+            self.end[rows],
+            self.key[rows],
+            self.state[rows],
+            self.count[rows],
+            self.size[rows],
+        )
+
+    @classmethod
+    def concat(cls, blocks: "list[PartialBlock]") -> "PartialBlock":
+        """Concatenate in order (a single block is returned as is)."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(
+            [v for b in blocks for v in b.start],
+            [v for b in blocks for v in b.end],
+            [v for b in blocks for v in b.key],
+            [v for b in blocks for v in b.state],
+            np.concatenate([b.count for b in blocks]),
+            np.concatenate([b.size for b in blocks]),
+        )
+
+    @property
+    def total_bytes(self) -> float:
+        """Sum of ``size`` left to right (the per-record ``+=`` chain)."""
+        if not len(self.size):
+            return 0.0
+        return float(np.add.accumulate(self.size)[-1])
 
 
 class _WindowColumns:
@@ -344,6 +464,11 @@ class _WindowColumns:
     def __init__(self, count: np.ndarray, state: list[np.ndarray]) -> None:
         self.count = count
         self.state = state
+
+
+#: What a watermark that closes no window returns (every tick but a
+#: window's last): shared, its columns empty tuples.
+_NO_PARTIALS = PartialBlock((), (), (), (), _EMPTY_COUNT, _EMPTY_SIZE)
 
 
 class WindowedAggregator:
@@ -387,8 +512,9 @@ class WindowedAggregator:
         self._by_key: np.ndarray | None = None
         #: Rows per column: at least one per key id, doubled to grow.
         self._rows = 0
-        #: The last batch key table seen and its ids here (None: the same
-        #: ids).
+        #: Every batch key table seen, with its ids here (None: the same
+        #: ids), and the last one looked up.
+        self._remaps: dict[tuple[str, ...], np.ndarray | None] = {}
         self._table: tuple[str, ...] | None = None
         self._remap: np.ndarray | None = None
         #: Open windows: window index -> its columns.
@@ -427,12 +553,21 @@ class WindowedAggregator:
     def _key_ids(self, batch: RecordBatch) -> np.ndarray:
         """The batch's ``key_idx`` as ids of this aggregator's key table."""
         keys = batch.keys
-        # Sources share one table across their batches; a rekeying
-        # operator builds an equal one per batch.
-        if keys is not self._table and keys != self._table:
-            ids = [self._key_id(key) for key in keys]
-            same = ids == list(range(len(ids)))
-            self._table, self._remap = keys, None if same else np.array(ids)
+        # Sources share one table across their batches, a site with two
+        # sources alternates two, and a rekeying operator builds an
+        # equal one per batch: a table's remap is built once, the first
+        # time it is seen.
+        if keys is not self._table:
+            remaps = self._remaps
+            if keys in remaps:
+                remap = remaps[keys]
+            else:
+                if len(remaps) >= _REMAPS:
+                    remaps.clear()
+                ids = [self._key_id(key) for key in keys]
+                same = ids == list(range(len(ids)))
+                remap = remaps[keys] = None if same else np.array(ids)
+            self._table, self._remap = keys, remap
         if self._remap is None:
             return batch.key_idx
         return self._remap[batch.key_idx]
@@ -585,37 +720,43 @@ class WindowedAggregator:
             at = nxt
 
     # -- emission ------------------------------------------------------
-    def advance_watermark(self, watermark: float) -> list[Record]:
-        """Close all windows ending before the watermark; emit partials."""
+    def advance_watermark(self, watermark: float) -> PartialBlock:
+        """Close all windows ending before the watermark; return their
+        partials as one block, in (window, key) order."""
         if watermark < self._watermark:
             raise ValueError("watermark cannot move backwards")
         self._watermark = watermark
         if watermark < self._next_close:
-            return []
+            return _NO_PARTIALS
         self._flush()
         end = self.windows.end
         open_ = self._folded
         closed = sorted(k for k in open_ if end(k) <= watermark)
-        out: list[Record] = []
-        names = self._names
+        starts: list = []
+        ends: list = []
+        keys: list[str] = []
+        states: list = []
+        counts = []
+        key_of = self._names.__getitem__
         for k in closed:
             cols = open_.pop(k)
             window = self.windows.window(k)
             ids = self._rows_by_key(cols)
-            for i, state, count in zip(
-                ids.tolist(), self._states(cols, ids), cols.count[ids].tolist()
-            ):
-                key = names[i]
-                out.append(
-                    Record(
-                        event_time=window.end,
-                        key=key,
-                        value=PartialAggregate(window, key, state, count),
-                        size_bytes=PARTIAL_RECORD_BYTES,
-                    )
-                )
+            n = len(ids)
+            starts += [window.start] * n
+            ends += [window.end] * n
+            keys += map(key_of, ids.tolist())
+            states += self._states(cols, ids)
+            counts.append(cols.count[ids])
         self._next_close = min(map(end, open_), default=math.inf)
-        return out
+        return PartialBlock(
+            starts,
+            ends,
+            keys,
+            states,
+            np.concatenate(counts) if counts else _EMPTY_COUNT,
+            np.full(len(keys), PARTIAL_RECORD_BYTES),
+        )
 
     @property
     def open_windows(self) -> int:
@@ -633,18 +774,22 @@ class WindowedAggregator:
         agnostic to.
         """
         self._flush()
-        slots = []
-        names = self._names
+        slots: list[list] = []
+        key_of = self._names.__getitem__
         for k in sorted(self._folded):
             cols = self._folded[k]
             window = self.windows.window(k)
             ids = self._rows_by_key(cols)
-            slots += [
-                [window.start, window.end, names[i], state, count]
-                for i, state, count in zip(
-                    ids.tolist(), self._states(cols, ids), cols.count[ids].tolist()
-                )
-            ]
+            slots += map(
+                list,
+                zip(
+                    repeat(window.start),
+                    repeat(window.end),
+                    map(key_of, ids.tolist()),
+                    self._states(cols, ids),
+                    cols.count[ids].tolist(),
+                ),
+            )
         return {
             "watermark": (
                 None if self._watermark == -math.inf else self._watermark

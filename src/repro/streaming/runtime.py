@@ -6,15 +6,17 @@ Execution model per site, every tick (1 s of virtual time):
    the site's processing capacity (records/s × VMs) — overload therefore
    turns into queueing latency, exactly like a real stream processor;
 2. advance the event-time watermark and close finished windows into
-   partial-aggregate records;
+   partial aggregates (one block of rows);
 3. offer partials to the site's batcher; cut batches travel to the
    aggregation site through the configured shipping backend.
 
-The global aggregator merges partials per (window, key) and emits each
-result ``finalize_grace`` seconds after the first partial for its window
-arrived, recording end-to-end latency against the window's event-time
-close. Late partials are merged if the result has not been emitted yet,
-and counted otherwise.
+Closed windows travel as one :class:`PartialBlock` of columns from the
+site's window close, through the batcher and the WAN, into the global
+merge. The global aggregator merges partials per (window, key) and emits
+each result ``finalize_grace`` seconds after the first partial for its
+window arrived, recording end-to-end latency against the window's
+event-time close. Late partials are merged if the result has not been
+emitted yet, and counted otherwise.
 """
 
 from __future__ import annotations
@@ -28,17 +30,21 @@ from repro.core.engine import SageEngine
 from repro.flow.checkpoint import Checkpointer, CheckpointStore
 from repro.flow.credits import CreditGate
 from repro.flow.policy import FlowConfig, make_policy
-from repro.obs.lineage import SiteLeg, WindowLineage
+from repro.obs.lineage import SiteLeg, WindowLineage, new_lineage, slot_setters
 from repro.simulation.engine import PeriodicGroup
 from repro.streaming.batching import Batcher
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch
-from repro.streaming.operators import PartialAggregate, WindowedAggregator
+from repro.streaming.operators import (
+    PartialAggregate,
+    PartialBlock,
+    WindowedAggregator,
+)
 from repro.streaming.records import ChunkedBacklog, RecordBatch
 from repro.streaming.windows import Window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowResult:
     """One emitted global aggregate."""
 
@@ -65,6 +71,31 @@ class WindowResult:
     def latency(self) -> float:
         """End-to-end: window close (event time) → global emission."""
         return self.emitted_at - self.window.end
+
+
+(
+    _set_window, _set_key, _set_value, _set_count, _set_sites, _set_emitted_at,
+    _set_lineage, _set_epoch, _set_config_version,
+) = slot_setters(WindowResult)
+
+
+def _new_result(
+    window, key, value, record_count, sites, emitted_at, lineage, epoch,
+    config_version,
+) -> WindowResult:
+    """``WindowResult(...)`` with every field given, one slot write each
+    instead of the frozen ``__init__``'s ``object.__setattr__`` call."""
+    out = object.__new__(WindowResult)
+    _set_window(out, window)
+    _set_key(out, key)
+    _set_value(out, value)
+    _set_count(out, record_count)
+    _set_sites(out, sites)
+    _set_emitted_at(out, emitted_at)
+    _set_lineage(out, lineage)
+    _set_epoch(out, epoch)
+    _set_config_version(out, config_version)
+    return out
 
 
 @dataclass
@@ -374,20 +405,23 @@ class SiteRuntime:
                 len(self._backlog) / self.capacity_per_tick * self.tick
             )
             engine_obs = self.engine.observer
-            for partial in partials:
-                pa = partial.value
+            for start, end, key, count in zip(
+                partials.start, partials.end, partials.key,
+                partials.count.tolist(),
+            ):
                 engine_obs.record_span(
                     "window.site_close",
-                    pa.window.start,
+                    start,
                     now,
                     site=self.spec.region,
-                    key=pa.key,
-                    window_end=pa.window.end,
-                    records=pa.count,
+                    key=key,
+                    window_end=end,
+                    records=count,
                 )
         with self._st_batch:
-            for cut in self.batcher.offer_many(partials, now):
-                self._ship(cut)
+            if len(partials):
+                for cut in self.batcher.offer_many(partials, now):
+                    self._ship(cut)
             if self.policy is None or self.policy.flush_allowed(self):
                 out = self.batcher.maybe_flush(now)
                 if out is not None:
@@ -484,24 +518,57 @@ class SiteRuntime:
 CHECKPOINT_VERSION = 2
 
 
-class _PendingWindowKey:
-    __slots__ = ("state", "count", "sites", "emit_scheduled", "due", "legs")
+class _Armed:
+    """The (window, key) slots one delivered batch armed, as rows.
 
-    def __init__(self) -> None:
-        self.state = None
-        self.count = 0
-        self.sites: set[str] = set()
-        self.emit_scheduled = False
+    One finalize event emits them, in row order. Row ``i`` is slot
+    ``slots[i]`` — ``(start, end, key)``, the window's bounds and the
+    key — with its merged ``states[i]`` and ``counts[i]``. While the
+    arming batch is its only contributor, the slot's lineage is that
+    batch's leg (its ``mark``, ``site`` and ``now`` with the row's
+    ``sizes[i]``) and ``legs[i]`` stays ``None``; a later partial for
+    the slot turns it into the per-site :class:`SiteLeg` dict.
+    """
+
+    __slots__ = (
+        "due", "site", "mark", "now", "slots", "states", "counts", "sizes",
+        "legs", "disarmed",
+    )
+
+    def __init__(self, due: float, site: str, mark, now: float) -> None:
         #: Virtual time the finalize timer fires — checkpointed so a
         #: restored aggregator re-arms the timer with the remaining wait.
-        self.due = 0.0
-        #: Per-origin lineage legs, folded from the traces of every
-        #: batch that delivered a partial for this (window, key).
-        self.legs: dict[str, SiteLeg] = {}
+        self.due = due
+        self.site = site
+        self.mark = mark
+        self.now = now
+        self.slots: list[tuple] = []
+        self.states: list = []
+        self.counts: list[int] = []
+        self.sizes: list[float] = []
+        self.legs: list[dict[str, SiteLeg] | None] = []
+        #: Set when a restore replaces the pending slots under the timer.
+        self.disarmed = False
+
+    def first_leg(self, row: int) -> SiteLeg:
+        """The arming batch's leg of row ``row`` (its only one while
+        ``legs[row]`` is ``None``)."""
+        return SiteLeg.of_batch(
+            self.site, self.mark, self.counts[row], self.sizes[row], self.now
+        )
 
 
 class GlobalAggregator:
-    """Merges per-site partials into global window results."""
+    """Merges per-site partials into global window results.
+
+    Partials arrive as :class:`PartialBlock` rows (a hand-built
+    ``list[Record(PartialAggregate)]`` is columnized at the door). A
+    (window, key) slot is the tuple ``(start, end, key)``: the window's
+    bounds and the key, hashed as a tuple of a float pair and a string,
+    and the very row the checkpoint's ``emitted`` log writes. A slot
+    pending emission is a row of the :class:`_Armed` group of the batch
+    that first delivered it, which one finalize event emits.
+    """
 
     def __init__(self, engine: SageEngine, job: StreamJob) -> None:
         self.engine = engine
@@ -527,8 +594,9 @@ class GlobalAggregator:
         self.raw_records = 0
         #: Batches discarded as duplicates of an already-merged delivery.
         self.duplicates_dropped = 0
-        self._pending: dict[tuple[Window, str], _PendingWindowKey] = {}
-        self._emitted: set[tuple[Window, str]] = set()
+        #: Pending slots: slot -> (the group that armed it, its row).
+        self._pending: dict[tuple, tuple[_Armed, int]] = {}
+        self._emitted: set[tuple] = set()
         #: ``(origin, seq)`` of every batch already merged — the receiver
         #: half of at-least-once delivery: a re-sent or duplicated batch
         #: must not double-count any window.
@@ -536,7 +604,7 @@ class GlobalAggregator:
         #: The two grow-only sets again, in insertion order (the same
         #: tuple objects): a periodic checkpoint serializes only the
         #: tail the durable store does not hold yet.
-        self._emitted_log: list[tuple[Window, str]] = []
+        self._emitted_log: list[tuple] = []
         self._seen_log: list[tuple[str, int]] = []
         #: Aggregator-side windowing for jobs that ship raw records.
         self._raw_aggregator = WindowedAggregator(job.windows, job.aggregate)
@@ -570,137 +638,168 @@ class GlobalAggregator:
             if not payload:  # only a batch emptied after construction
                 return
             # A list payload is one kind throughout: partial aggregates
-            # from a site's window close, or the raw records of a
-            # hand-built batch — columnarized here, once, so raw records
-            # have a single fold path.
+            # or raw records of a hand-built batch — columnized here,
+            # once, so each kind has a single path.
             if isinstance(payload[0].value, PartialAggregate):
-                armed = self._merge_partials(batch, now)
-                if armed:
-                    # One timer for every slot this batch armed: per-slot
-                    # timers would fire back to back at one (time,
-                    # priority), and a finalize schedules nothing, so
-                    # nothing could run between them.
-                    self.engine.sim.schedule(
-                        self.job.finalize_grace, self._finalize, armed
-                    )
-                return
-            payload = RecordBatch.from_records(payload)
+                payload = PartialBlock.from_records(payload)
+            else:
+                payload = RecordBatch.from_records(payload)
+        if isinstance(payload, PartialBlock):
+            armed = self._merge(payload, batch, now)
+            if armed.slots:
+                # One timer for every slot this batch armed: per-slot
+                # timers would fire back to back at one (time,
+                # priority), and a finalize schedules nothing, so
+                # nothing could run between them.
+                self.engine.sim.schedule(
+                    self.job.finalize_grace, self._finalize, armed
+                )
+            return
         self.raw_records += len(payload)
         self._raw_aggregator.process_batch(payload)
         watermark = now - self.job.watermark_lag - self.job.finalize_grace
-        for partial in self._raw_aggregator.advance_watermark(watermark):
-            pa = partial.value
-            self._finalize_now(pa.window, pa.key, pa.state, pa.count, 1, now)
+        block = self._raw_aggregator.advance_watermark(watermark)
+        n = len(block)
+        if n:
+            self._emit(
+                zip(block.start, block.end, block.key),
+                block.state,
+                block.count.tolist(),
+                [1] * n,
+                [()] * n,
+                now,
+            )
 
-    def _merge_partials(
-        self, batch: Batch, now: float
-    ) -> list[tuple[Window, str]]:
-        """Merge a batch of partials; return the slots it armed, in order."""
+    def _merge(self, block: PartialBlock, batch: Batch, now: float) -> _Armed:
+        """Merge a block of partials in one pass; return the group of
+        the slots it armed, in row order."""
         site = batch.origin or "?"
         trace = batch.trace
+        armed = _Armed(
+            now + self.job.finalize_grace,
+            site,
+            None if trace is None else trace.mark(),
+            now,
+        )
+        slots, states, counts = armed.slots, armed.states, armed.counts
+        sizes, legs = armed.sizes, armed.legs
         emitted = self._emitted
-        pending_slots = self._pending
+        pending = self._pending
         merge = self.job.aggregate.merge
-        due = now + self.job.finalize_grace
-        armed: list[tuple[Window, str]] = []
-        for record in batch.records:
-            pa = record.value
-            slot = (pa.window, pa.key)
+        for slot, state, count, size in zip(
+            zip(block.start, block.end, block.key),
+            block.state,
+            block.count.tolist(),
+            block.size.tolist(),
+        ):
             if slot in emitted:
                 self.late_partials += 1
-                self.late_partial_records += pa.count
+                self.late_partial_records += count
                 self._m_late.inc()
                 continue
-            pending = pending_slots.get(slot)
-            if pending is None:
-                pending = pending_slots[slot] = _PendingWindowKey()
-            if pending.state is None:
-                pending.state = pa.state
-            else:
-                pending.state = merge(pending.state, pa.state)
-            pending.count += pa.count
-            pending.sites.add(site)
-            leg = pending.legs.get(site)
+            found = pending.get(slot)
+            if found is None:
+                pending[slot] = (armed, len(slots))
+                slots.append(slot)
+                states.append(state)
+                counts.append(count)
+                sizes.append(size)
+                legs.append(None)
+                continue
+            group, row = found
+            site_legs = group.legs[row]
+            if site_legs is None:
+                site_legs = group.legs[row] = {group.site: group.first_leg(row)}
+            prior = group.states[row]
+            group.states[row] = state if prior is None else merge(prior, state)
+            group.counts[row] += count
+            leg = site_legs.get(site)
             if leg is None:
-                leg = pending.legs[site] = SiteLeg(site=site)
-            leg.absorb(trace, pa.count, record.size_bytes, now)
-            if not pending.emit_scheduled:
-                pending.emit_scheduled = True
-                pending.due = due
-                armed.append(slot)
+                leg = site_legs[site] = SiteLeg(site=site)
+            leg.absorb(trace, count, size, now)
         return armed
 
-    def _finalize(self, slots: list[tuple[Window, str]]) -> None:
+    def _finalize(self, armed: _Armed) -> None:
         """Emit each slot's result, in the order the slots were armed."""
-        if self.crashed:
+        if self.crashed or armed.disarmed:
             return
-        now = self.engine.sim.now
-        for slot in slots:
-            pending = self._pending.pop(slot, None)
-            if pending is None or pending.state is None:  # pragma: no cover
-                continue
-            window, key = slot
-            self._finalize_now(
+        pop = self._pending.pop
+        for slot in armed.slots:
+            pop(slot)
+        site, mark, arrived = armed.site, armed.mark, armed.now
+        of_batch = SiteLeg.of_batch
+        legs = [
+            (of_batch(site, mark, count, size, arrived),)
+            if site_legs is None
+            else tuple(site_legs[s] for s in sorted(site_legs))
+            for count, size, site_legs in zip(armed.counts, armed.sizes, armed.legs)
+        ]
+        self._emit(
+            armed.slots,
+            armed.states,
+            armed.counts,
+            list(map(len, legs)),
+            legs,
+            self.engine.sim.now,
+        )
+
+    def _emit(self, slots, states, counts, sites, legs, now: float) -> None:
+        """Emit one result per row of the parallel ``slots``, ``states``,
+        ``counts``, ``sites`` and ``legs``, in order. Rows of one window
+        share its :class:`Window`."""
+        emitted = self._emitted
+        log = self._emitted_log
+        append = (self.uncommitted if self.exactly_once else self.results).append
+        result = self.job.aggregate.result
+        epoch, version = self.epoch, self.config_version
+        window = None
+        for slot, state, count, n_sites, site_legs in zip(
+            slots, states, counts, sites, legs
+        ):
+            start, end, key = slot
+            if window is None or window.start is not start or window.end is not end:
+                window = Window(start, end)
+            if slot not in emitted:
+                emitted.add(slot)
+                log.append(slot)
+            out = _new_result(
                 window,
                 key,
-                pending.state,
-                pending.count,
-                len(pending.sites),
+                result(state),
+                count,
+                n_sites,
                 now,
-                legs=pending.legs,
+                new_lineage(start, end, key, now, site_legs),
+                epoch,
+                version,
             )
+            append(out)
+            if self._obs_on:
+                self._observe(out)
 
-    def _finalize_now(
-        self, window, key, state, count, sites, now, legs=None
-    ) -> None:
-        slot = (window, key)
-        if slot not in self._emitted:
-            self._emitted.add(slot)
-            self._emitted_log.append(slot)
-        lineage = WindowLineage(
+    def _observe(self, result: WindowResult) -> None:
+        """Metrics and the ``window.global_emit`` span of one result."""
+        window, now, lineage = result.window, result.emitted_at, result.lineage
+        self._m_results.inc()
+        self._m_latency.observe(now - window.end)
+        breakdown = lineage.breakdown()
+        for leg in lineage.legs:
+            self._e2e_hist(leg.site).observe(now - window.end)
+            for hop_name, seconds in breakdown[leg.site].items():
+                if seconds == seconds:  # skip NaN (incomplete legs)
+                    self._hop_hist(hop_name, leg.site).observe(seconds)
+        # The span runs from the window's event-time close to the
+        # global emission: its duration IS the end-to-end latency.
+        self.engine.observer.record_span(
+            "window.global_emit",
+            window.end,
+            now,
+            key=result.key,
             window_start=window.start,
-            window_end=window.end,
-            key=key,
-            emitted_at=now,
-            legs=tuple(
-                legs[site] for site in sorted(legs)
-            ) if legs else (),
+            records=result.record_count,
+            sites=result.sites,
+            lineage_complete=lineage.complete,
         )
-        sink = self.uncommitted if self.exactly_once else self.results
-        sink.append(
-            WindowResult(
-                window=window,
-                key=key,
-                value=self.job.aggregate.result(state),
-                record_count=count,
-                sites=sites,
-                emitted_at=now,
-                lineage=lineage,
-                epoch=self.epoch,
-                config_version=self.config_version,
-            )
-        )
-        if self._obs_on:
-            self._m_results.inc()
-            self._m_latency.observe(now - window.end)
-            breakdown = lineage.breakdown()
-            for leg in lineage.legs:
-                self._e2e_hist(leg.site).observe(now - window.end)
-                for hop_name, seconds in breakdown[leg.site].items():
-                    if seconds == seconds:  # skip NaN (incomplete legs)
-                        self._hop_hist(hop_name, leg.site).observe(seconds)
-            # The span runs from the window's event-time close to the
-            # global emission: its duration IS the end-to-end latency.
-            self.engine.observer.record_span(
-                "window.global_emit",
-                window.end,
-                now,
-                key=key,
-                window_start=window.start,
-                records=count,
-                sites=sites,
-                lineage_complete=lineage.complete,
-            )
 
     def _e2e_hist(self, site: str):
         """Per-site end-to-end latency histogram, created lazily (sites
@@ -746,8 +845,8 @@ class GlobalAggregator:
         self.uncommitted.clear()
         if since is None:
             since = {"emitted": 0, "seen": 0}
-            emitted = sorted([w.start, w.end, k] for (w, k) in self._emitted)
-            seen = sorted([o, s] for (o, s) in self._seen_batches)
+            emitted = sorted(map(list, self._emitted))
+            seen = sorted(map(list, self._seen_batches))
         else:
             n_emitted, n_seen = since["emitted"], since["seen"]
             if n_emitted > len(self._emitted_log) or n_seen > len(self._seen_log):
@@ -756,24 +855,14 @@ class GlobalAggregator:
                     f"({len(self._emitted_log)} emitted, "
                     f"{len(self._seen_log)} seen): not its chain"
                 )
-            emitted = [
-                [w.start, w.end, k] for (w, k) in self._emitted_log[n_emitted:]
-            ]
-            seen = [[o, s] for (o, s) in self._seen_log[n_seen:]]
+            emitted = list(map(list, self._emitted_log[n_emitted:]))
+            seen = list(map(list, self._seen_log[n_seen:]))
         return {
             "version": CHECKPOINT_VERSION,
             "since": since,
             "emitted": emitted,
             "seen": seen,
-            "pending": [
-                [w.start, w.end, key, p.state, p.count,
-                 sorted(p.sites), p.due,
-                 [p.legs[s].to_dict() for s in sorted(p.legs)]]
-                for (w, key), p in sorted(
-                    self._pending.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1]),
-                )
-            ],
+            "pending": self._pending_rows(),
             "raw": self._raw_aggregator.snapshot(),
             "counters": {
                 "late_partials": self.late_partials,
@@ -803,11 +892,9 @@ class GlobalAggregator:
                 "load the joined chain from the store"
             )
         now = self.engine.sim.now
-        self._emitted_log = [
-            (Window(s, e), k) for s, e, k in payload["emitted"]
-        ]
+        self._emitted_log = list(map(tuple, payload["emitted"]))
         self._emitted = set(self._emitted_log)
-        self._seen_log = [(o, q) for o, q in payload["seen"]]
+        self._seen_log = list(map(tuple, payload["seen"]))
         self._seen_batches = set(self._seen_log)
         counters = payload["counters"]
         self.late_partials = counters["late_partials"]
@@ -815,22 +902,42 @@ class GlobalAggregator:
         self.raw_records = counters["raw_records"]
         self.duplicates_dropped = counters["duplicates_dropped"]
         self._raw_aggregator.restore(payload["raw"])
+        for armed, _ in self._pending.values():
+            armed.disarmed = True
         self._pending = {}
-        for start, end, key, state, count, sites, due, legs in payload["pending"]:
-            pending = _PendingWindowKey()
-            pending.state = state
-            pending.count = count
-            pending.sites = set(sites)
-            pending.emit_scheduled = True
-            pending.due = due
-            pending.legs = {
-                leg["site"]: SiteLeg.from_dict(leg) for leg in legs
-            }
-            slot = (Window(start, end), key)
-            self._pending[slot] = pending
-            self.engine.sim.schedule(
-                max(0.0, due - now), self._finalize, [slot]
+        # A row's sites are its legs' sites: the merge adds both at once.
+        for start, end, key, state, count, _sites, due, legs in payload["pending"]:
+            armed = _Armed(due, "", None, now)
+            slot = (start, end, key)
+            armed.slots.append(slot)
+            armed.states.append(state)
+            armed.counts.append(count)
+            armed.sizes.append(0.0)  # unread: the row's legs are explicit
+            armed.legs.append(
+                {leg["site"]: SiteLeg.from_dict(leg) for leg in legs}
             )
+            self._pending[slot] = (armed, 0)
+            self.engine.sim.schedule(max(0.0, due - now), self._finalize, armed)
+
+    def _pending_rows(self) -> list[list]:
+        """The pending slots as checkpoint rows ``[start, end, key,
+        state, count, sites, due, legs]``, in (window, key) order."""
+        rows = []
+        pending = self._pending
+        for slot in sorted(pending):
+            group, row = pending[slot]
+            legs = group.legs[row]
+            if legs is None:
+                sites = [group.site]
+                leg_rows = [group.first_leg(row).to_dict()]
+            else:
+                sites = sorted(legs)
+                leg_rows = [legs[s].to_dict() for s in sites]
+            rows.append([
+                *slot, group.states[row], group.counts[row], sites, group.due,
+                leg_rows,
+            ])
+        return rows
 
 
 class GeoStreamRuntime:

@@ -831,12 +831,15 @@ class ReliableShipping:
 
 def _record_weight(batch: Batch) -> int:
     """Raw-record count a batch carries (partials weigh their fold count)."""
-    from repro.streaming.operators import PartialAggregate
+    from repro.streaming.operators import PartialAggregate, PartialBlock
 
-    if not isinstance(batch.records, list):
+    payload = batch.records
+    if isinstance(payload, PartialBlock):
+        return int(payload.count.sum())
+    if not isinstance(payload, list):
         return batch.count
     total = 0
-    for record in batch.records:
+    for record in payload:
         value = record.value
         total += value.count if isinstance(value, PartialAggregate) else 1
     return total

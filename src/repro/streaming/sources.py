@@ -195,7 +195,12 @@ class _PoissonArrivals(StreamSource):
         n = int(rng.poisson(mean)) if mean > 0 else 0
         if n == 0:
             return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
+        # Bit for bit rng.uniform(t0, t1, n) sorted: uniform is t0 +
+        # (t1 - t0) * random(n) too, but costs twice as much at small n.
+        times = rng.random(n)
+        times *= t1 - t0
+        times += t0
+        times.sort()
         if key_cdf is not None:
             # rng.choice(len(keys), size=n, p=...) draws exactly this,
             # after re-validating p and re-summing its CDF on every call.
@@ -207,7 +212,7 @@ class _PoissonArrivals(StreamSource):
         else:
             sizes = np.full(n, self.record_bytes, dtype=np.float64)
         if value_fn is None:
-            values = rng.normal(size=n)
+            values = rng.standard_normal(n)  # rng.normal(size=n), bit for bit
         else:
             # A custom value_fn draws one value at a time, in record order.
             values = np.fromiter(

@@ -4,8 +4,7 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.cloud.network import Flow, Topology
-from repro.simulation.engine import Simulator
-from repro.simulation.units import GB, KB, MB
+from repro.simulation.units import GB, MB
 
 
 def make_env(**kwargs):

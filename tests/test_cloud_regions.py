@@ -4,7 +4,6 @@ import pytest
 
 from repro.cloud.regions import (
     DEFAULT_REGIONS,
-    Region,
     RegionCatalog,
     default_catalog,
     great_circle_km,

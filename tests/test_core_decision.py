@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import SageSession
 from repro.cloud.deployment import CloudEnvironment
-from repro.core.decision import DecisionConfig, DecisionManager
+from repro.core.decision import DecisionConfig
 from repro.core.engine import SageEngine
 from repro.simulation.units import GB, MB
 from repro.workloads.synthetic import STANDARD_SPEC

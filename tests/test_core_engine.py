@@ -1,7 +1,5 @@
 """Unit tests for the SageEngine composition root."""
 
-import pytest
-
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.monitor.agent import MonitorConfig

@@ -243,8 +243,8 @@ def test_windowed_aggregator_snapshot_roundtrip():
     # (tuple states come back as lists; the aggregate closures only
     # index, so the finalized results are what must agree).
     mean = agg.aggregate.result
-    out_orig = agg.advance_watermark(25.0)
-    out_clone = clone.advance_watermark(25.0)
+    out_orig = agg.advance_watermark(25.0).to_records()
+    out_clone = clone.advance_watermark(25.0).to_records()
     assert [(r.key, mean(r.value.state), r.value.count) for r in out_orig] == [
         (r.key, mean(r.value.state), r.value.count) for r in out_clone
     ]
@@ -275,7 +275,7 @@ def test_windowed_aggregator_restore_drops_the_hold():
     assert agg._held_n == 1
     agg.restore(snap)
     assert agg._held_n == 0 and agg.records_seen == 2
-    out = agg.advance_watermark(10.0)
+    out = agg.advance_watermark(10.0).to_records()
     assert [(r.value.state, r.value.count) for r in out] == [(2, 2)]
 
 

@@ -8,7 +8,6 @@ no single-module test can see.
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
-from repro.core.decision import DecisionConfig
 from repro.core.engine import SageEngine
 from repro.core.strategy import SageStrategy
 from repro.baselines import StaticParallel

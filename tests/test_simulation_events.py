@@ -1,7 +1,5 @@
 """Unit tests for the event queue."""
 
-import pytest
-
 from repro.simulation.events import Event, EventQueue
 
 

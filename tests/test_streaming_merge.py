@@ -129,7 +129,9 @@ def test_a_batch_of_64_partials_schedules_exactly_one_event():
     agg.deliver(_partials_batch(engine, 0, window))
     assert len(engine.sim.queue) == queued + 1
     assert len(agg._pending) == 64
-    assert all(p.due == engine.sim.now + 5.0 for p in agg._pending.values())
+    assert all(
+        group.due == engine.sim.now + 5.0 for group, _ in agg._pending.values()
+    )
     # A second batch for the same slots merges; it arms nothing.
     agg.deliver(_partials_batch(engine, 1, window))
     assert len(engine.sim.queue) == queued + 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
-from repro.simulation.units import KB, MB
+from repro.simulation.units import MB
 from repro.streaming.metareduce import (
     MapReduceSiteSpec,
     MetaReducer,

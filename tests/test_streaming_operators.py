@@ -234,7 +234,7 @@ def test_property_min_max_agree_per_record_batch_and_merge_order(name, values, c
     expected = repr(chain(values))
     batched = WindowedAggregator(TumblingWindows(10.0), agg)
     batched.process_batch(_batch([1.0] * len(values), values=values))
-    (partial,) = batched.advance_watermark(10.0)
+    (partial,) = batched.advance_watermark(10.0).to_records()
     assert repr(partial.value.state) == expected
     bounds = sorted({0, len(values), *(c for c in cuts if c <= len(values))})
     parts = [chain(values[a:b]) for a, b in zip(bounds, bounds[1:])]
@@ -256,14 +256,14 @@ def test_windowed_aggregation_emits_on_watermark():
     wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("sum"))
     for t in (1.0, 5.0, 9.0, 11.0):
         wa.process(rec(t, value=2.0))
-    assert wa.advance_watermark(5.0) == []  # window not closed yet
-    out = wa.advance_watermark(10.0)
+    assert len(wa.advance_watermark(5.0)) == 0  # window not closed yet
+    out = wa.advance_watermark(10.0).to_records()
     assert len(out) == 1
     pa = out[0].value
     assert isinstance(pa, PartialAggregate)
     assert pa.state == pytest.approx(6.0)
     assert pa.count == 3
-    out2 = wa.advance_watermark(20.0)
+    out2 = wa.advance_watermark(20.0).to_records()
     assert out2[0].value.state == pytest.approx(2.0)
 
 
@@ -272,7 +272,7 @@ def test_windowed_aggregation_per_key():
     wa.process(rec(1.0, key="a"))
     wa.process(rec(2.0, key="b"))
     wa.process(rec(3.0, key="a"))
-    out = wa.advance_watermark(10.0)
+    out = wa.advance_watermark(10.0).to_records()
     by_key = {r.key: r.value.state for r in out}
     assert by_key == {"a": 2, "b": 1}
 
@@ -300,6 +300,33 @@ def test_open_windows_tracked():
     assert wa.open_windows == 2
     wa.advance_watermark(30.0)
     assert wa.open_windows == 0
+
+
+def test_two_sources_alternating_on_one_site_number_each_key_once(monkeypatch):
+    # A site with two sources hands the fold their two key tables in
+    # turn: each table's remap is built the first time it is seen, not
+    # again at every switch, and every key gets one id.
+    wa = WindowedAggregator(TumblingWindows(10.0), builtin_aggregate("count"))
+    numbered = []
+    key_id = wa._key_id
+    monkeypatch.setattr(wa, "_key_id", lambda key: numbered.append(key) or key_id(key))
+    tables = (("a", "b", "c"), ("c", "d"))
+    for tick in range(20):
+        keys = tables[tick % 2]
+        wa.process_batch(
+            RecordBatch(
+                np.full(2, tick * 0.25),
+                np.array([0, len(keys) - 1]),
+                np.ones(2),
+                np.full(2, 200.0),
+                keys,
+                "NEU",
+            )
+        )
+    out = wa.advance_watermark(10.0).to_records()
+    assert numbered == ["a", "b", "c", "c", "d"]
+    assert wa._names == ["a", "b", "c", "d"]
+    assert [(r.key, r.value.count) for r in out] == [("a", 10), ("c", 20), ("d", 10)]
 
 
 def test_fold_hashes_no_window_and_reads_slots_back_in_key_order(monkeypatch):
@@ -334,7 +361,7 @@ def test_fold_hashes_no_window_and_reads_slots_back_in_key_order(monkeypatch):
     assert slots[0] == [0.0, 10.0, "k0", (4, 0.0), 4]
     assert slots[-1] == [10.0, 20.0, "k3", (2, 6.0), 2]
     assert wa.open_windows == 2
-    out = wa.advance_watermark(10.0)
+    out = wa.advance_watermark(10.0).to_records()
     assert [(r.key, r.value.state, r.value.count) for r in out] == [
         (f"k{k}", (4, 4.0 * k), 4) for k in range(4)
     ]
@@ -425,8 +452,9 @@ def test_property_process_batch_equals_per_record_process(name, data):
                     watermark += data.draw(st.floats(0.0, span / 2), label="advance by")
                 else:
                     watermark += span + 20.0
-                closed = batched.advance_watermark(watermark)
-                assert repr(closed) == repr(reference.advance_watermark(watermark))
+                closed = batched.advance_watermark(watermark).to_records()
+                expected = reference.advance_watermark(watermark).to_records()
+                assert repr(closed) == repr(expected)
             elif step == "restore":
                 payload = batched.snapshot()
                 batched = aggregator()
@@ -469,15 +497,15 @@ def test_advance_below_next_close_touches_neither_hold_nor_slots(monkeypatch):
     held = wa._held
     wa._folded = Unscanned(wa._folded)
     monkeypatch.setattr(wa, "_flush", lambda: pytest.fail("flushed the hold"))
-    assert wa.advance_watermark(5.0) == []
-    assert wa.advance_watermark(10.0 - 1e-9) == []
+    assert len(wa.advance_watermark(5.0)) == 0
+    assert len(wa.advance_watermark(10.0 - 1e-9)) == 0
     assert wa._held is held and len(held) == 1 and wa._held_n == 2
     monkeypatch.undo()
     wa._folded = dict(wa._folded)
-    out = wa.advance_watermark(10.0)
+    out = wa.advance_watermark(10.0).to_records()
     assert [(r.value.window, r.value.state) for r in out] == [(Window(0.0, 10.0), 5.0)]
     assert wa._next_close == 20.0  # recomputed from what stayed open
-    out = wa.advance_watermark(20.0)
+    out = wa.advance_watermark(20.0).to_records()
     assert [(r.value.state, r.value.count) for r in out] == [(9.0, 3)]
     assert wa._next_close == math.inf
 
@@ -502,7 +530,7 @@ def test_hold_stays_under_its_bound_in_a_one_hour_window():
             "NEU",
         )
         batched.process_batch(batch)
-        assert batched.advance_watermark(tick - 1.0) == []
+        assert len(batched.advance_watermark(tick - 1.0)) == 0
         assert batched._held_n < HOLD_RECORDS
         peak = max(peak, batched._held_n)
         for record in batch.iter_records():
@@ -510,8 +538,8 @@ def test_hold_stays_under_its_bound_in_a_one_hour_window():
     assert peak > HOLD_RECORDS - 500  # the bound, not a close, did the flushing
     assert batched._folded  # ... at least once already
     assert _open_state(batched) == _open_state(reference)
-    assert repr(batched.advance_watermark(3600.0)) == repr(
-        reference.advance_watermark(3600.0)
+    assert repr(batched.advance_watermark(3600.0).to_records()) == repr(
+        reference.advance_watermark(3600.0).to_records()
     )
 
 
@@ -552,9 +580,9 @@ def _pinned_run(aggregate, restore_at=None):
                 wa = WindowedAggregator(TumblingWindows(10.0), aggregate)
                 wa.restore(payload)
             if lag is not None:
-                out += wa.advance_watermark(tick - lag)
+                out += wa.advance_watermark(tick - lag).to_records()
     snapshot = json.dumps(wa.snapshot())
-    out += wa.advance_watermark(tick + 10.0)
+    out += wa.advance_watermark(tick + 10.0).to_records()
     partials = json.dumps(
         [
             [p.value.window.start, p.value.window.end, p.key, p.value.state,

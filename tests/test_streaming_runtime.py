@@ -4,8 +4,6 @@ import pytest
 
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
-from repro.simulation.units import KB, MB
-from repro.streaming.batching import HybridBatchPolicy
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import FilterOperator, builtin_aggregate
 from repro.streaming.runtime import GeoStreamRuntime, LatencyStats
@@ -148,9 +146,9 @@ def test_columnar_raw_job_builds_no_record_per_stream_record(monkeypatch):
     runtime.run_for(60.0)
     assert runtime.records_ingested() > 40_000
     assert runtime.results and {r.key for r in runtime.results} == {"all"}
-    # The only Records are the partial-aggregate wrappers the aggregation
-    # site's windows emit on close: one per result, none per record.
-    assert len(built) == len(runtime.results)
+    # Not even the aggregation site's window close builds one: closed
+    # windows come out as a column block.
+    assert built == []
 
 
 def test_direct_and_blob_backends_work():

@@ -116,7 +116,7 @@ def test_arrival_exactly_at_the_watermark_is_not_late():
     # A hair of event time earlier is strictly behind: dropped.
     agg.process(_rec(10.0 - 1e-9))
     assert agg.late_dropped == 1
-    out = agg.advance_watermark(20.0)
+    out = agg.advance_watermark(20.0).to_records()
     assert len(out) == 1 and out[0].value.window == Window(10.0, 20.0)
     assert out[0].value.count == 1  # the late record never entered
 
@@ -130,7 +130,7 @@ def test_backlog_delayed_watermark_closes_windows_in_order():
                    (25.5, "a"), (17.5, "b")]:
         agg.process(_rec(t, key=key))
     assert agg.open_windows == 3
-    out = agg.advance_watermark(100.0)
+    out = agg.advance_watermark(100.0).to_records()
     assert [(r.value.window.start, r.key) for r in out] == [
         (0.0, "a"), (0.0, "b"),
         (10.0, "a"), (10.0, "b"),
@@ -152,7 +152,7 @@ def test_watermark_cannot_move_backwards():
 def test_window_closes_when_watermark_equals_end_plus_lateness():
     agg = _agg()
     agg.process(_rec(5.0))
-    assert agg.advance_watermark(10.0 - 1e-9) == []
-    out = agg.advance_watermark(10.0)  # close condition is <=
+    assert len(agg.advance_watermark(10.0 - 1e-9)) == 0
+    out = agg.advance_watermark(10.0).to_records()  # close condition is <=
     assert len(out) == 1
     assert out[0].value.count == 1

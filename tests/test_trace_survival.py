@@ -15,7 +15,7 @@ import pytest
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.flow.policy import FlowConfig
-from repro.obs.lineage import BatchTrace, SiteLeg
+from repro.obs.lineage import BatchTrace
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.operators import PartialAggregate, builtin_aggregate
