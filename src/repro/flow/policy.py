@@ -114,9 +114,10 @@ class BlockPolicy(OverloadPolicy):
     name = "block"
 
     def admit(self, site, records: RecordBatch) -> int:
-        granted = site.credits.acquire(len(records))
+        n = len(records)
+        granted = site.credits.acquire(n)
         if granted:
-            site._backlog.extend(records[:granted])
+            site._backlog.extend(records if granted == n else records[:granted])
         return granted
 
     def drain_budget(self, site, base_budget: int) -> int:

@@ -143,7 +143,7 @@ class SLOAuditor:
         #: ``results``), so a multi-day soak pays O(new results) per
         #: tick, not O(all results ever). ``_seen`` counts persist
         #: across ticks — that is what makes the scan equivalent to the
-        #: old full re-scan.
+        #: old full re-scan. Both are keyed by ``(start, end, key)``.
         self._cursor = 0
         self._seen: dict[tuple, int] = {}
         self._counted_records = 0
@@ -215,55 +215,65 @@ class SLOAuditor:
                 )
             self._last_watermarks[region] = wm
 
-    def _new_results(self, include_uncommitted: bool = False) -> list:
-        """Results not yet scanned, advancing the flat cursor.
+    def _new_results(self, include_uncommitted: bool = False):
+        """``(start, end, key)``, record count and latency of each result
+        not yet scanned, advancing the flat cursor.
 
         Real runtimes expose :meth:`GeoStreamRuntime.results_since`
         (O(new), uncommitted excluded until the terminal sweep — a
         crash discards and later re-derives them, which a persistent
-        counter would misread as duplicate emission). Stub runtimes
-        with a plain ``results`` list are sliced directly.
+        counter would misread as duplicate emission), whose rows are
+        read as columns. Stub runtimes with a plain ``results`` list of
+        results are sliced directly.
         """
         since = getattr(self.runtime, "results_since", None)
         if since is not None:
             new = since(self._cursor, include_uncommitted=include_uncommitted)
+            rows = zip(
+                new.slots(), new.counts().tolist(), new.latencies().tolist()
+            )
         else:
-            results = self.runtime.results
-            new = results[self._cursor:] if self._cursor else list(results)
+            new = self.runtime.results[self._cursor:]
+            rows = (
+                (
+                    (r.window.start, r.window.end, r.key),
+                    getattr(r, "record_count", 0),
+                    r.latency,
+                )
+                for r in new
+            )
         self._cursor += len(new)
-        return new
+        return rows
 
     def _check_results(self, include_uncommitted: bool = False) -> None:
         seen = self._seen
-        for result in self._new_results(include_uncommitted):
-            self._counted_records += getattr(result, "record_count", 0)
-            ident = (result.window.start, result.window.end, result.key)
+        for ident, count, latency in self._new_results(include_uncommitted):
+            self._counted_records += count
+            start, end, key = ident
             seen[ident] = seen.get(ident, 0) + 1
             if seen[ident] > 1 and ident not in self._dup_flagged:
                 self._dup_flagged.add(ident)
                 self._violate(
                     "duplicate_window",
-                    f"{result.key}@{result.window.start:.0f}",
+                    f"{key}@{start:.0f}",
                     value=float(seen[ident]),
                     limit=1.0,
                     detail=(
-                        f"window [{result.window.start:.0f}, "
-                        f"{result.window.end:.0f}) key={result.key} "
+                        f"window [{start:.0f}, {end:.0f}) key={key} "
                         f"emitted {seen[ident]} times"
                     ),
                 )
             if self.max_latency_s is not None and ident not in self._latency_checked:
                 self._latency_checked.add(ident)
-                if result.latency > self.max_latency_s:
+                if latency > self.max_latency_s:
                     self._violate(
                         "latency_slo",
-                        f"{result.key}@{result.window.start:.0f}",
-                        value=result.latency,
+                        f"{key}@{start:.0f}",
+                        value=latency,
                         limit=self.max_latency_s,
                         detail=(
-                            f"window [{result.window.start:.0f}, "
-                            f"{result.window.end:.0f}) key={result.key} "
-                            f"e2e latency {result.latency:.1f}s exceeds "
+                            f"window [{start:.0f}, {end:.0f}) key={key} "
+                            f"e2e latency {latency:.1f}s exceeds "
                             f"SLO {self.max_latency_s:.1f}s"
                         ),
                     )

@@ -10,11 +10,14 @@ batches replayed after a checkpoint restore keep their original ID (the
 ``(origin, seq)`` dedup key *is* the trace ID, so replay can never mint
 a second identity for the same payload).
 
-At the global aggregator each pending window accumulates one
-:class:`SiteLeg` per contributing origin; when the window is finalized
-the legs are frozen into a :class:`WindowLineage` answering "how long
-did window W take from event-time to emission, through which sites and
-links, and with how many shipping attempts?".
+At the global aggregator a pending window's lineage is the leg of the
+batch that first delivered it — that batch's :class:`TraceMark`, kept
+once per batch — until a second batch adds to the window, which gives it
+one :class:`SiteLeg` per contributing origin. The emitted result's row
+keeps either form, and reading the result builds its
+:class:`WindowLineage`, answering "how long did window W take from
+event-time to emission, through which sites and links, and with how
+many shipping attempts?".
 
 Trace IDs and all timestamps are virtual-time values — no wall clock,
 no randomness — so lineage is byte-identical across runs and safe to

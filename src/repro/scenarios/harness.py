@@ -278,17 +278,19 @@ class ScenarioRun:
         detector = engine.detector
         faults = list(self.injector.log) if self.injector is not None else []
         fault_counts = Counter(applied.kind for applied in faults)
-        last_emit = max((r.emitted_at for r in results), default=stopped_at)
+        emitted_at = results.emitted_at()
+        latencies = results.latencies()
+        last_emit = float(emitted_at.max()) if len(results) else stopped_at
         shed_site = sum(site.records_shed for site in sites)
         shed_shipping = sum(b.records_shed for b in backends)
         out = dict(
             seed=self.scenario.config.seed,
             strict_slo=self.scenario.config.strict_slo,
             ingested=ingested,
-            counted=sum(r.record_count for r in results),
+            counted=results.records(),
             results=len(results),
             # String keys so the canonical JSON round-trips.
-            results_by_epoch=dict(Counter(str(r.epoch) for r in results)),
+            results_by_epoch=dict(Counter(map(str, results.epochs().tolist()))),
             faults=faults,
             fault_counts=dict(sorted(fault_counts.items())),
             faults_applied=len(faults),
@@ -318,9 +320,11 @@ class ScenarioRun:
             detection_bound=detector.detection_latency_bound(),
             drain_seconds=max(0.0, last_emit - stopped_at),
             drained=drained,
-            latency=LatencyStats.from_results(results),
+            latency=LatencyStats.from_latencies(latencies),
             lineage=runtime.lineage_stats(),
-            phases=list(self._phases(results, marks)),
+            phases=list(self._phases(
+                emitted_at, latencies, results.counts(), results.complete(), marks
+            )),
             wan_bytes=runtime.wan_bytes(),
             egress_bytes=meter.egress_bytes,
             egress_usd=meter.egress_usd,
@@ -344,27 +348,24 @@ class ScenarioRun:
             )
         return out
 
-    def _phases(self, results, marks: list[int]):
-        """Per-phase rollups: results bucketed by emission time (the drain
-        tail belongs to the last phase), p99 latency, lineage completeness."""
+    def _phases(self, emitted_at, latencies, counts, complete, marks: list[int]):
+        """Per-phase rollups: results (columns of every result, in order)
+        bucketed by emission time (the drain tail belongs to the last
+        phase), p99 latency, lineage completeness."""
         for i, (rel_start, rel_end) in enumerate(self.scenario.phases):
             lo, hi = self.t0 + rel_start, self.t0 + rel_end
-            last = i == len(marks) - 1
-            bucket = [
-                r for r in results
-                if lo <= r.emitted_at < hi or (last and r.emitted_at >= hi)
-            ]
-            stats = LatencyStats.from_results(bucket)
+            bucket = (lo <= emitted_at) & (emitted_at < hi)
+            if i == len(marks) - 1:
+                bucket |= emitted_at >= hi
+            stats = LatencyStats.from_latencies(latencies[bucket])
             yield {
                 "phase": i,
                 "t0": rel_start,
                 "t1": rel_end,
-                "results": len(bucket),
-                "records": sum(r.record_count for r in bucket),
+                "results": int(bucket.sum()),
+                "records": int(counts[bucket].sum()),
                 "p99": stats.p99 if stats else None,
-                "lineage_complete": sum(
-                    1 for r in bucket if r.lineage is not None and r.lineage.complete
-                ),
+                "lineage_complete": int(complete[bucket].sum()),
                 "violations": marks[i],
             }
 

@@ -347,6 +347,11 @@ PARTIAL_RECORD_BYTES = 120.0
 _EMPTY_COUNT = np.empty(0, dtype=np.int64)
 _EMPTY_SIZE = np.empty(0, dtype=np.float64)
 
+#: A column's least and greatest element: what ``t.min()``/``t.max()``
+#: compute, minus numpy's Python-level ``_amin``/``_amax`` wrapper.
+_least = np.minimum.reduce
+_greatest = np.maximum.reduce
+
 
 class PartialBlock:
     """Closed (window, key) partials as columns: what a site ships.
@@ -624,7 +629,7 @@ class WindowedAggregator:
         cols.count[i] += 1
         return []
 
-    def process_batch(self, batch: RecordBatch) -> RecordBatch:
+    def process_batch(self, batch: RecordBatch) -> None:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
 
         The batch is held for :meth:`_flush`, which folds it into the
@@ -632,19 +637,19 @@ class WindowedAggregator:
         """
         n = len(batch)
         if not n:
-            return batch
+            return
         self.records_seen += n
         # The earliest record says whether any is late — and, window
         # index being monotone in t, which held window can close first.
-        first = batch.t.min().item()
+        first = _least(batch.t).item()
         if first < self._watermark:
             keep = batch.t >= self._watermark
             n_keep = int(np.count_nonzero(keep))
             self.late_dropped += n - n_keep
             if not n_keep:
-                return RecordBatch.empty(batch.origin)
+                return
             batch = batch.where(keep)
-            first = batch.t.min().item()
+            first = _least(batch.t).item()
         self._held.append(batch)
         self._held_n += len(batch.t)
         close = self.windows.end(self.windows.index(first))
@@ -652,7 +657,6 @@ class WindowedAggregator:
             self._next_close = close
         if self._held_n >= HOLD_RECORDS:
             self._flush()
-        return RecordBatch.empty(batch.origin)
 
     def _flush(self) -> None:
         """Fold the held batches, as one, into the columns."""
@@ -677,8 +681,8 @@ class WindowedAggregator:
         every group from the columns and back in one ``fold_groups``
         call."""
         windows = self.windows
-        lo = windows.index(t.min().item())
-        span = windows.index(t.max().item()) - lo + 1
+        lo = windows.index(_least(t).item())
+        span = windows.index(_greatest(t).item()) - lo + 1
         n_keys = len(self._names)
         codes = ids
         if span > 1:

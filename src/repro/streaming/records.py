@@ -112,9 +112,6 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __bool__(self) -> bool:
-        return len(self.t) > 0
-
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return RecordBatch(

@@ -21,16 +21,13 @@ emitted yet, and counted otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from repro.core.engine import SageEngine
 from repro.flow.checkpoint import Checkpointer, CheckpointStore
 from repro.flow.credits import CreditGate
 from repro.flow.policy import FlowConfig, make_policy
-from repro.obs.lineage import SiteLeg, WindowLineage, new_lineage, slot_setters
+from repro.obs.lineage import SiteLeg
 from repro.simulation.engine import PeriodicGroup
 from repro.streaming.batching import Batcher
 from repro.streaming.dataflow import SiteSpec, StreamJob
@@ -41,113 +38,7 @@ from repro.streaming.operators import (
     WindowedAggregator,
 )
 from repro.streaming.records import ChunkedBacklog, RecordBatch
-from repro.streaming.windows import Window
-
-
-@dataclass(frozen=True, slots=True)
-class WindowResult:
-    """One emitted global aggregate."""
-
-    window: Window
-    key: str
-    value: object
-    record_count: int
-    sites: int
-    emitted_at: float
-    #: Causal provenance (which sites/links/attempts produced this
-    #: result, with per-hop timings); ``None`` only for results built
-    #: before lineage existed or by hand in tests.
-    lineage: WindowLineage | None = None
-    #: Leader-lease epoch the emitting aggregator served under (0 when
-    #: no control plane is armed). The split-brain/exactly-once audit
-    #: uses it to attribute every window to one leadership term.
-    epoch: int = 0
-    #: Control-plane config version active at emission (0 = the boot
-    #: config). Lets the auditor attribute each window to the exact
-    #: configuration it ran under across live reconfigurations.
-    config_version: int = 0
-
-    @property
-    def latency(self) -> float:
-        """End-to-end: window close (event time) → global emission."""
-        return self.emitted_at - self.window.end
-
-
-(
-    _set_window, _set_key, _set_value, _set_count, _set_sites, _set_emitted_at,
-    _set_lineage, _set_epoch, _set_config_version,
-) = slot_setters(WindowResult)
-
-
-def _new_result(
-    window, key, value, record_count, sites, emitted_at, lineage, epoch,
-    config_version,
-) -> WindowResult:
-    """``WindowResult(...)`` with every field given, one slot write each
-    instead of the frozen ``__init__``'s ``object.__setattr__`` call."""
-    out = object.__new__(WindowResult)
-    _set_window(out, window)
-    _set_key(out, key)
-    _set_value(out, value)
-    _set_count(out, record_count)
-    _set_sites(out, sites)
-    _set_emitted_at(out, emitted_at)
-    _set_lineage(out, lineage)
-    _set_epoch(out, epoch)
-    _set_config_version(out, config_version)
-    return out
-
-
-@dataclass
-class LatencyStats:
-    """Summary of result latencies.
-
-    An empty summary (no results emitted) is falsy and carries NaN
-    percentiles; test with ``if stats:`` or format with :meth:`describe`
-    instead of printing raw fields, so ``nan`` never leaks into reports.
-    """
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-
-    @classmethod
-    def empty(cls) -> "LatencyStats":
-        """The no-results sentinel (falsy; all percentiles NaN)."""
-        return cls(0, *[float("nan")] * 5)
-
-    @classmethod
-    def from_results(cls, results: list[WindowResult]) -> "LatencyStats":
-        if not results:
-            return cls.empty()
-        lat = np.array([r.latency for r in results])
-        if lat.size == 1:
-            # Degenerate distribution: every quantile is the one sample.
-            value = float(lat[0])
-            return cls(1, value, value, value, value, value)
-        return cls(
-            count=len(lat),
-            mean=float(lat.mean()),
-            p50=float(np.percentile(lat, 50)),
-            p95=float(np.percentile(lat, 95)),
-            p99=float(np.percentile(lat, 99)),
-            max=float(lat.max()),
-        )
-
-    def __bool__(self) -> bool:
-        return self.count > 0
-
-    def describe(self) -> str:
-        """One-line human summary; safe on the empty sentinel."""
-        if not self:
-            return "latency: no results emitted"
-        return (
-            f"latency p50 {self.p50:.1f}s p95 {self.p95:.1f}s "
-            f"p99 {self.p99:.1f}s max {self.max:.1f}s"
-        )
+from repro.streaming.results import LatencyStats, ResultTable, ResultView, WindowResult
 
 
 class SiteRuntime:
@@ -317,22 +208,24 @@ class SiteRuntime:
         tail — sources treat the return value as a consumed prefix.
         """
         rejected = 0
-        if self.admission is not None and records:
+        n = len(records)
+        if self.admission is not None and n:
             saturated = (
                 self.flow is not None
                 and len(self._backlog) >= self.flow.max_backlog
             )
             rejected = self.admission.admit(
-                len(records), self.engine.sim.now, saturated=saturated
+                n, self.engine.sim.now, saturated=saturated
             )
             if rejected:
                 self.records_admission_rejected += rejected
                 if self._obs_on:
                     self._m_admission.inc(rejected)
                 records = records[rejected:]
+                n -= rejected
         if self.policy is None:
             self._backlog.extend(records)
-            accepted = len(records)
+            accepted = n
         else:
             accepted = self.policy.admit(self, records)
         self.records_ingested += accepted + rejected
@@ -526,8 +419,8 @@ class _Armed:
     key — with its merged ``states[i]`` and ``counts[i]``. While the
     arming batch is its only contributor, the slot's lineage is that
     batch's leg (its ``mark``, ``site`` and ``now`` with the row's
-    ``sizes[i]``) and ``legs[i]`` stays ``None``; a later partial for
-    the slot turns it into the per-site :class:`SiteLeg` dict.
+    ``sizes[i]``) and ``legs`` has no row ``i``; a later partial for
+    the slot gives the row its per-site :class:`SiteLeg` dict there.
     """
 
     __slots__ = (
@@ -546,13 +439,13 @@ class _Armed:
         self.states: list = []
         self.counts: list[int] = []
         self.sizes: list[float] = []
-        self.legs: list[dict[str, SiteLeg] | None] = []
+        self.legs: dict[int, dict[str, SiteLeg]] = {}
         #: Set when a restore replaces the pending slots under the timer.
         self.disarmed = False
 
     def first_leg(self, row: int) -> SiteLeg:
         """The arming batch's leg of row ``row`` (its only one while
-        ``legs[row]`` is ``None``)."""
+        ``legs`` has no such row)."""
         return SiteLeg.of_batch(
             self.site, self.mark, self.counts[row], self.sizes[row], self.now
         )
@@ -568,17 +461,24 @@ class GlobalAggregator:
     and the very row the checkpoint's ``emitted`` log writes. A slot
     pending emission is a row of the :class:`_Armed` group of the batch
     that first delivered it, which one finalize event emits.
+
+    Emitted results are rows of a :class:`ResultTable`: the runtime's,
+    shared with the aggregators that ran before this one, or a table of
+    its own. Taking one over drops what the last writer never committed.
     """
 
-    def __init__(self, engine: SageEngine, job: StreamJob) -> None:
+    def __init__(
+        self, engine: SageEngine, job: StreamJob, table: ResultTable | None = None
+    ) -> None:
         self.engine = engine
         self.job = job
-        self.results: list[WindowResult] = []
-        #: Exactly-once mode: results finalized since the last checkpoint.
-        #: They move to ``results`` when :meth:`checkpoint` commits them
-        #: (the transactional-sink half of exactly-once); a crash in
-        #: between loses them, and replay re-derives them.
-        self.uncommitted: list[WindowResult] = []
+        if table is None:
+            table = ResultTable()
+        table.truncate()
+        table.writer = self
+        self._table = table
+        #: The table's first row this aggregator emitted.
+        self._base = len(table)
         self.exactly_once = False
         #: Set by the runtime when this instance is killed, so its
         #: still-scheduled finalize timers become no-ops.
@@ -661,13 +561,14 @@ class GlobalAggregator:
         block = self._raw_aggregator.advance_watermark(watermark)
         n = len(block)
         if n:
+            # Raw-record windows close here: no site leg, no lineage hop.
             self._emit(
-                zip(block.start, block.end, block.key),
+                list(zip(block.start, block.end, block.key)),
                 block.state,
                 block.count.tolist(),
-                [1] * n,
-                [()] * n,
-                now,
+                [0.0] * n,
+                {},
+                (None, None, None),
             )
 
     def _merge(self, block: PartialBlock, batch: Batch, now: float) -> _Armed:
@@ -681,8 +582,9 @@ class GlobalAggregator:
             None if trace is None else trace.mark(),
             now,
         )
-        slots, states, counts = armed.slots, armed.states, armed.counts
-        sizes, legs = armed.sizes, armed.legs
+        slots, states, counts, sizes = (
+            armed.slots, armed.states, armed.counts, armed.sizes
+        )
         emitted = self._emitted
         pending = self._pending
         merge = self.job.aggregate.merge
@@ -704,10 +606,9 @@ class GlobalAggregator:
                 states.append(state)
                 counts.append(count)
                 sizes.append(size)
-                legs.append(None)
                 continue
             group, row = found
-            site_legs = group.legs[row]
+            site_legs = group.legs.get(row)
             if site_legs is None:
                 site_legs = group.legs[row] = {group.site: group.first_leg(row)}
             prior = group.states[row]
@@ -726,56 +627,38 @@ class GlobalAggregator:
         pop = self._pending.pop
         for slot in armed.slots:
             pop(slot)
-        site, mark, arrived = armed.site, armed.mark, armed.now
-        of_batch = SiteLeg.of_batch
-        legs = [
-            (of_batch(site, mark, count, size, arrived),)
-            if site_legs is None
-            else tuple(site_legs[s] for s in sorted(site_legs))
-            for count, size, site_legs in zip(armed.counts, armed.sizes, armed.legs)
-        ]
         self._emit(
-            armed.slots,
-            armed.states,
-            armed.counts,
-            list(map(len, legs)),
-            legs,
-            self.engine.sim.now,
+            armed.slots, armed.states, armed.counts, armed.sizes, armed.legs,
+            (armed.site, armed.mark, armed.now),
         )
 
-    def _emit(self, slots, states, counts, sites, legs, now: float) -> None:
-        """Emit one result per row of the parallel ``slots``, ``states``,
-        ``counts``, ``sites`` and ``legs``, in order. Rows of one window
-        share its :class:`Window`."""
+    def _emit(self, slots, states, counts, sizes, legs, batch: tuple) -> None:
+        """Append one result per row of the parallel ``slots``, ``states``,
+        ``counts`` and ``sizes`` to the table, as one group: ``legs``
+        maps a row to its per-site legs, and ``batch`` is the arming
+        batch's ``(site, mark, arrived)`` (all ``None`` for raw-record
+        windows)."""
         emitted = self._emitted
         log = self._emitted_log
-        append = (self.uncommitted if self.exactly_once else self.results).append
-        result = self.job.aggregate.result
-        epoch, version = self.epoch, self.config_version
-        window = None
-        for slot, state, count, n_sites, site_legs in zip(
-            slots, states, counts, sites, legs
-        ):
-            start, end, key = slot
-            if window is None or window.start is not start or window.end is not end:
-                window = Window(start, end)
+        for slot in slots:
             if slot not in emitted:
                 emitted.add(slot)
                 log.append(slot)
-            out = _new_result(
-                window,
-                key,
-                result(state),
-                count,
-                n_sites,
-                now,
-                new_lineage(start, end, key, now, site_legs),
-                epoch,
-                version,
-            )
-            append(out)
-            if self._obs_on:
-                self._observe(out)
+        table = self._table
+        first = len(table)
+        table.append(
+            slots,
+            map(self.job.aggregate.result, states),
+            counts,
+            sizes,
+            legs,
+            (self.engine.sim.now, self.epoch, self.config_version, *batch),
+        )
+        if not self.exactly_once:
+            table.commit()
+        if self._obs_on:
+            for i in range(first, len(table)):
+                self._observe(table.row(i))
 
     def _observe(self, result: WindowResult) -> None:
         """Metrics and the ``window.global_emit`` span of one result."""
@@ -820,8 +703,26 @@ class GlobalAggregator:
             )
         return hist
 
-    def latency_stats(self) -> LatencyStats:
-        return LatencyStats.from_results(self.results + self.uncommitted)
+    @property
+    def results(self) -> ResultView:
+        """The results this aggregator emitted and committed (all it
+        emitted, unless :attr:`exactly_once`); none once it crashed —
+        its committed ones are the runtime's delivered results then."""
+        table = self._table
+        return ResultView(
+            table, self._base, self._base if self.crashed else table.cursor
+        )
+
+    @property
+    def uncommitted(self) -> ResultView:
+        """Exactly-once mode: results finalized since the last checkpoint.
+        :meth:`checkpoint` commits them (the transactional-sink half of
+        exactly-once); a crash in between loses them, and replay
+        re-derives them."""
+        table = self._table
+        if table.writer is not self:
+            return ResultView(table, 0, 0)
+        return ResultView(table, table.cursor, len(table))
 
     # -- checkpoint/restore --------------------------------------------
     def checkpoint(self, since: dict[str, int] | None = None) -> dict:
@@ -841,8 +742,7 @@ class GlobalAggregator:
         what changed since the last one, not what ever happened. The
         payload names the cursor it was cut against under ``"since"``.
         """
-        self.results.extend(self.uncommitted)
-        self.uncommitted.clear()
+        self._table.commit()
         if since is None:
             since = {"emitted": 0, "seen": 0}
             emitted = sorted(map(list, self._emitted))
@@ -913,9 +813,7 @@ class GlobalAggregator:
             armed.states.append(state)
             armed.counts.append(count)
             armed.sizes.append(0.0)  # unread: the row's legs are explicit
-            armed.legs.append(
-                {leg["site"]: SiteLeg.from_dict(leg) for leg in legs}
-            )
+            armed.legs[0] = {leg["site"]: SiteLeg.from_dict(leg) for leg in legs}
             self._pending[slot] = (armed, 0)
             self.engine.sim.schedule(max(0.0, due - now), self._finalize, armed)
 
@@ -926,7 +824,7 @@ class GlobalAggregator:
         pending = self._pending
         for slot in sorted(pending):
             group, row = pending[slot]
-            legs = group.legs[row]
+            legs = group.legs.get(row)
             if legs is None:
                 sites = [group.site]
                 leg_rows = [group.first_leg(row).to_dict()]
@@ -970,13 +868,14 @@ class GeoStreamRuntime:
         #: Live aggregation region — starts at the job's, moves on
         #: failover via :meth:`retarget_aggregation`.
         self.aggregation_region = job.aggregation_region
-        self.aggregator = GlobalAggregator(engine, job)
+        #: Every result delivered to the outside world: rows committed by
+        #: aggregator instances that later crashed (they survive because
+        #: commit handed them out), then the live aggregator's rows.
+        self._table = ResultTable()
+        self.aggregator = GlobalAggregator(engine, job, self._table)
         #: Aggregator process liveness: while False, transport-level
         #: deliveries are dropped at the door (and recovered by replay).
         self._agg_up = True
-        #: Results committed by aggregator instances that later crashed
-        #: — they survive because commit handed them to the outside.
-        self._delivered_results: list[WindowResult] = []
         self.batches_dropped_while_down = 0
         self.aggregator_crashes = 0
         self.checkpoint_store: CheckpointStore | None = None
@@ -1086,17 +985,16 @@ class GeoStreamRuntime:
             return
         self._agg_up = False
         self.aggregator_crashes += 1
-        old = self.aggregator
-        old.crashed = True  # disarm its outstanding finalize timers
-        self._delivered_results.extend(old.results)
-        old.results = []
+        # Disarm its outstanding finalize timers. Its uncommitted rows
+        # stay in the table until a successor takes it over.
+        self.aggregator.crashed = True
 
     def restart_aggregator(self) -> None:
         """Boot a fresh aggregator from the last checkpoint, then replay."""
         if self._agg_up:
             return
         old = self.aggregator
-        self.aggregator = GlobalAggregator(self.engine, self.job)
+        self.aggregator = GlobalAggregator(self.engine, self.job, self._table)
         # Epoch/config stamps carry across a plain same-leader restart;
         # a control-plane promotion overwrites them right after this.
         self.aggregator.epoch = old.epoch
@@ -1146,46 +1044,30 @@ class GeoStreamRuntime:
 
     # ------------------------------------------------------------------
     @property
-    def results(self) -> list[WindowResult]:
-        """Every result delivered to the outside world, crashes included."""
-        return (
-            self._delivered_results
-            + self.aggregator.results
-            + self.aggregator.uncommitted
-        )
+    def results(self) -> ResultView:
+        """Every result delivered to the outside world, crashes included
+        (a read-only view: O(1), each result built on access)."""
+        return ResultView(self._table, 0, len(self._table))
 
     def results_since(
         self, start: int, include_uncommitted: bool = False
-    ) -> list[WindowResult]:
-        """Results appended at or after flat index ``start`` — O(new).
+    ) -> ResultView:
+        """Results appended at or after flat index ``start`` — O(1).
 
-        The durable sequence ``_delivered_results + aggregator.results``
-        is append-stable: a checkpoint commit *appends* uncommitted
-        results to ``aggregator.results`` and a crash *moves* them to
-        ``_delivered_results`` preserving order, so a flat cursor into
-        it never re-reads an already-seen result. ``uncommitted``
-        results are excluded by default because a crash discards them
-        (they are re-derived after replay — an incremental scanner that
-        had counted the discarded copies would then report phantom
-        duplicates); pass ``include_uncommitted`` only for a final scan
-        at quiescence. Continuous auditing over multi-day soaks relies
-        on this instead of rebuilding :attr:`results` every tick.
+        The committed rows are append-stable: a checkpoint commit moves
+        the table's cursor forward and a crash drops only rows past it,
+        so a flat cursor into them never re-reads an already-seen
+        result. Uncommitted results are excluded by default because a
+        crash discards them (they are re-derived after replay — an
+        incremental scanner that had counted the discarded copies would
+        then report phantom duplicates); pass ``include_uncommitted``
+        only for a final scan at quiescence. Continuous auditing over
+        multi-day soaks relies on this instead of reading every result
+        each tick.
         """
-        d = self._delivered_results
-        r = self.aggregator.results
-        nd, nr = len(d), len(r)
-        out: list[WindowResult] = []
-        if start < nd:
-            out.extend(d[start:] if start else d)
-            start = nd
-        if start < nd + nr:
-            out.extend(r[start - nd:])
-            start = nd + nr
-        if include_uncommitted:
-            u = self.aggregator.uncommitted
-            if start < nd + nr + len(u):
-                out.extend(u[start - nd - nr:])
-        return out
+        table = self._table
+        hi = len(table) if include_uncommitted else table.cursor
+        return ResultView(table, min(start, hi), hi)
 
     def in_pipe(self) -> int:
         """Records still somewhere in the pipeline (0 == quiescent).
@@ -1211,23 +1093,21 @@ class GeoStreamRuntime:
         return pending
 
     def latency_stats(self) -> LatencyStats:
-        return LatencyStats.from_results(self.results)
+        return LatencyStats.from_latencies(self.results.latencies())
 
     def lineage_stats(self) -> dict:
         """How much of the emitted output carries full provenance.
 
         ``complete`` counts results whose every leg has a cut, send and
         arrival timestamp — i.e. windows the lineage layer can decompose
-        into site_close/queue/transit/merge hops end to end.
+        into site_close/queue/transit/merge hops end to end. Every
+        emitted result carries a lineage.
         """
         results = self.results
-        with_lineage = [r for r in results if r.lineage is not None]
         return {
             "results": len(results),
-            "with_lineage": len(with_lineage),
-            "complete": sum(
-                1 for r in with_lineage if r.lineage.complete
-            ),
+            "with_lineage": len(results),
+            "complete": int(results.complete().sum()),
         }
 
     def _backends(self) -> list:
@@ -1273,7 +1153,7 @@ class GeoStreamRuntime:
 
     def records_in_results(self) -> int:
         """Raw records accounted for by emitted window results."""
-        return sum(r.record_count for r in self.results)
+        return self.results.records()
 
     def throughput(self, duration: float) -> float:
         """Processed records per second of virtual time."""

@@ -30,6 +30,9 @@ import numpy as np
 from repro.simulation.engine import PeriodicTask, Simulator
 from repro.streaming.records import RecordBatch
 
+#: The pending buffer of a source whose sink took everything offered.
+_NOTHING_PENDING = RecordBatch.empty()
+
 
 class StreamSource:
     """Base class wiring a source to the simulator.
@@ -55,7 +58,7 @@ class StreamSource:
         #: Records the sink accepted (deferred records count on delivery).
         self.records_emitted = 0
         #: Sink-rejected records awaiting re-offer (block backpressure).
-        self._pending = RecordBatch.empty()
+        self._pending = _NOTHING_PENDING
         #: High-water mark of the pending buffer.
         self.max_deferred = 0
         self._task: PeriodicTask | None = None
@@ -128,8 +131,8 @@ class StreamSource:
         if accepted is None:  # a sink that returns nothing admitted everything
             accepted = offered
         self.records_emitted += accepted
-        self._pending = records[accepted:]
         deferred = offered - accepted
+        self._pending = records[accepted:] if deferred else _NOTHING_PENDING
         if deferred > self.max_deferred:
             self.max_deferred = deferred
         if self._draining and not deferred:
@@ -332,6 +335,8 @@ class SensorGridSource(StreamSource):
         self.drift_sigma = drift_sigma
         self.noise_sigma = noise_sigma
         self._levels: np.ndarray | None = None
+        #: Each tick's drift draws, filled in place.
+        self._drift = np.empty(n_sensors)
         self._next_report: np.ndarray | None = None
         self._key_table: tuple[str, ...] | None = None
         #: The constant ``size`` column; a tick slices what it needs.
@@ -348,7 +353,12 @@ class SensorGridSource(StreamSource):
             )
         next_report = self._next_report
         assert next_report is not None
-        self._levels += rng.normal(0, self.drift_sigma, self.n_sensors)
+        # ``normal(0, s)`` is ``0 + s * z`` and ``uniform(lo, hi)`` is
+        # ``lo + (hi - lo) * u``: the same draws from the same stream,
+        # without the per-call broadcasting of either.
+        drift = rng.standard_normal(out=self._drift)
+        drift *= self.drift_sigma
+        self._levels += drift
         if self._key_table is None:
             self._key_table = tuple(
                 f"{self.name}/s{idx:04d}" for idx in range(self.n_sensors)
@@ -357,9 +367,9 @@ class SensorGridSource(StreamSource):
         due = (next_report < t1).nonzero()[0]
         while due.size:
             report_t = next_report[due]
-            value = self._levels[due] + rng.normal(0, self.noise_sigma, due.size)
+            value = self._levels[due] + rng.standard_normal(due.size) * self.noise_sigma
             next_report[due] = report_t + self.report_interval * (
-                rng.uniform(0.9, 1.1, due.size)
+                rng.random(due.size) * (1.1 - 0.9) + 0.9
             )
             rounds.append((np.maximum(report_t, t0), due, value))
             due = due[next_report[due] < t1]
@@ -369,7 +379,7 @@ class SensorGridSource(StreamSource):
             t, sensor_idx, value = rounds[0]
         else:
             t, sensor_idx, value = (np.concatenate(c) for c in zip(*rounds))
-        order = np.argsort(t, kind="stable")
+        order = t.argsort(kind="stable")
         if t.size > self._sizes.size:  # several rounds in one tick
             self._sizes = np.full(t.size, self.record_bytes)
         return RecordBatch(

@@ -9,14 +9,17 @@ path of the aggregator's deliver, merge, finalize, checkpoint and
 restore — sharing no merge code with ``src/`` (the ``_fluid_oracle.py``
 pattern). ``tests/test_streaming_merge_columns.py`` drives it and the
 columnar aggregator with the same deliveries and requires equal results,
-lineage and checkpoint bytes.
+lineage and checkpoint bytes. :class:`ReferenceRuntime` keeps the list-based
+result bookkeeping the runtime had before results became one table.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.obs.lineage import SiteLeg, WindowLineage
 from repro.streaming.operators import PartialBlock
-from repro.streaming.runtime import CHECKPOINT_VERSION, WindowResult
+from repro.streaming.runtime import CHECKPOINT_VERSION, LatencyStats, WindowResult
 from repro.streaming.windows import Window
 
 
@@ -196,3 +199,89 @@ class ReferenceAggregator:
             self.engine.sim.schedule(
                 max(0.0, due - now), self._finalize, [slot]
             )
+
+
+class ReferenceRuntime:
+    """``GeoStreamRuntime``'s result bookkeeping when results were lists.
+
+    Results committed by a crashed aggregator moved to
+    ``_delivered_results``; the live aggregator held its committed
+    ``results`` and its ``uncommitted`` ones, and every reader walked
+    ``_delivered_results + results + uncommitted`` one object at a time.
+    ``tests/test_streaming_result_table.py`` holds the runtime's table
+    views and column readers to these values.
+    """
+
+    def __init__(self, engine, job) -> None:
+        self.engine = engine
+        self.job = job
+        self.aggregator = ReferenceAggregator(engine, job)
+        self.up = True
+        self._delivered_results: list[WindowResult] = []
+
+    def deliver(self, batch) -> None:
+        if self.up:
+            self.aggregator.deliver(batch)
+
+    def checkpoint(self) -> None:
+        if self.up:
+            self.aggregator.checkpoint()
+
+    def crash(self) -> None:
+        if not self.up:
+            return
+        self.up = False
+        old = self.aggregator
+        old.crashed = True
+        self._delivered_results.extend(old.results)
+        old.results = []
+
+    def restart(self, payload: dict | None) -> None:
+        if self.up:
+            return
+        self.aggregator = ReferenceAggregator(self.engine, self.job)
+        if payload is not None:
+            self.aggregator.restore(payload)
+        self.up = True
+
+    @property
+    def results(self) -> list[WindowResult]:
+        return (
+            self._delivered_results
+            + self.aggregator.results
+            + self.aggregator.uncommitted
+        )
+
+    def results_since(self, start: int, include_uncommitted: bool = False):
+        d = self._delivered_results
+        r = self.aggregator.results
+        nd, nr = len(d), len(r)
+        out: list[WindowResult] = []
+        if start < nd:
+            out.extend(d[start:] if start else d)
+            start = nd
+        if start < nd + nr:
+            out.extend(r[start - nd:])
+            start = nd + nr
+        if include_uncommitted:
+            u = self.aggregator.uncommitted
+            if start < nd + nr + len(u):
+                out.extend(u[start - nd - nr:])
+        return out
+
+    def latency_stats(self) -> LatencyStats:
+        return LatencyStats.from_latencies(
+            np.array([r.latency for r in self.results])
+        )
+
+    def lineage_stats(self) -> dict:
+        results = self.results
+        with_lineage = [r for r in results if r.lineage is not None]
+        return {
+            "results": len(results),
+            "with_lineage": len(with_lineage),
+            "complete": sum(1 for r in with_lineage if r.lineage.complete),
+        }
+
+    def records_in_results(self) -> int:
+        return sum(r.record_count for r in self.results)

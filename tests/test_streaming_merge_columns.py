@@ -9,8 +9,10 @@ that no ``Record``, ``PartialAggregate`` or ``Window`` hash is paid per
 the bytes the per-partial path wrote.
 """
 
+import gc
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from repro.cloud.deployment import CloudEnvironment
 from repro.core.engine import SageEngine
 from repro.flow.checkpoint import CheckpointStore
-from repro.obs.lineage import BatchTrace
+from repro.obs.lineage import BatchTrace, SiteLeg, WindowLineage
+from repro.streaming import results as results_module
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.events import Batch, Record
 from repro.streaming.operators import (
@@ -28,12 +31,12 @@ from repro.streaming.operators import (
     PartialBlock,
     builtin_aggregate,
 )
-from repro.streaming.runtime import GeoStreamRuntime, GlobalAggregator
+from repro.streaming.runtime import GeoStreamRuntime, GlobalAggregator, WindowResult
 from repro.streaming.shipping import SageShipping
 from repro.streaming.sources import PoissonSource
 from repro.streaming.windows import TumblingWindows, Window
 from tests._merge_oracle import ReferenceAggregator
-from tests.test_streaming_merge import _engine
+from tests.test_streaming_merge import SITES, _engine
 from tests.test_streaming_merge import _job as _shared_key_job
 
 #: Delivering origins; "" is a batch without an origin (merged as site
@@ -61,6 +64,20 @@ def _job(aggregate: str) -> StreamJob:
     )
 
 
+def _disjoint_key_job() -> StreamJob:
+    """Three sites with 64 keys each, none shared: every result is one
+    site's partial, with one leg."""
+    job = _shared_key_job()
+    job.sites = [
+        SiteSpec(region, [PoissonSource(
+            f"s-{region}", rate=150.0,
+            keys=[f"{region}-k{i:02d}" for i in range(64)],
+        )])
+        for region in SITES
+    ]
+    return job
+
+
 def _row(result) -> str:
     """Everything a result carries, floats by repr (NaN-safe, bit-exact),
     the legs' trace sets included."""
@@ -74,6 +91,37 @@ def _row(result) -> str:
 
 def _blob(payload: dict, keys) -> str:
     return json.dumps({k: payload[k] for k in keys}, separators=(",", ":"))
+
+
+def _batch(now, base, aggregate, shared, origin, seq, form, rows, traced):
+    """A delivered batch of partials for windows ``base + 10 w``: one per
+    ``(w, k, records, value)`` row, as a block or a record list, with a
+    trace whose one hop arrived now when ``traced``."""
+    windows = [Window(base + 10.0 * w, base + 10.0 * w + 10.0) for w in range(3)]
+    partials = []
+    for w, k, n, value in rows:
+        key = f"k{k}" if shared else f"{origin or 'x'}-k{k}"
+        state = (n, value * n) if aggregate == "mean" else value
+        partials.append(PartialAggregate(windows[w], key, state, n))
+    if form == "list":
+        payload = [
+            Record(pa.window.end, pa.key, pa, origin, 120.0) for pa in partials
+        ]
+    else:
+        payload = PartialBlock(
+            [pa.window.start for pa in partials],
+            [pa.window.end for pa in partials],
+            [pa.key for pa in partials],
+            [pa.state for pa in partials],
+            np.array([pa.count for pa in partials], dtype=np.int64),
+            np.full(len(partials), 120.0),
+        )
+    batch = Batch(payload, origin, created_at=now, seq=seq)
+    if traced:
+        batch.trace = BatchTrace.stamp(origin, seq, now - 1.0)
+        hop = batch.trace.begin_hop(f"{origin}->NUS", "sage", now - 0.5)
+        hop.arrived_at = now
+    return batch
 
 
 _VALUES = st.sampled_from([0.0, -0.0, 1.5, -2.25, 7.0, 1e300, float("nan")])
@@ -132,33 +180,10 @@ def test_property_columnar_merge_equals_per_partial_merge(
         if kind == "batch":
             _, o, form, rows, traced = op
             origin = ORIGINS[o % n_sites] if o < len(ORIGINS) - 1 else ""
-            windows = [Window(base + 10.0 * w, base + 10.0 * w + 10.0)
-                       for w in range(3)]
-            partials = []
-            for w, k, n, value in rows:
-                key = f"k{k}" if shared else f"{origin or 'x'}-k{k}"
-                state = (n, value * n) if aggregate == "mean" else value
-                partials.append(PartialAggregate(windows[w], key, state, n))
-            if form == "list":
-                payload = [
-                    Record(pa.window.end, pa.key, pa, origin, 120.0)
-                    for pa in partials
-                ]
-            else:
-                payload = PartialBlock(
-                    [pa.window.start for pa in partials],
-                    [pa.window.end for pa in partials],
-                    [pa.key for pa in partials],
-                    [pa.state for pa in partials],
-                    np.array([pa.count for pa in partials], dtype=np.int64),
-                    np.full(len(partials), 120.0),
-                )
             seq = seqs[origin] = seqs.get(origin, -1) + 1
-            batch = Batch(payload, origin, created_at=sim.now, seq=seq)
-            if traced:
-                batch.trace = BatchTrace.stamp(origin, seq, sim.now - 1.0)
-                hop = batch.trace.begin_hop(f"{origin}->NUS", "sage", sim.now - 0.5)
-                hop.arrived_at = sim.now
+            batch = _batch(
+                sim.now, base, aggregate, shared, origin, seq, form, rows, traced
+            )
             sent.append(batch)
             deliver(batch)
         elif kind in ("again", "retry") and sent:
@@ -226,6 +251,34 @@ def test_a_list_of_partial_records_merges_like_the_same_block(engine):
     assert [_row(r) for r in first.results] == [_row(r) for r in second.results]
 
 
+def _count_result_objects(monkeypatch) -> dict[str, int]:
+    """Count every ``WindowResult``, ``WindowLineage`` and ``SiteLeg``
+    built from now on, through any of their constructors."""
+    counts = {"WindowResult": 0, "WindowLineage": 0, "SiteLeg": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for cls in (WindowResult, WindowLineage, SiteLeg):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    monkeypatch.setattr(
+        results_module, "_new_result",
+        counting("WindowResult", results_module._new_result),
+    )
+    monkeypatch.setattr(
+        results_module, "new_lineage",
+        counting("WindowLineage", results_module.new_lineage),
+    )
+    of_batch = SiteLeg.of_batch.__func__
+    monkeypatch.setattr(
+        SiteLeg, "of_batch", classmethod(counting("SiteLeg", of_batch))
+    )
+    return counts
+
+
 def test_a_run_builds_no_record_partial_or_window_hash_per_window_key(monkeypatch):
     counts = {"Record": 0, "PartialAggregate": 0, "Window.__hash__": 0,
               "Window": 0}
@@ -245,6 +298,7 @@ def test_a_run_builds_no_record_partial_or_window_hash_per_window_key(monkeypatc
         Window, "__hash__", counting("Window.__hash__", Window.__hash__)
     )
     monkeypatch.setattr(Window, "__init__", counting("Window", Window.__init__))
+    objects = _count_result_objects(monkeypatch)
     engine = _engine()
     runtime = GeoStreamRuntime(
         engine, _shared_key_job(), SageShipping.factory(n_nodes=2)
@@ -252,6 +306,13 @@ def test_a_run_builds_no_record_partial_or_window_hash_per_window_key(monkeypatc
     runtime.enable_checkpointing(interval=15.0)
     runtime.run_for(60.0)
     built = dict(counts)
+    assert objects["WindowResult"] == objects["WindowLineage"] == 0
+    # Every row merged three sites' partials: the merge built their
+    # legs (and checkpoints a leg per pending row), the row keeps them.
+    legs = objects["SiteLeg"]
+    result = runtime.results[0]
+    assert objects == {"WindowResult": 1, "WindowLineage": 1, "SiteLeg": legs}
+    assert len(result.lineage.legs) == result.sites == 3
     results = runtime.results
     windows = len({r.window.start for r in results})
     assert len(results) == 64 * windows and {r.sites for r in results} == {3}
@@ -260,6 +321,29 @@ def test_a_run_builds_no_record_partial_or_window_hash_per_window_key(monkeypatc
     # A few Windows per window — one per site close, per finalize event
     # and per checkpoint of an open window — never one per key (64).
     assert built["Window"] <= 8 * windows
+
+
+def test_results_are_built_only_when_read(monkeypatch):
+    """With obs off, a run of one-site rows keeps no result object:
+    indexing one row builds one result, one lineage and its one leg."""
+    def alive() -> list[int]:
+        gc.collect()
+        counts = Counter(type(o).__name__ for o in gc.get_objects())
+        return [counts[name] for name in objects]
+
+    objects = _count_result_objects(monkeypatch)
+    before = alive()
+    engine = _engine()
+    runtime = GeoStreamRuntime(
+        engine, _disjoint_key_job(), SageShipping.factory(n_nodes=2)
+    )
+    runtime.run_for(60.0)
+    assert objects == {"WindowResult": 0, "WindowLineage": 0, "SiteLeg": 0}
+    assert alive() == before
+    assert len(runtime.results) == 3 * 64 * 5  # windows [30, 80)
+    result = runtime.results[-1]
+    assert objects == {"WindowResult": 1, "WindowLineage": 1, "SiteLeg": 1}
+    assert result.sites == len(result.lineage.legs) == 1
 
 
 #: sha256 of every aggregator checkpoint the crash-and-restore run of

@@ -1,5 +1,6 @@
 """Integration tests for the geo-streaming runtime."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.deployment import CloudEnvironment
@@ -181,7 +182,7 @@ def test_throughput_accessor():
 
 
 def test_latency_stats_empty():
-    stats = LatencyStats.from_results([])
+    stats = LatencyStats.from_latencies(np.array([]))
     assert stats.count == 0
     assert not stats  # the empty sentinel is falsy
     assert stats.describe() == "latency: no results emitted"
@@ -204,7 +205,7 @@ def test_latency_stats_single_result():
         sites=1,
         emitted_at=14.0,
     )
-    stats = LatencyStats.from_results([result])
+    stats = LatencyStats.from_latencies(np.array([result.latency]))
     assert stats
     assert stats.count == 1
     # Degenerate distribution: every percentile is the one latency.
